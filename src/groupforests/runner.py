@@ -10,6 +10,7 @@ a fixed precision.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -106,6 +107,14 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)
+
+
+def _int_text(n: int) -> str:
+    """Decimal digits of n at any size; str() refuses ints past 4300 digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def parse_family(text: str) -> GroupFamily:
@@ -364,7 +373,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         comp = harmonic_component_group(lap)
         if comp.order != tau:
             raise IdentityMismatchError(
-                f"tau {tau} != component order {comp.order}"
+                f"tau {_int_text(tau)} != component order {_int_text(comp.order)}"
             )
         return tau, comp.order
 
@@ -399,8 +408,8 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
                     str(i),
                     str(q.size),
                     str(cfg.injectivity_radii[i]),
-                    str(tau),
-                    str(order),
+                    _int_text(tau),
+                    _int_text(order),
                     _fmt(math.log(tau) / q.size),
                     _fmt(fk),
                     ent_cell,
@@ -471,6 +480,13 @@ def run_fk_det(cfg: ExperimentConfig) -> Report:
 # ----- forests ---------------------------------------------------------------
 
 
+def _check_mean_degree(tree, expected: Fraction) -> None:
+    """Raise unless the tree's mean degree is exactly `expected` (-O keeps this)."""
+    mean = degree_statistics(tree).mean
+    if mean != expected:
+        raise AssertionError(f"mean tree degree {mean} != {expected}")
+
+
 def run_sample_ust(cfg: ExperimentConfig) -> Report:
     """Sampled spanning trees as edge lists, one row per tree edge."""
     max_steps = cfg.cap("max_steps") or None
@@ -489,7 +505,7 @@ def run_sample_ust(cfg: ExperimentConfig) -> Report:
                     graph, root=cfg.root, rng=rng_stream(cfg.seed, i, s), max_steps=max_steps
                 ),
             )
-            assert degree_statistics(tree).mean == expected
+            _check_mean_degree(tree, expected)
             for u, v, slot in tree.as_edge_list():
                 rows.append(
                     ConvergenceRow(i, (str(i), str(s), str(u), str(v), str(slot)))
@@ -513,9 +529,8 @@ def run_forest_suite(cfg: ExperimentConfig) -> Report:
         graph = QuotientMultigraph(build_laplacian(q, cfg.f))
         # one extra sample past the marginal block keeps the streams disjoint
         tree = wilson_sample(graph, rng=rng_stream(cfg.seed, i, cfg.samples))
-        stats = degree_statistics(tree)
         expected = Fraction(2 * (graph.n - 1), graph.n)
-        assert stats.mean == expected
+        _check_mean_degree(tree, expected)
         return expected
 
     means = _run_tasks(
@@ -650,7 +665,7 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
             str(q.size),
             str(inj),
             str(len(window)),
-            str(order),
+            _int_text(order),
             mode,
             _fmt(rad),
         )

@@ -12,8 +12,14 @@ spectral-radius probe for amenability.
 
 Engines for the return series:
 
-- "direct": dictionary convolution over normal forms.  Exact rationals up to
-  a support cap, then a float fast path.  Works for every family.
+- "direct": step-by-step powers of mu.  Works for every family.  On the
+  Heisenberg group it runs on a dense (x, y, z) box, where each support word
+  is a shift in (x, y) and a shear in z: exact int64 walk counts while
+  f_e^k < 2^63 (each value then equals the exact rational's float), float64
+  probabilities after.  Other families use dictionary convolution over
+  normal forms, exact rationals up to a support size and floats after.  Both
+  stop at the same step with the same error once the support exceeds
+  max_support.
 - "grid": for free-abelian families, evaluates the Fourier multiplier of mu
   on an m^d grid; the grid average of its k-th power equals (mu^k) at the
   origin exactly as long as k * reach < m (no wrap-around), and is an upper
@@ -230,13 +236,22 @@ def convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Group-ring product: (ab)_w = sum over s of a_s * b_{s^{-1} w}."""
     if a.family != b.family:
         raise FamilyMismatchError("convolution needs a single family")
-    fam = a.family
-    acc: dict = {}
-    for nf1, c1 in a._coeffs.items():
-        for nf2, c2 in b._coeffs.items():
+    return GroupRingElement(a.family, _dict_step(a.family, a._coeffs, b._coeffs, 0))
+
+
+def _dict_step(fam: GroupFamily, cur: dict, step: dict, zero) -> dict:
+    """Dictionary convolution over normal forms, the kernel of every dict product."""
+    nxt: dict = {}
+    for nf1, c1 in cur.items():
+        for nf2, c2 in step.items():
             nf = fam.multiply_normals(nf1, nf2)
-            acc[nf] = acc.get(nf, 0) + c1 * c2
-    return GroupRingElement(fam, acc)
+            nxt[nf] = nxt.get(nf, zero) + c1 * c2
+    return nxt
+
+
+def _check_support(size: int, max_support: int, k: int) -> None:
+    if size > max_support:
+        raise ResourceLimitError(f"walk support {size} exceeds cap {max_support} at step {k}")
 
 
 def parse_group_ring(family: GroupFamily, text: str) -> GroupRingElement:
@@ -418,17 +433,9 @@ def convolve_powers(f: GroupRingElement, k_max=None, max_support: int = DEFAULT_
         yield WalkDistribution(fam, k, dict(cur))
         if k_max is not None and k >= k_max:
             return
-        nxt: dict = {}
-        for nf1, c1 in cur.items():
-            for nf2, c2 in mu.coeffs.items():
-                nf = fam.multiply_normals(nf1, nf2)
-                nxt[nf] = nxt.get(nf, Fraction(0)) + c1 * c2
-        if len(nxt) > max_support:
-            raise ResourceLimitError(
-                f"walk support {len(nxt)} exceeds cap {max_support} at step {k + 1}"
-            )
-        cur = nxt
+        cur = _dict_step(fam, cur, mu.coeffs, Fraction(0))
         k += 1
+        _check_support(len(cur), max_support, k)
 
 
 def return_probability(f: GroupRingElement, k: int, max_support: int = DEFAULT_MAX_SUPPORT) -> Fraction:
@@ -476,32 +483,123 @@ def _auto_engine(f: GroupRingElement) -> str:
     return "direct"
 
 
-def _series_direct(f, K, max_support, max_exact_support):
+def _dict_powers(f, K, max_support, max_exact_support):
+    """Yield (k, value_at) for mu^k, k = 1..K, by dictionary convolution.
+
+    Exact rationals while the support holds at most max_exact_support
+    words, floats after; value_at(nf) is (mu^k) at nf as a float.
+    """
     fam = f.family
-    ident = fam.identity_normal()
     mu_exact = walk_distribution(f).coeffs
     mu_float = {nf: float(c) for nf, c in mu_exact.items()}
-    out = np.zeros(K + 1)
-    out[0] = 1.0
-    cur: dict = {ident: Fraction(1)}
+    cur: dict = {fam.identity_normal(): Fraction(1)}
     exact = True
     for k in range(1, K + 1):
-        step = mu_exact if exact else mu_float
-        zero = Fraction(0) if exact else 0.0
-        nxt: dict = {}
-        for nf1, c1 in cur.items():
-            for nf2, c2 in step.items():
-                nf = fam.multiply_normals(nf1, nf2)
-                nxt[nf] = nxt.get(nf, zero) + c1 * c2
-        if len(nxt) > max_support:
-            raise ResourceLimitError(
-                f"walk support {len(nxt)} exceeds cap {max_support} at step {k}"
-            )
-        if exact and len(nxt) > max_exact_support:
-            nxt = {nf: float(c) for nf, c in nxt.items()}
+        if exact:
+            cur = _dict_step(fam, cur, mu_exact, Fraction(0))
+        else:
+            cur = _dict_step(fam, cur, mu_float, 0.0)
+        _check_support(len(cur), max_support, k)
+        if exact and len(cur) > max_exact_support:
+            cur = {nf: float(c) for nf, c in cur.items()}
             exact = False
-        cur = nxt
-        out[k] = float(cur.get(ident, 0))
+        yield k, lambda nf, cur=cur: float(cur.get(nf, 0))
+
+
+def _box_step(cur: np.ndarray, lo: tuple, words: list):
+    """cur * mu on a dense Heisenberg box whose cell [0, 0, 0] is the element lo.
+
+    Right multiplication by (u, v, w) sends (x, y, z) to (x+u, y+v, z+w+x*v):
+    a translation of the whole box when v == 0, otherwise a translation of
+    each x-slice by its own z-shear.  Returns the new box and its origin.
+    """
+    nx, ny, nz = cur.shape
+    x0, y0, z0 = lo
+    x1 = x0 + nx - 1
+    us = [u for (u, _, _), _ in words]
+    vs = [v for (_, v, _), _ in words]
+    # the z-shift w + x*v of a word is extreme at an end slice
+    dz_lo = min(w + min(x0 * v, x1 * v) for (_, v, w), _ in words)
+    dz_hi = max(w + max(x0 * v, x1 * v) for (_, v, w), _ in words)
+    u_lo, v_lo = min(us), min(vs)
+    nxt = np.zeros(
+        (nx + max(us) - u_lo, ny + max(vs) - v_lo, nz + dz_hi - dz_lo), dtype=cur.dtype
+    )
+    for (u, v, w), c in words:
+        i, j = u - u_lo, v - v_lo
+        src = cur if c == 1 else c * cur
+        if v == 0:
+            dz = w - dz_lo
+            nxt[i : i + nx, j : j + ny, dz : dz + nz] += src
+            continue
+        for s in range(nx):
+            dz = w + (x0 + s) * v - dz_lo
+            nxt[i + s, j : j + ny, dz : dz + nz] += src[s]
+    return nxt, (x0 + u_lo, y0 + v_lo, z0 + dz_lo)
+
+
+def _box_trim(cur: np.ndarray, lo: tuple):
+    """Cut the box to the bounding box of its nonzero cells; also the cell count."""
+    mask = cur != 0
+    cuts = []
+    for axis in range(3):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(3) if a != axis)))
+        cuts.append((int(hit[0]), int(hit[-1]) + 1))
+    box = cur[tuple(slice(a, b) for a, b in cuts)]
+    return box, tuple(l + a for l, (a, _) in zip(lo, cuts)), int(np.count_nonzero(mask))
+
+
+def _box_powers(f, K, max_support):
+    """Yield (k, value_at) for mu^k, k = 1..K, on a dense Heisenberg (x, y, z) box.
+
+    While f_e^k < 2^63 the box holds the exact walk counts f_e^k mu^k as
+    int64 (they sum to f_e^k, so no entry overflows) and value_at divides
+    them as Python ints, which rounds correctly: the same float an exact
+    rational gives.  From the first k with f_e^k >= 2^63 on, the box holds
+    float64 probabilities.  After every step the support size is checked
+    against max_support and the box is trimmed to the support's bounding
+    box, so memory follows the support.  (A float cell that underflows below
+    2^-1074, possible only once f_e^k > 2^1074, leaves the support count.)
+    """
+    fe = f.identity_coefficient
+    ident = f.family.identity_normal()
+    words = [(nf, -c) for nf, c in f._coeffs.items() if nf != ident]
+    cur = np.ones((1, 1, 1), dtype=np.int64)
+    lo = ident
+    scale = 1  # integer phase: (mu^k) = cur / scale with scale = f_e^k
+    for k in range(1, K + 1):
+        if scale and scale * fe >= 1 << 63:
+            cur = cur / float(scale)
+            words = [(nf, c / fe) for nf, c in words]
+            scale = 0
+        cur, lo = _box_step(cur, lo, words)
+        cur, lo, size = _box_trim(cur, lo)
+        _check_support(size, max_support, k)
+        if scale:
+            scale *= fe
+
+        def value_at(nf, cur=cur, lo=lo, scale=scale):
+            idx = tuple(a - b for a, b in zip(nf, lo))
+            if not all(0 <= i < n for i, n in zip(idx, cur.shape)):
+                return 0.0
+            return int(cur[idx]) / scale if scale else float(cur[idx])
+
+        yield k, value_at
+
+
+def _direct_powers(f, K, max_support, max_exact_support):
+    """mu^1 .. mu^K for the direct engine: the box on Heisenberg, else dicts."""
+    if f.family.kind == "heisenberg":
+        return _box_powers(f, K, max_support)
+    return _dict_powers(f, K, max_support, max_exact_support)
+
+
+def _series_direct(f, K, max_support, max_exact_support):
+    ident = f.family.identity_normal()
+    out = np.zeros(K + 1)
+    out[0] = 1.0
+    for k, value_at in _direct_powers(f, K, max_support, max_exact_support):
+        out[k] = value_at(ident)
     return ReturnSeries(out, "direct", K)
 
 
@@ -771,25 +869,12 @@ def _green_direct(f, K, radius, max_support):
     fam = f.family
     ball = word_ball(fam, radius, generators=_support_generators(f))
     wanted = {w.normal for w in ball}
-    mu = walk_distribution(f).coeffs
-    mu_f = {nf: float(c) for nf, c in mu.items()}
-    ident = fam.identity_normal()
     acc = {nf: 0.0 for nf in wanted}
-    cur = {ident: 1.0}
-    acc[ident] = 1.0
-    for k in range(1, K + 1):
-        nxt: dict = {}
-        for nf1, c1 in cur.items():
-            for nf2, c2 in mu_f.items():
-                nf = fam.multiply_normals(nf1, nf2)
-                nxt[nf] = nxt.get(nf, 0.0) + c1 * c2
-        if len(nxt) > max_support:
-            raise ResourceLimitError(
-                f"walk support {len(nxt)} exceeds cap {max_support} at step {k}"
-            )
-        cur = nxt
+    acc[fam.identity_normal()] = 1.0
+    # Green sums floats: dictionary walks leave exact rationals after step 1
+    for _, value_at in _direct_powers(f, K, max_support, max_exact_support=0):
         for nf in wanted:
-            v = cur.get(nf)
+            v = value_at(nf)
             if v:
                 acc[nf] += v
     fe = f.identity_coefficient

@@ -6,17 +6,24 @@ byte for byte.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import groupforests
 from groupforests import FiniteQuotient, GroupFamily, cli, runner
 from groupforests.runner import (
     ExperimentConfig,
     _component_window_values,
     _covering_radius,
+    _int_text,
     parse_family,
     parse_moduli,
     resolve_config,
@@ -356,3 +363,67 @@ class TestOutputContract:
         assert run_cli(["green", "--family", "nonsense:1"])[0] == 1
         capsys.readouterr()
         assert run_cli(["tree-entropy", "--family", "free-abelian:1", "--f", "e 1; a -1"])[0] == 1
+
+
+class TestRuntimeChecks:
+    """Report invariants raise explicitly, so `python -O` keeps them."""
+
+    @staticmethod
+    def skew_degrees(monkeypatch):
+        real = runner.degree_statistics
+
+        def skewed(tree):
+            stats = real(tree)
+            return dataclasses.replace(stats, mean=stats.mean + 1)
+
+        monkeypatch.setattr(runner, "degree_statistics", skewed)
+
+    @pytest.mark.parametrize("operation", ["sample-ust", "wsf-marginals"])
+    def test_mean_degree_mismatch_raises(self, monkeypatch, operation):
+        self.skew_degrees(monkeypatch)
+        cfg = resolve_config(operation, family="free-abelian:1", moduli="8", samples=2)
+        with pytest.raises(AssertionError, match="mean tree degree 11/4 != 7/4"):
+            runner.run(cfg)
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "import dataclasses\n"
+            "from groupforests import runner\n"
+            "real = runner.degree_statistics\n"
+            "runner.degree_statistics = lambda t: dataclasses.replace(real(t), mean=0)\n"
+            "cfg = runner.resolve_config('sample-ust', family='free-abelian:1', moduli='5')\n"
+            "try:\n"
+            "    runner.run(cfg)\n"
+            "except AssertionError as err:\n"
+            "    print('raised:', err)\n"
+        )
+        src = os.path.dirname(os.path.dirname(groupforests.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.startswith("raised: mean tree degree 0 != 8/5")
+
+
+class TestLargeIntegers:
+    BIG = 10**5000 + 7
+    BIG_TEXT = "1" + "0" * 4999 + "7"
+
+    def test_int_text_past_the_digit_limit(self):
+        assert _int_text(self.BIG) == self.BIG_TEXT
+        assert _int_text(-self.BIG) == "-" + self.BIG_TEXT
+        assert _int_text(12345) == "12345"
+        assert _int_text(0) == "0"
+
+    def test_identity_renders_huge_tau(self, monkeypatch):
+        monkeypatch.setattr(runner, "spanning_tree_count", lambda lap: self.BIG)
+        monkeypatch.setattr(
+            runner, "harmonic_component_group", lambda lap: types.SimpleNamespace(order=self.BIG)
+        )
+        cfg = resolve_config("identity", family="free-abelian:1", moduli="5", K=4)
+        text = runner.run(cfg).to_csv()
+        assert column(text, "tau") == [self.BIG_TEXT]
+        assert column(text, "component_order") == [self.BIG_TEXT]

@@ -36,6 +36,7 @@ from groupforests import (
     tree_entropy,
     walk_distribution,
 )
+from groupforests import walks
 from groupforests.groups import GroupWord, parse_word
 
 Z = GroupFamily.free_abelian(1)
@@ -365,6 +366,68 @@ class TestReturnSeries:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
             return_series(laplacian_element(Z), 4, engine="magic")
+
+
+class TestHeisenbergBox:
+    """The direct engine's dense (x, y, z) kernel against exact rationals."""
+
+    SHEAR = "e 10\na -2\nA -2\nb -2\nB -2\na b -1\nB A -1"
+    HEAVY = "e 1000\na -250\nA -250\nb -250\nB -250"
+
+    @staticmethod
+    def exact_returns(f, K):
+        return [float(d.at_identity) for d in convolve_powers(f, k_max=K)]
+
+    def test_laplacian_returns_bit_exact(self):
+        f = laplacian_element(H)
+        values = return_series(f, 12, engine="direct").values
+        assert list(values) == self.exact_returns(f, 12)
+
+    def test_every_cell_matches_exact_distribution(self):
+        # f_e^8 < 2^63, so every step runs in the integer phase
+        f = elt(H, self.SHEAR)
+        for dist, (k, value_at) in zip(
+            list(convolve_powers(f, k_max=8))[1:], walks._box_powers(f, 8, 10**6)
+        ):
+            assert dist.step_count == k
+            for nf, p in dist.coeffs.items():
+                assert value_at(nf) == float(p)
+            assert value_at((4 * k, 0, 0)) == 0.0
+
+    def test_shear_words_match_exact(self):
+        f = elt(H, self.SHEAR)
+        assert is_well_balanced(f)
+        values = return_series(f, 10, engine="direct").values
+        exact = self.exact_returns(f, 10)
+        for k in range(11):
+            assert abs(values[k] - exact[k]) <= 1e-12 * exact[k]
+
+    def test_float_phase_matches_exact(self):
+        f = elt(H, self.HEAVY)
+        # steps 7 and on run in floats: 1000^7 no longer fits in int64
+        assert 1000**6 < 1 << 63 <= 1000**7
+        values = return_series(f, 12, engine="direct").values
+        exact = self.exact_returns(f, 12)
+        for k in range(13):
+            assert abs(values[k] - exact[k]) <= 1e-12 * exact[k]
+
+    def test_cap_matches_dictionary_kernel(self):
+        f = laplacian_element(H)
+        with pytest.raises(ResourceLimitError) as box:
+            return_series(f, 40, max_support=2000)
+        with pytest.raises(ResourceLimitError) as dic:
+            for _ in walks._dict_powers(f, 40, 2000, walks.DEFAULT_MAX_EXACT_SUPPORT):
+                pass
+        assert str(box.value) == str(dic.value)
+        assert str(box.value) == "walk support 2577 exceeds cap 2000 at step 10"
+
+    def test_green_matches_exact_sums(self):
+        f = elt(H, self.SHEAR)
+        green = green_truncation(f, K=6, radius=1, engine="direct")
+        dists = list(convolve_powers(f, k_max=6))
+        for nf, value in green.values.items():
+            exact = sum((d.coeffs.get(nf, Fraction(0)) for d in dists), Fraction(0)) / 10
+            assert abs(value - float(exact)) <= 1e-14 * float(exact)
 
 
 # --- tree entropy ---
