@@ -13,10 +13,9 @@ independent stream, so results do not depend on scheduling or batching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import math
 
 import numpy as np
 
@@ -70,38 +69,47 @@ class _BlockUniform:
 class QuotientMultigraph:
     """Undirected multigraph on the cosets, one bundle per unordered pair.
 
-    bundles[b] = (u, v, multiplicity) with u < v and multiplicity -M[u][v];
+    bundles[b] = (u, v, multiplicity) with u < v and multiplicity -M[u][v],
+    in (u, v) order: the upper-triangle entries of the sparse Laplacian;
     loops never appear (the Laplacian folds them away).  An edge copy is
-    addressed as (bundle, slot).  When the Laplacian remembers its quotient
-    and group ring element, each slot of a bundle decodes to a (word, copy)
-    symbol as read from the lower endpoint, i.e. lower * word = upper.
+    addressed as (bundle, slot).  incidence[x] lists (neighbour, bundle,
+    slot) for every copy at x, by neighbour and then slot.  When the
+    Laplacian remembers its quotient and group ring element, each slot of a
+    bundle decodes to a (word, copy) symbol as read from the lower
+    endpoint, i.e. lower * word = upper.  Everything is built with array
+    operations in O(N |S|); no N x N matrix is formed.
     """
 
     def __init__(self, laplacian: QuotientLaplacian):
-        M = laplacian.matrix
-        n = int(M.shape[0])
+        n = laplacian.size
         self.laplacian = laplacian
         self.n = n
-        bundles = []
-        for u in range(n):
-            row = M[u]
-            for v in range(u + 1, n):
-                mult = -int(row[v])
-                if mult:
-                    bundles.append((u, v, mult))
-        self.bundles = tuple(bundles)
-        self.bundle_index = {(u, v): b for b, (u, v, _) in enumerate(bundles)}
-        incidence = [[] for _ in range(n)]
-        for b, (u, v, mult) in enumerate(bundles):
-            for slot in range(mult):
-                incidence[u].append((v, b, slot))
-                incidence[v].append((u, b, slot))
-        self.incidence = tuple(tuple(inc) for inc in incidence)
-        self.degrees = tuple(len(inc) for inc in incidence)
+        upper = laplacian.rows < laplacian.cols
+        bu, bv = laplacian.rows[upper], laplacian.cols[upper]
+        mult = -laplacian.values[upper]
+        self.bundles = tuple(zip(bu.tolist(), bv.tolist(), mult.tolist()))
+        self.bundle_index = {(u, v): b for b, (u, v, _) in enumerate(self.bundles)}
+        copies = np.maximum(mult, 0)
+        bundle = np.repeat(np.arange(len(mult)), copies)
+        slot = np.arange(len(bundle)) - np.repeat(np.cumsum(copies) - copies, copies)
+        # both ends of every copy, in (vertex, bundle, slot) order
+        vertex = np.concatenate([bu[bundle], bv[bundle]])
+        neighbour = np.concatenate([bv[bundle], bu[bundle]])
+        bundle, slot = np.tile(bundle, 2), np.tile(slot, 2)
+        order = np.lexsort((slot, bundle, vertex))
+        entries = list(
+            zip(neighbour[order].tolist(), bundle[order].tolist(), slot[order].tolist())
+        )
+        degrees = np.bincount(vertex, minlength=n)
+        ends = np.cumsum(degrees).tolist()
+        self.degrees = tuple(degrees.tolist())
+        self.incidence = tuple(
+            tuple(entries[end - d : end]) for d, end in zip(self.degrees, ends)
+        )
         self.symbols = None
         q, f = laplacian.quotient, laplacian.source
         if q is not None and f is not None:
-            self.symbols = self._decode_symbols(q, f)
+            self.symbols = self._decode_symbols(q, f, bu, bv, mult)
 
     @property
     def edge_count(self) -> int:
@@ -114,19 +122,21 @@ class QuotientMultigraph:
         u, v, _ = self.bundles[bundle]
         return u, v
 
-    def _decode_symbols(self, quotient, f):
-        neg = [(w, int(-c)) for w, c in f.items() if c < 0 and not w.is_identity()]
-        perms = {w.normal: quotient.word_permutation(w) for w, _ in neg}
-        out = []
-        for u, v, mult in self.bundles:
-            slots = []
-            for w, m in neg:
-                if int(perms[w.normal][u]) == v:
-                    slots.extend((w, j) for j in range(m))
-            if len(slots) != mult:
-                raise AssertionError("bundle multiplicity disagrees with symbol decode")
-            out.append(tuple(slots))
-        return tuple(out)
+    def _decode_symbols(self, quotient, f, bu, bv, mult):
+        slots = [[] for _ in self.bundles]
+        found = np.zeros(len(mult), dtype=np.int64)
+        for w, c in f.items():
+            if c >= 0 or w.is_identity():
+                continue
+            m = int(-c)
+            hits = np.flatnonzero(quotient.word_permutation(w)[bu] == bv)
+            found[hits] += m
+            copies = [(w, j) for j in range(m)]
+            for b in hits.tolist():
+                slots[b].extend(copies)
+        if not np.array_equal(found, mult):
+            raise AssertionError("bundle multiplicity disagrees with symbol decode")
+        return tuple(tuple(s) for s in slots)
 
     def slot_of(self, bundle: int, word: GroupWord, copy: int) -> int:
         """Slot of the copy that reads as (word, copy) from the lower endpoint."""

@@ -1,8 +1,9 @@
 """Quotient Laplacians and their exact and spectral invariants.
 
 A well-balanced group-ring element f acts on a finite quotient as an integer
-convolution operator; this module builds that operator as an explicit N x N
-Laplacian matrix and computes, exactly where the theory is exact:
+convolution operator; this module builds that operator as a sparse Laplacian
+in O(N |S|) from the quotient's permutation of each support word, and
+computes, exactly where the theory is exact:
 
 - the spanning-tree count of the quotient Cayley multigraph (big-integer
   determinant of the reduced Laplacian, Bareiss elimination),
@@ -11,6 +12,8 @@ Laplacian matrix and computes, exactly where the theory is exact:
 - the eigenvalue spectrum with a structural zero count,
 - log-determinant estimates: the eigenvalue form with a spectral cutoff and
   the tree form (1/N) log tau.
+
+Only the exact kernels and the dense eigensolve build the N x N matrix.
 """
 
 from __future__ import annotations
@@ -31,54 +34,87 @@ from .walks import GroupRingElement, is_well_balanced
 
 
 class QuotientLaplacian:
-    """The convolution Laplacian of f on a finite quotient.
+    """The convolution Laplacian of f on a finite quotient, stored sparse.
 
     M[u][v] for u != v sums f_s over all s with u*s = v; diagonal entries
     complete every row sum to 0, which folds and cancels any loop
     contributions (s fixing a coset).  The matrix is symmetric with
     non-positive off-diagonal entries.
+
+    The nonzero off-diagonal entries are three parallel int64 arrays
+    (rows, cols, values) sorted by (row, col), so the entries with
+    row < col list the upper triangle in row-major order; the diagonal is
+    a fourth array.  `matrix` is a dense N x N view built on first use and
+    cached; only the exact kernels (through `reduced`) and the dense
+    eigensolve read it.  A hand-built `QuotientLaplacian(None, None, M)`
+    converts M to the sparse form once.
     """
 
-    __slots__ = ("quotient", "source", "matrix", "_components")
+    __slots__ = (
+        "quotient", "source", "size", "rows", "cols", "values", "diagonal",
+        "_dense", "_components",
+    )
 
-    def __init__(self, quotient: FiniteQuotient, source: GroupRingElement, matrix: np.ndarray):
+    def __init__(self, quotient: FiniteQuotient, source: GroupRingElement, matrix):
+        m = np.asarray(matrix, dtype=np.int64)
+        off = m.copy()
+        np.fill_diagonal(off, 0)
+        rows, cols = np.nonzero(off)  # row-major, hence sorted by (row, col)
+        self._init(quotient, source, m.shape[0], rows, cols, off[rows, cols], np.diag(m))
+
+    @classmethod
+    def _from_sparse(cls, quotient, source, size, rows, cols, values, diagonal):
+        lap = cls.__new__(cls)
+        lap._init(quotient, source, size, rows, cols, values, diagonal)
+        return lap
+
+    def _init(self, quotient, source, size, rows, cols, values, diagonal):
         self.quotient = quotient
         self.source = source
-        self.matrix = matrix
+        self.size = int(size)
+        self.rows, self.cols, self.values, self.diagonal = (
+            _frozen(a) for a in (rows, cols, values, diagonal)
+        )
+        self._dense = None
         self._components = None
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense read-only N x N matrix, built from the sparse form once."""
+        if self._dense is None:
+            n = self.size
+            m = np.zeros((n, n), dtype=np.int64)
+            m[self.rows, self.cols] = self.values
+            np.fill_diagonal(m, self.diagonal)
+            m.setflags(write=False)
+            self._dense = m
+        return self._dense
 
     def reduced(self, base: int = 0) -> list:
         """The matrix with the base vertex's row and column deleted, as int rows."""
         n = self.size
         if not 0 <= base < n:
             raise ValueError(f"base vertex {base} out of range")
-        keep = [i for i in range(n) if i != base]
         m = self.matrix
-        return [[int(m[i, j]) for j in keep] for i in keep]
+        return np.delete(np.delete(m, base, axis=0), base, axis=1).tolist()
 
     def component_count(self) -> int:
         """Number of connected components of the quotient multigraph."""
         if self._components is None:
-            n = self.size
-            seen = np.zeros(n, dtype=bool)
-            count = 0
-            for start in range(n):
-                if seen[start]:
-                    continue
-                count += 1
-                stack = [start]
-                seen[start] = True
-                while stack:
-                    u = stack.pop()
-                    for v in np.flatnonzero(self.matrix[u]):
-                        v = int(v)
-                        if v != u and not seen[v]:
-                            seen[v] = True
-                            stack.append(v)
+            parent = list(range(self.size))
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            count = self.size
+            for u, v in zip(self.rows.tolist(), self.cols.tolist()):
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+                    count -= 1
             self._components = count
         return self._components
 
@@ -88,12 +124,16 @@ class QuotientLaplacian:
     def to_matrix_market(self) -> str:
         """Coordinate-format text (1-based, lower triangle of the symmetric matrix)."""
         n = self.size
-        entries = []
-        for i in range(n):
-            for j in range(i + 1):
-                v = int(self.matrix[i, j])
-                if v:
-                    entries.append(f"{i + 1} {j + 1} {v}")
+        lower = self.cols < self.rows
+        diag = np.flatnonzero(self.diagonal)
+        rows = np.concatenate([self.rows[lower], diag])
+        cols = np.concatenate([self.cols[lower], diag])
+        vals = np.concatenate([self.values[lower], self.diagonal[diag]])
+        order = np.lexsort((cols, rows))
+        entries = [
+            f"{i + 1} {j + 1} {v}"
+            for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())
+        ]
         head = "%%MatrixMarket matrix coordinate integer symmetric"
         return "\n".join([head, f"{n} {n} {len(entries)}", *entries]) + "\n"
 
@@ -101,8 +141,17 @@ class QuotientLaplacian:
         return f"<QuotientLaplacian N={self.size} over {self.quotient!r}>"
 
 
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
 def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLaplacian:
     """Assemble the convolution Laplacian of a well-balanced f on a quotient.
+
+    O(N |S|) for a support S: each support word contributes the pairs
+    (u, u*s) it moves, and equal pairs are summed exactly in int64.
 
     Self-adjointness is accepted at the quotient level: an f that is not
     symmetric in the group ring still builds whenever its image on the
@@ -116,27 +165,40 @@ def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLa
     if hard:
         raise NotWellBalancedError("; ".join(hard))
     n = quotient.size
-    m = np.zeros((n, n), dtype=np.int64)
     ident = f.family.identity_normal()
-    rows = np.arange(n)
+    cosets = np.arange(n, dtype=np.int64)
+    keys, coeffs = [], []
     for nf, c in f._coeffs.items():
         if nf == ident:
             continue
         perm = quotient.word_permutation(GroupWord.from_normal(f.family, nf))
-        moved = perm != rows  # loops fold into the diagonal and cancel
-        np.add.at(m, (rows[moved], perm[moved]), int(c))
-    np.fill_diagonal(m, 0)
-    np.fill_diagonal(m, -m.sum(axis=1))
-    if not np.array_equal(m, m.T):
+        moved = np.flatnonzero(perm != cosets)  # loops fold into the diagonal and cancel
+        keys.append(moved * n + perm[moved])
+        coeffs.append(np.full(len(moved), int(c), dtype=np.int64))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], np.concatenate(coeffs)[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    # every off-identity coefficient is negative, so no sum is zero
+    values = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
+    keys = keys[starts]
+    rows, cols = keys // n, keys % n
+    transposed = np.argsort(cols * n + rows)
+    if not (
+        np.array_equal(cols[transposed] * n + rows[transposed], keys)
+        and np.array_equal(values[transposed], values)
+    ):
         raise NotWellBalancedError(
             "the image of f on this quotient is not self-adjoint; "
             "the Laplacian would not be symmetric"
         )
-    off = m - np.diag(np.diag(m))
-    if off.max(initial=0) > 0:
+    if values.max(initial=0) > 0:
         raise AssertionError("positive off-diagonal entry; sign constraint violated")
-    m.setflags(write=False)
-    return QuotientLaplacian(quotient, f, m)
+    row_sums = np.zeros(n, dtype=np.int64)
+    np.add.at(row_sums, rows, values)
+    return QuotientLaplacian._from_sparse(quotient, f, n, rows, cols, values, -row_sums)
 
 
 def _require_connected(L: QuotientLaplacian) -> None:
@@ -179,8 +241,15 @@ class ComponentGroup:
         return f"{facs} | {self.order}" if facs else f"| {self.order}"
 
 
-def harmonic_component_group(L: QuotientLaplacian, base: int = 0) -> ComponentGroup:
-    """Smith normal form of the reduced Laplacian as a ComponentGroup."""
+def harmonic_component_group(
+    L: QuotientLaplacian, base: int = 0, modulus: int | None = None
+) -> ComponentGroup:
+    """Smith normal form of the reduced Laplacian as a ComponentGroup.
+
+    modulus, when given, must be a nonzero multiple of the reduced
+    determinant, e.g. the tree count a caller already holds; otherwise the
+    determinant is computed here.
+    """
     _require_connected(L)
     n = L.size
     if n == 1:
@@ -190,7 +259,8 @@ def harmonic_component_group(L: QuotientLaplacian, base: int = 0) -> ComponentGr
     # contained in A Z^k, so it never changes the cokernel.  Without it,
     # intermediate entries can reach thousands of digits even on small
     # matrices, so the modulus is applied unconditionally.
-    modulus = bareiss_determinant(reduced)
+    if modulus is None:
+        modulus = bareiss_determinant(reduced)
     factors = smith_normal_form(reduced, modulus=modulus)
     if len(factors) < n - 1:
         raise DisconnectedGraphError("reduced Laplacian is singular")

@@ -338,11 +338,20 @@ def _spectrum_summary(cfg: ExperimentConfig, quotient: FiniteQuotient, lap):
             return free_abelian_spectrum(quotient, cfg.f, cutoff=cfg.kappa)
         except ValueError:
             pass
-    if lap.size > cfg.cap("max_dense"):
-        raise ResourceLimitError(
-            f"dense eigensolve at N={lap.size} exceeds max_dense={cfg.cap('max_dense')}"
-        )
+    _check_dense(cfg, lap.size, "dense eigensolve")
     return spectrum(lap, cutoff=cfg.kappa)
+
+
+def _check_dense(cfg: ExperimentConfig, n: int, what: str) -> None:
+    cap = cfg.cap("max_dense")
+    if n > cap:
+        raise ResourceLimitError(f"{what} at N={n} exceeds max_dense={cap}")
+
+
+def _check_exact_sizes(cfg: ExperimentConfig) -> None:
+    """Fail before any work if a quotient is too large for the dense exact kernels."""
+    for i, q in enumerate(cfg.quotients):
+        _at_quotient(i, q.label, lambda q=q: _check_dense(cfg, q.size, "dense exact kernel"))
 
 
 def _walk_caps(cfg: ExperimentConfig) -> dict:
@@ -362,6 +371,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     spanning-tree count and the harmonic-component order; any mismatch
     raises IdentityMismatchError and the process exits nonzero.
     """
+    _check_exact_sizes(cfg)
     laps = [
         _at_quotient(i, q.label, lambda q=q: build_laplacian(q, cfg.f))
         for i, q in enumerate(cfg.quotients)
@@ -370,7 +380,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     def exact_task(i):
         lap = laps[i]
         tau = spanning_tree_count(lap)
-        comp = harmonic_component_group(lap)
+        comp = harmonic_component_group(lap, modulus=tau)
         if comp.order != tau:
             raise IdentityMismatchError(
                 f"tau {_int_text(tau)} != component order {_int_text(comp.order)}"
@@ -431,6 +441,7 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
 
 def run_fk_det(cfg: ExperimentConfig) -> Report:
     """Both determinant estimators side by side across the chain."""
+    _check_exact_sizes(cfg)
     laps = [
         _at_quotient(i, q.label, lambda q=q: build_laplacian(q, cfg.f))
         for i, q in enumerate(cfg.quotients)
@@ -645,6 +656,7 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
     component sets (e.g. cycle chains with dividing moduli) give a
     non-increasing column exactly.
     """
+    _check_exact_sizes(cfg)
     support = _support_words(cfg.f)
     window = word_ball(cfg.family, cfg.radius, generators=support)
     probe_count = cfg.cap("probes")

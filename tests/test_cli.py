@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import groupforests
-from groupforests import FiniteQuotient, GroupFamily, cli, runner
+from groupforests import FiniteQuotient, GroupFamily, QuotientLaplacian, cli, linalg, runner
 from groupforests.runner import (
     ExperimentConfig,
     _component_window_values,
@@ -135,6 +135,53 @@ class TestIdentitySuite:
         assert code == 1
         err = capsys.readouterr().err
         assert "quotient 0" in err and "component order" in err
+
+
+    def test_one_determinant_per_quotient(self, monkeypatch):
+        # tau doubles as the Smith modulus, so Bareiss runs once per quotient
+        calls = []
+        real = linalg.bareiss_determinant
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "bareiss_determinant", counted)
+        code, out = run_cli(["identity", "--family", "free-abelian:2", "--moduli", "3,3;4,4"])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order") == ["11664", "42467328"]
+        assert calls == [8, 15]
+
+
+class TestDenseCap:
+    """Exact reports refuse an N past max_dense before any dense work."""
+
+    @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
+    def test_fails_before_the_dense_matrix(self, monkeypatch, capsys, operation):
+        def refuse(self):
+            raise AssertionError("dense matrix formed before the cap check")
+
+        monkeypatch.setattr(QuotientLaplacian, "matrix", property(refuse))
+        argv = [operation, "--family", "free-abelian:2", "--moduli", "4,4", "--max-dense", "15"]
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert "quotient 0" in err
+        assert "N=16 exceeds max_dense=15" in err
+
+    def test_cap_checks_every_quotient_first(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            runner, "build_laplacian", lambda *a: pytest.fail("work started before the cap check")
+        )
+        argv = ["fk-det", "--family", "free-abelian:1", "--moduli", "3;20", "--max-dense", "10"]
+        assert run_cli(argv)[0] == 1
+        assert "quotient 1" in capsys.readouterr().err
+
+    def test_cap_at_the_size_runs(self):
+        argv = ["identity", "--family", "free-abelian:2", "--moduli", "4,4", "--max-dense", "16"]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert column(out, "tau") == ["42467328"]
 
 
 class TestForestSuite:
@@ -421,7 +468,9 @@ class TestLargeIntegers:
     def test_identity_renders_huge_tau(self, monkeypatch):
         monkeypatch.setattr(runner, "spanning_tree_count", lambda lap: self.BIG)
         monkeypatch.setattr(
-            runner, "harmonic_component_group", lambda lap: types.SimpleNamespace(order=self.BIG)
+            runner,
+            "harmonic_component_group",
+            lambda lap, modulus=None: types.SimpleNamespace(order=self.BIG),
         )
         cfg = resolve_config("identity", family="free-abelian:1", moduli="5", K=4)
         text = runner.run(cfg).to_csv()

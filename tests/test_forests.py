@@ -6,6 +6,7 @@ least four standard errors wide at the stated sample counts.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -118,6 +119,30 @@ class TestMultigraph:
     def test_tree_count_equals_enumeration(self):
         for g in (k4_graph(), cycle_graph(4), cycle_graph(4, "e 4\na -2\nA -2")):
             assert len(all_spanning_trees(g)) == spanning_tree_count(g.laplacian)
+
+
+class TestLargeQuotient:
+    def test_torus_128_builds_sparse(self, monkeypatch):
+        # the dense route would need a 2 GB int64 matrix at N = 16384
+        def refuse(self):
+            raise AssertionError("dense matrix formed")
+
+        monkeypatch.setattr(QuotientLaplacian, "matrix", property(refuse))
+        q = FiniteQuotient.from_moduli(Z2, (128, 128))
+        f = laplacian_element(Z2)
+        tracemalloc.start()
+        try:
+            graph = QuotientMultigraph(build_laplacian(q, f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert graph.n == 16384
+        assert len(graph.bundles) == graph.edge_count == 2 * 16384
+        assert graph.degrees == (4,) * 16384
+        assert graph.incidence[0] == ((1, 0, 0), (127, 1, 0), (128, 2, 0), (16256, 3, 0))
+        tree = wilson_sample(graph, rng=rng_stream(0))
+        tree.validate()
 
 
 class TestWilson:

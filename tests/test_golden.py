@@ -32,6 +32,11 @@ CONFIGS = {
         "sample-ust", "--family", "free-abelian:2", "--moduli", "3,3",
         "--samples", "2", "--seed", "1",
     ],
+    # multiplicity-2 bundles (moduli 2) and a 256-vertex incidence order
+    "sample-ust-multiplicity": [
+        "sample-ust", "--family", "free-abelian:2", "--moduli", "2,2;2,3;16,16",
+        "--samples", "3", "--seed", "1",
+    ],
     "wsf-marginals-torus": [
         "wsf-marginals", "--family", "free-abelian:2", "--moduli", "6,6;8,8",
         "--samples", "20", "--seed", "1",

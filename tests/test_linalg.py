@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupforests import (
     ComponentGroup,
@@ -22,6 +24,7 @@ from groupforests import (
     GroupFamily,
     NotWellBalancedError,
     QuotientLaplacian,
+    QuotientMultigraph,
     build_laplacian,
     fk_estimate_eigen,
     fk_estimate_tree,
@@ -64,6 +67,49 @@ def operator_matrix_oracle(quotient, f):
         for u in range(n):
             out[u][quotient.act(u, word)] += int(c)
     return out
+
+
+def multigraph_oracle(matrix, quotient=None, f=None):
+    """Bundles, incidence and symbols by scanning every pair u < v of a
+    dense Laplacian, bundle by bundle and slot by slot."""
+    n = len(matrix)
+    bundles = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            mult = -int(matrix[u][v])
+            if mult:
+                bundles.append((u, v, mult))
+    incidence = [[] for _ in range(n)]
+    for b, (u, v, mult) in enumerate(bundles):
+        for slot in range(mult):
+            incidence[u].append((v, b, slot))
+            incidence[v].append((u, b, slot))
+    symbols = None
+    if quotient is not None:
+        neg = [(w, int(-c)) for w, c in f.items() if c < 0 and not w.is_identity()]
+        symbols = []
+        for u, v, mult in bundles:
+            slots = []
+            for w, m in neg:
+                if quotient.act(u, w) == v:
+                    slots.extend((w, j) for j in range(m))
+            assert len(slots) == mult
+            symbols.append(tuple(slots))
+        symbols = tuple(symbols)
+    return tuple(bundles), tuple(tuple(inc) for inc in incidence), symbols
+
+
+def matrix_market_oracle(matrix):
+    """Coordinate text of the lower triangle, row by row, from a dense matrix."""
+    n = len(matrix)
+    entries = [
+        f"{i + 1} {j + 1} {matrix[i][j]}"
+        for i in range(n)
+        for j in range(i + 1)
+        if matrix[i][j]
+    ]
+    head = "%%MatrixMarket matrix coordinate integer symmetric"
+    return "\n".join([head, f"{n} {n} {len(entries)}", *entries]) + "\n"
 
 
 class UnionFind:
@@ -511,3 +557,113 @@ class TestMatrixMarket:
         for line in L.to_matrix_market().strip().splitlines()[2:]:
             i, j, _ = map(int, line.split())
             assert i >= j
+
+
+# --- sparse build against the dense oracles ---
+
+
+@st.composite
+def quotient_cases(draw):
+    """A quotient and a well-balanced f on it.
+
+    Free-abelian moduli include 1 (every letter a loop) and 2 (a and A
+    collapse into multiplicity-2 bundles); f is either the default
+    Laplacian or carries a second word with coefficient -2.
+    """
+    kind = draw(st.sampled_from(["free-abelian", "heisenberg", "free"]))
+    if kind == "free-abelian":
+        family = GroupFamily.free_abelian(draw(st.integers(1, 3)))
+        top = {1: 9, 2: 5, 3: 3}[family.rank]
+        moduli = draw(st.lists(st.integers(1, top), min_size=family.rank, max_size=family.rank))
+        quotient = FiniteQuotient.from_moduli(family, tuple(moduli))
+    elif kind == "heisenberg":
+        family = H
+        quotient = FiniteQuotient.from_moduli(H, (draw(st.integers(1, 4)),))
+    else:
+        family = F2
+        quotient = free_ball_quotient(F2, draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)))
+    f = laplacian_element(family)
+    if draw(st.booleans()):
+        letters = "abc"[: family.rank]
+        word = " ".join(draw(st.lists(st.sampled_from(letters), min_size=2, max_size=3)))
+        inverse = " ".join(reversed(word.upper().split()))
+        terms = [f"e {2 * family.rank + 4}", f"{word} -2", f"{inverse} -2"]
+        terms += [f"{x} -1" for letter in letters for x in (letter, letter.upper())]
+        f = parse_group_ring(family, "\n".join(terms))
+    return quotient, f
+
+
+class TestSparseOperator:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(quotient_cases())
+    def test_sparse_build_matches_operator_oracle(self, case):
+        quotient, f = case
+        L = build_laplacian(quotient, f)
+        assert L._dense is None
+        keys = L.rows * L.size + L.cols
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(L.rows != L.cols) and np.all(L.values < 0)
+        oracle = operator_matrix_oracle(quotient, f)
+        assert L.matrix.tolist() == oracle
+        assert L.to_matrix_market() == matrix_market_oracle(oracle)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(quotient_cases())
+    def test_multigraph_matches_pair_scan(self, case):
+        quotient, f = case
+        L = build_laplacian(quotient, f)
+        graph = QuotientMultigraph(L)
+        bundles, incidence, symbols = multigraph_oracle(
+            operator_matrix_oracle(quotient, f), quotient, f
+        )
+        assert graph.bundles == bundles
+        assert graph.incidence == incidence
+        assert graph.symbols == symbols
+        assert graph.degrees == tuple(len(inc) for inc in incidence)
+        assert L._dense is None
+
+    def test_hand_built_matrix_round_trips(self):
+        M = np.array([[3, -2, -1], [-2, 2, 0], [-1, 0, 1]])
+        L = QuotientLaplacian(None, None, M)
+        assert L.rows.tolist() == [0, 0, 1, 2]
+        assert L.cols.tolist() == [1, 2, 0, 0]
+        assert L.diagonal.tolist() == [3, 2, 1]
+        assert np.array_equal(L.matrix, M)
+        graph = QuotientMultigraph(L)
+        assert (graph.bundles, graph.incidence, graph.symbols) == multigraph_oracle(M.tolist())
+
+    def test_component_count_on_disconnected_matrix(self):
+        # an edge, a double edge and an isolated vertex: three components
+        M = np.array(
+            [
+                [1, -1, 0, 0, 0],
+                [-1, 1, 0, 0, 0],
+                [0, 0, 2, -2, 0],
+                [0, 0, -2, 2, 0],
+                [0, 0, 0, 0, 0],
+            ]
+        )
+        L = QuotientLaplacian(None, None, M)
+        assert L.component_count() == 3
+        assert not L.is_connected()
+        assert L._dense is None
+        assert QuotientLaplacian(None, None, np.zeros((1, 1))).component_count() == 1
+
+    def test_build_never_forms_the_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix formed")
+
+        monkeypatch.setattr(QuotientLaplacian, "matrix", property(refuse))
+        L = build_laplacian(torus_quotient(6), laplacian_element(Z2))
+        assert L.is_connected()
+        assert L.to_matrix_market().count("\n") == 2 + 36 + 72
+
+    def test_supplied_modulus_gives_the_same_group(self):
+        for quotient, f in [
+            (torus_quotient(4), laplacian_element(Z2)),
+            (FiniteQuotient.from_moduli(H, (3,)), laplacian_element(H)),
+            (cycle_quotient(6), parse_group_ring(Z, "e 4\na -1\nA -1\na a a -2")),
+        ]:
+            L = build_laplacian(quotient, f)
+            tau = spanning_tree_count(L)
+            assert harmonic_component_group(L, modulus=tau) == harmonic_component_group(L)
