@@ -1,11 +1,14 @@
 """Exact integer matrix kernels: fraction-free determinants and Smith normal form.
 
-Everything here works on plain Python integers (arbitrary precision).  The
-Smith reduction uses balanced remainders and a smallest-pivot heuristic; for
-nonsingular matrices it can additionally reduce every entry modulo the
-determinant, which keeps coefficient growth bounded by the determinant size.
-That reduction is sound because det(A) * Z^n is contained in A * Z^n (Cramer),
-so augmenting the column space by det(A) * I leaves the cokernel unchanged.
+Everything here works on plain Python integers (arbitrary precision).  Both
+Smith functions run one elimination, `_smith` (balanced remainders, smallest
+pivot first, each pivot made to divide the rest of its block); only
+`smith_with_transform` carries the column transform V.  With a modulus D, a
+nonzero multiple of det(A), every entry of A and V is kept as a balanced
+residue mod D and each pivot is mapped to its gcd with D.  That bounds
+coefficient growth by the determinant size, and it is sound because
+D * Z^n lies inside A * Z^n (Cramer): augmenting the column space by D * I
+leaves the cokernel unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +60,113 @@ def _balanced_quotient(q: int, p: int) -> int:
     return (2 * q + p) // (2 * p)
 
 
+def _modulus(modulus: int | None) -> int | None:
+    """|modulus| when it exceeds 1; otherwise None (no reduction)."""
+    return abs(modulus) if modulus and abs(modulus) > 1 else None
+
+
+def _row_sub(dst: list, src: list, f: int, lo: int, D: int | None) -> None:
+    """dst[lo:] -= f * src[lo:], as residues in (-D/2, D/2] when D is given."""
+    if D is None:
+        dst[lo:] = [x - f * y for x, y in zip(dst[lo:], src[lo:])]
+    else:
+        h = (D - 1) // 2  # (x + h) % D - h is the balanced residue of x
+        dst[lo:] = [(x - f * y + h) % D - h for x, y in zip(dst[lo:], src[lo:])]
+
+
+def _col_sub(a: list, top: int, j: int, f: int, D: int | None) -> None:
+    """Column j -= f * column top on rows top.. (the rest of A, then V)."""
+    if D is None:
+        for row in a[top:]:
+            row[j] -= f * row[top]
+    else:
+        h = (D - 1) // 2
+        for row in a[top:]:
+            row[j] = (row[j] - f * row[top] + h) % D - h
+
+
+def _col_swap(a: list, top: int, j: int) -> None:
+    for row in a[top:]:
+        row[top], row[j] = row[j], row[top]
+
+
+def _smallest_entry(a: list, n: int, top: int):
+    """(row, col) of the first nonzero block entry of least magnitude, or None."""
+    best = None
+    for i in range(top, n):
+        for j, x in enumerate(a[i][top:], top):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+                if best[0] == 1:
+                    return i, j
+    return None if best is None else best[1:]
+
+
+def _smith(rows, modulus: int | None, transform: bool):
+    """The one Smith elimination behind both public functions.
+
+    Returns (diagonal, V).  The diagonal holds the min(rows, cols) entries
+    in pivot order: |pivot|, 0 past the rank, or with a modulus D each entry
+    mapped to gcd(entry, D).  Each pivot column is signed so that its pivot
+    is nonnegative.  When transform is set, V starts as the identity stacked
+    under A, so that every column operation carries it; otherwise V is None.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    if any(len(row) != m for row in a):
+        raise ValueError("ragged matrix")
+    D = _modulus(modulus)
+    if D is not None:
+        h = (D - 1) // 2
+        a = [[(x + h) % D - h for x in row] for row in a]
+    if transform:
+        a += [[int(i == j) for j in range(m)] for i in range(m)]
+    top = 0
+    while top < min(n, m):
+        pivot = _smallest_entry(a, n, top)
+        if pivot is None:
+            break
+        a[top], a[pivot[0]] = a[pivot[0]], a[top]
+        _col_swap(a, top, pivot[1])
+        while True:  # clear column top below the pivot, then row top to its right
+            at = a[top]
+            for i in range(top + 1, n):
+                if a[i][top]:
+                    _row_sub(a[i], at, _balanced_quotient(a[i][top], at[top]), top, D)
+                    if a[i][top]:  # a remainder smaller than the pivot: promote it
+                        a[top], a[i] = a[i], at
+                        break
+            else:
+                for j in range(top + 1, m):
+                    if at[j]:
+                        _col_sub(a, top, j, _balanced_quotient(at[j], at[top]), D)
+                        if at[j]:
+                            _col_swap(a, top, j)
+                            break
+                else:
+                    break
+        # the pivot must divide the rest of the block before it can be split off
+        p = abs(a[top][top])
+        bad = None if p == 1 else next(
+            (ai for ai in a[top + 1 : n] if any(x % p for x in ai[top + 1 :])), None
+        )
+        if bad:
+            _row_sub(a[top], bad, -1, top, D)
+            continue
+        if a[top][top] < 0:  # flipping a column's sign is a unimodular column op
+            for row in a[top:]:
+                row[top] = -row[top]
+        top += 1
+    diag = [a[i][i] for i in range(min(n, m))]
+    if D is not None:
+        # Residue arithmetic determines each true factor only up to gcd with D,
+        # and a factor equal to D itself reduces to an all-zero block (0 -> D).
+        # Sound only because the modulus contract guarantees full rank.
+        diag = [math.gcd(x, D) for x in diag]
+    return diag, a[n:] if transform else None
+
+
 def smith_normal_form(rows, modulus: int | None = None) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
@@ -72,120 +182,8 @@ def smith_normal_form(rows, modulus: int | None = None) -> list[int]:
         nonsingular square matrix their product equals |det|; a rank-deficient
         matrix yields fewer factors than min(rows, cols).
     """
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return []
-    m = len(a[0])
-    if any(len(row) != m for row in a):
-        raise ValueError("ragged matrix")
-    D = abs(modulus) if modulus else None
-    if D is not None and D <= 1:
-        D = None
-
-    def bal(x):
-        r = x % D
-        return r - D if 2 * r > D else r
-
-    if D is not None:
-        a = [[bal(x) for x in row] for row in a]
-    factors: list[int] = []
-    top = 0
-    while top < min(n, m):
-        best = None
-        for i in range(top, n):
-            ai = a[i]
-            for j in range(top, m):
-                v = ai[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if best is None or av < best[0]:
-                        best = (av, i, j)
-                        if av == 1:
-                            break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != top:
-            a[top], a[bi] = a[bi], a[top]
-        if bj != top:
-            for row in a:
-                row[top], row[bj] = row[bj], row[top]
-        while True:
-            p = a[top][top]
-            swapped = False
-            for i in range(top + 1, n):
-                q = a[i][top]
-                if q == 0:
-                    continue
-                f = _balanced_quotient(q, p)
-                ai, at = a[i], a[top]
-                if f:
-                    if D is None:
-                        for j in range(top, m):
-                            ai[j] -= f * at[j]
-                    else:
-                        for j in range(top, m):
-                            ai[j] = bal(ai[j] - f * at[j])
-                if ai[top]:
-                    # leftover residue is strictly smaller than |p|: promote it
-                    a[top], a[i] = a[i], a[top]
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            p = a[top][top]
-            for j in range(top + 1, m):
-                q = a[top][j]
-                if q == 0:
-                    continue
-                f = _balanced_quotient(q, p)
-                if f:
-                    if D is None:
-                        for i in range(top, n):
-                            a[i][j] -= f * a[i][top]
-                    else:
-                        for i in range(top, n):
-                            a[i][j] = bal(a[i][j] - f * a[i][top])
-                if a[top][j]:
-                    for i in range(top, n):
-                        a[i][top], a[i][j] = a[i][j], a[i][top]
-                    swapped = True
-                    break
-            if not swapped:
-                break
-        p = abs(a[top][top])
-        bad = None
-        if p != 1:
-            for i in range(top + 1, n):
-                ai = a[i]
-                for j in range(top + 1, m):
-                    if ai[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-        if bad is not None:
-            # pivot must divide the remaining block before it can be split off
-            at, ab = a[top], a[bad]
-            if D is None:
-                for j in range(top, m):
-                    at[j] += ab[j]
-            else:
-                for j in range(top, m):
-                    at[j] = bal(at[j] + ab[j])
-            continue
-        factors.append(p)
-        top += 1
-    if D is not None:
-        # Residue arithmetic determines each true factor only up to gcd with D
-        # (and a factor equal to D itself reduces to an all-zero block), so
-        # map computed pivots through gcd and pad the missing ones with D.
-        # Sound only because the modulus contract guarantees full rank.
-        factors = [math.gcd(f, D) for f in factors]
-        factors.extend([D] * (min(n, m) - len(factors)))
+    factors = [d for d in _smith(rows, modulus, transform=False)[0] if d]
+    # the gcd mapping of a modded run can break the chain: restore it
     k = len(factors)
     for i in range(k):
         for j in range(i + 1, k):
@@ -207,138 +205,16 @@ def smith_with_transform(
     divisibility chain, but intermediate entries can grow without bound.
 
     With a modulus D (any nonzero multiple of the determinant of a
-    nonsingular square input), entries of both A and V are kept in balanced
-    residue form mod |D|.  Column j of the returned V still satisfies
-    A v_j = 0 (mod diag[j]), and the points v_j / diag[j] on the torus are
-    unchanged by the reduction, because every diag[j] divides D.  The
-    diagonal entries multiply to |det| but are not necessarily in
+    nonsingular square input) V is reduced mod |D| too.  Column j still
+    satisfies A v_j = 0 (mod diag[j]), and the points v_j / diag[j] on the
+    torus are unchanged by the reduction, because every diag[j] divides D.
+    The diagonal entries multiply to |det| but are not necessarily in
     divisibility order; reordering them would break the pairing with V's
     columns, so no reordering is done.
     """
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    D = abs(modulus) if modulus else None
-    if D is not None and D <= 1:
-        D = None
-
-    def bal(x):
-        r = x % D
-        return r - D if 2 * r > D else r
-
-    if D is not None:
-        a = [[bal(x) for x in row] for row in a]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    top = 0
-    while top < min(n, m):
-        best = None
-        for i in range(top, n):
-            ai = a[i]
-            for j in range(top, m):
-                x = ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
-                        if ax == 1:
-                            break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != top:
-            a[top], a[bi] = a[bi], a[top]
-        if bj != top:
-            for row in a:
-                row[top], row[bj] = row[bj], row[top]
-            for row in v:
-                row[top], row[bj] = row[bj], row[top]
-        while True:
-            p = a[top][top]
-            swapped = False
-            for i in range(top + 1, n):
-                q = a[i][top]
-                if q == 0:
-                    continue
-                f = _balanced_quotient(q, p)
-                if f:
-                    ai, at = a[i], a[top]
-                    if D is None:
-                        for j in range(top, m):
-                            ai[j] -= f * at[j]
-                    else:
-                        for j in range(top, m):
-                            ai[j] = bal(ai[j] - f * at[j])
-                if a[i][top]:
-                    a[top], a[i] = a[i], a[top]
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            p = a[top][top]
-            for j in range(top + 1, m):
-                q = a[top][j]
-                if q == 0:
-                    continue
-                f = _balanced_quotient(q, p)
-                if f:
-                    if D is None:
-                        for i in range(top, n):
-                            a[i][j] -= f * a[i][top]
-                        for i in range(m):
-                            v[i][j] -= f * v[i][top]
-                    else:
-                        for i in range(top, n):
-                            a[i][j] = bal(a[i][j] - f * a[i][top])
-                        for i in range(m):
-                            v[i][j] = bal(v[i][j] - f * v[i][top])
-                if a[top][j]:
-                    for i in range(top, n):
-                        a[i][top], a[i][j] = a[i][j], a[i][top]
-                    for i in range(m):
-                        v[i][top], v[i][j] = v[i][j], v[i][top]
-                    swapped = True
-                    break
-            if not swapped:
-                break
-        p = abs(a[top][top])
-        bad = None
-        if p != 1:
-            for i in range(top + 1, n):
-                ai = a[i]
-                for j in range(top + 1, m):
-                    if ai[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-        if bad is not None:
-            at, ab = a[top], a[bad]
-            if D is None:
-                for j in range(top, m):
-                    at[j] += ab[j]
-            else:
-                for j in range(top, m):
-                    at[j] = bal(at[j] + ab[j])
-            continue
-        top += 1
-    diag = [a[i][i] if a[i][i] >= 0 else -a[i][i] for i in range(min(n, m))]
-    # sign-normalize: flipping a column's sign is a unimodular column op
-    for i in range(min(n, m)):
-        if a[i][i] < 0:
-            for r in range(m):
-                v[r][i] = -v[r][i]
-    if D is not None:
-        # residues pin each factor only up to gcd with D; an all-zero block
-        # means the remaining columns already satisfy A v_j = 0 mod D
-        diag = [math.gcd(x, D) for x in diag]
-    else:
-        for i, j in zip(range(len(diag)), range(1, len(diag))):
-            if diag[i] and diag[j] and diag[j] % diag[i]:
-                raise AssertionError(
-                    "divisibility chain violated in smith_with_transform"
-                )
+    diag, v = _smith(rows, modulus, transform=True)
+    if _modulus(modulus) is None and any(x and y % x for x, y in zip(diag, diag[1:])):
+        raise AssertionError("divisibility chain violated in smith_with_transform")
     return diag, v
 
 

@@ -65,6 +65,17 @@ def _coerce_coeff(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
+def _word_key(family: GroupFamily, w) -> tuple:
+    """Normal form of a GroupWord, generator-letter text or normal-form tuple."""
+    if isinstance(w, GroupWord):
+        if w.family != family:
+            raise FamilyMismatchError("word family does not match element family")
+        return w.normal
+    if isinstance(w, str):
+        return parse_word(family, w).normal
+    return tuple(w)
+
+
 class GroupRingElement:
     """Finitely supported int- or rational-valued function on a group family.
 
@@ -92,14 +103,7 @@ class GroupRingElement:
         acc: dict = {}
         pairs = items.items() if isinstance(items, dict) else items
         for w, c in pairs:
-            if isinstance(w, GroupWord):
-                if w.family != family:
-                    raise FamilyMismatchError("word family does not match element family")
-                nf = w.normal
-            elif isinstance(w, str):
-                nf = parse_word(family, w).normal
-            else:
-                nf = tuple(w)
+            nf = _word_key(family, w)
             acc[nf] = acc.get(nf, 0) + _coerce_coeff(c)
         return cls(family, acc)
 
@@ -113,17 +117,8 @@ class GroupRingElement:
 
     # ----- inspection ---------------------------------------------------
 
-    def _normal_of(self, w):
-        if isinstance(w, GroupWord):
-            if w.family != self.family:
-                raise FamilyMismatchError("word family does not match element family")
-            return w.normal
-        if isinstance(w, str):
-            return parse_word(self.family, w).normal
-        return tuple(w)
-
     def coefficient(self, w):
-        return self._coeffs.get(self._normal_of(w), 0)
+        return self._coeffs.get(_word_key(self.family, w), 0)
 
     @property
     def identity_coefficient(self):
@@ -387,13 +382,7 @@ class WalkDistribution:
         return sum(self.coeffs.values(), Fraction(0))
 
     def coefficient(self, w) -> Fraction:
-        if isinstance(w, GroupWord):
-            key = w.normal
-        elif isinstance(w, str):
-            key = parse_word(self.family, w).normal
-        else:
-            key = tuple(w)
-        return self.coeffs.get(key, Fraction(0))
+        return self.coeffs.get(_word_key(self.family, w), Fraction(0))
 
     @property
     def at_identity(self) -> Fraction:
@@ -700,20 +689,24 @@ def _tree_first_passage(f, K):
     return F, w
 
 
-def _series_tree(f, K, max_order):
+def _tree_returns(f, K, max_order):
+    """First-passage table F and the return series up to K, by renewal."""
     if K > max_order:
         raise ResourceLimitError(f"tree engine order {K} exceeds cap {max_order}")
-    fam = f.family
     F, w = _tree_first_passage(f, K)
     r = np.zeros(K + 1)
-    for u in fam.letters:
+    for u in f.family.letters:
         if w[u]:
             r[1:] += w[u] * F[-u][: K]
     out = np.zeros(K + 1)
     out[0] = 1.0
     for k in range(1, K + 1):
         out[k] = float(np.dot(r[1 : k + 1], out[k - 1 :: -1]))
-    return ReturnSeries(out, "tree", K)
+    return F, out
+
+
+def _series_tree(f, K, max_order):
+    return ReturnSeries(_tree_returns(f, K, max_order)[1], "tree", K)
 
 
 def return_series(
@@ -840,12 +833,7 @@ class GreenTruncation:
     warnings: tuple = ()
 
     def value(self, w) -> float:
-        if isinstance(w, GroupWord):
-            key = w.normal
-        elif isinstance(w, str):
-            key = parse_word(self.family, w).normal
-        else:
-            key = tuple(w)
+        key = _word_key(self.family, w)
         if key not in self.values:
             raise WindowError(f"word outside the computed ball: {key}")
         return self.values[key]
@@ -908,18 +896,8 @@ def _green_grid(f, K, radius, grid_size, max_cells):
 
 
 def _green_tree(f, K, radius, max_order):
-    if K > max_order:
-        raise ResourceLimitError(f"tree engine order {K} exceeds cap {max_order}")
     fam = f.family
-    F, w = _tree_first_passage(f, K)
-    r = np.zeros(K + 1)
-    for u in fam.letters:
-        if w[u]:
-            r[1:] += w[u] * F[-u][: K]
-    ret = np.zeros(K + 1)
-    ret[0] = 1.0
-    for k in range(1, K + 1):
-        ret[k] = float(np.dot(r[1 : k + 1], ret[k - 1 :: -1]))
+    F, ret = _tree_returns(f, K, max_order)
     # first-passage distribution to each word in the ball, then renewal at it
     fe = f.identity_coefficient
     values = {}
@@ -1051,13 +1029,7 @@ class HomoclinicResult:
     notes: tuple = ()
 
     def value(self, w) -> float:
-        if isinstance(w, GroupWord):
-            key = w.normal
-        elif isinstance(w, str):
-            key = parse_word(self.family, w).normal
-        else:
-            key = tuple(w)
-        return self.values[key]
+        return self.values[_word_key(self.family, w)]
 
 
 def homoclinic_point(

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupforests.intmat import (
     bareiss_determinant,
@@ -250,6 +252,118 @@ class TestSmithTransform:
         diag, v = smith_with_transform([[2, 1], [3, 2]], modulus=1)
         assert diag == [1, 1]
         assert len(v) == 2
+
+
+@pytest.mark.parametrize("smith", [smith_normal_form, smith_with_transform])
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+def test_smith_rejects_ragged(smith, rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith(rows)
+
+
+def invariant_factors(diagonal):
+    """Oracle: the divisibility chain of a nonzero diagonal, prime by prime.
+
+    Each invariant factor takes, for every prime, the matching entry of the
+    sorted exponents of that prime across the diagonal.
+    """
+    exponents: dict[int, list[int]] = {}
+    for d in diagonal:
+        p = 2
+        while d > 1:
+            if p * p > d:
+                p = d
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    factors = [1] * len(diagonal)
+    for p, es in exponents.items():
+        es = [0] * (len(diagonal) - len(es)) + sorted(es)
+        for i, e in enumerate(es):
+            factors[i] *= p**e
+    return factors
+
+
+def matrix_times(rows, v):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in rows]
+
+
+@st.composite
+def int_matrices(draw, square=False, min_size=1, entry=None):
+    """Small integer matrices, square or rectangular, by default often singular."""
+    n = draw(st.integers(min_size, 5))
+    m = n if square or draw(st.booleans()) else draw(st.integers(min_size, 5))
+    if entry is None:
+        entry = st.one_of(st.integers(-2, 2), st.integers(-30, 30))
+    row = st.lists(entry, min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+def is_chain(factors):
+    return all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+class TestSmithProperties:
+    """One elimination, two contracts: properties over random small matrices."""
+
+    @settings(max_examples=300)
+    @given(int_matrices())
+    def test_chain_and_determinant(self, rows):
+        factors = smith_normal_form(rows)
+        assert is_chain(factors) and all(d > 0 for d in factors)
+        assert len(factors) <= min(len(rows), len(rows[0]))
+        if len(rows) == len(rows[0]):
+            det = bareiss_determinant(rows)
+            if det:
+                assert math.prod(factors) == abs(det) and len(factors) == len(rows)
+            else:
+                assert len(factors) < len(rows)
+
+    @settings(max_examples=300)
+    @given(int_matrices())
+    def test_transform_columns_and_unimodular(self, rows):
+        diag, v = smith_with_transform(rows)
+        m = len(rows[0])
+        assert len(v) == m and abs(bareiss_determinant(v)) == 1
+        assert len(diag) == min(len(rows), m) and is_chain([d for d in diag if d])
+        av = matrix_times(rows, v)
+        for j, d in enumerate(diag):
+            column = [row[j] for row in av]
+            assert all((x % d == 0) if d else x == 0 for x in column)
+        assert [d for d in diag if d] == smith_normal_form(rows)
+
+    # wide entries on 3x3 and up: there a modded pivot is now and then a
+    # residue that only its gcd with the modulus turns into the true factor
+    @settings(max_examples=300)
+    @given(
+        int_matrices(square=True, min_size=3, entry=st.integers(-30, 30)),
+        st.sampled_from([1, -1, 3]),
+    )
+    def test_modulus_matches_plain(self, rows, scale):
+        det = bareiss_determinant(rows)
+        assume(det != 0)
+        modulus = scale * det
+        assert smith_normal_form(rows, modulus) == smith_normal_form(rows)
+        diag, v = smith_with_transform(rows, modulus)
+        assert math.prod(diag) == abs(det)
+        assert invariant_factors(diag) == smith_normal_form(rows)
+        av = matrix_times(rows, v)
+        for j, d in enumerate(diag):
+            assert all(row[j] % d == 0 for row in av)
+
+    @settings(max_examples=300)
+    @given(int_matrices(), st.sampled_from([None, 1, "det"]))
+    def test_normal_form_is_the_repaired_transform_diagonal(self, rows, modulus):
+        if modulus == "det":
+            square = len(rows) == len(rows[0])
+            modulus = bareiss_determinant(rows) if square else None
+        diag, _ = smith_with_transform(rows, modulus)
+        expected = invariant_factors([d for d in diag if d])
+        assert smith_normal_form(rows, modulus) == expected
 
 
 class TestLatticeSpan:

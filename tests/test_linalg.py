@@ -594,7 +594,7 @@ def quotient_cases(draw):
 
 
 class TestSparseOperator:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(quotient_cases())
     def test_sparse_build_matches_operator_oracle(self, case):
         quotient, f = case
@@ -607,7 +607,7 @@ class TestSparseOperator:
         assert L.matrix.tolist() == oracle
         assert L.to_matrix_market() == matrix_market_oracle(oracle)
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(quotient_cases())
     def test_multigraph_matches_pair_scan(self, case):
         quotient, f = case

@@ -255,6 +255,11 @@ class TestWalkDistribution:
         assert mu.coefficient(parse_word(Z, "a a")) == Fraction(1, 6)
         assert mu.mass() == 1
 
+    def test_coefficient_rejects_foreign_word(self):
+        mu = walk_distribution(laplacian_element(H))
+        with pytest.raises(FamilyMismatchError):
+            mu.coefficient(parse_word(Z3, "a"))
+
     def test_powers_stay_probability_and_symmetric(self):
         f = laplacian_element(F2)
         for k, power in zip(range(4), convolve_powers(f, 3)):
@@ -516,6 +521,11 @@ class TestGreenTruncation:
         for key, v in tree.values.items():
             assert abs(v - direct.values[key]) < 1e-12
 
+    def test_value_rejects_foreign_word(self):
+        g = green_truncation(laplacian_element(F2), K=10, radius=1, engine="tree")
+        with pytest.raises(FamilyMismatchError):
+            g.value(parse_word(F3, "a"))
+
     def test_truncation_residual_identity(self):
         # omega_K * f = delta_e - mu^{K+1}, so the window residual must equal
         # the corresponding power coefficients exactly
@@ -585,6 +595,12 @@ class TestHomoclinic:
         x = homoclinic_point(elt(F2, "e 1"), g, window_radius=1)
         for w in ("e", "a", "b"):
             assert x.value(w) == pytest.approx(g.value(w) % 1.0, abs=1e-12)
+
+    def test_value_rejects_foreign_word(self):
+        g = green_truncation(laplacian_element(F2), K=10, radius=1, engine="tree")
+        x = homoclinic_point(elt(F2, "e 1"), g, window_radius=1)
+        with pytest.raises(FamilyMismatchError):
+            x.value(parse_word(F3, "a"))
 
     def test_source_convolution_vanishes(self):
         # h = f makes x = (f * omega) mod 1 nearly the delta at e, so the
