@@ -39,7 +39,6 @@ _PARAM_KEYS = (
     "tol",
     "root",
     "seed",
-    "threads",
     "engine",
     "out",
     "max_support",
@@ -87,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="amenability decision margin")
         p.add_argument("--root", type=int, help="root vertex for tree sampling")
         p.add_argument("--seed", type=int, help="base seed of the counter-based streams")
-        p.add_argument("--threads", type=int, help="worker threads across quotients")
         p.add_argument("--engine", help="walk engine: auto, direct, grid, tree")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--max-support", dest="max_support", type=int, help="walk support cap")

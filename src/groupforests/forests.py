@@ -25,13 +25,7 @@ from .errors import (
     ResourceLimitError,
     WindowError,
 )
-from .groups import (
-    GroupWord,
-    QuotientChain,
-    format_word,
-    injectivity_radius,
-    word_ball,
-)
+from .groups import GroupWord, format_word, injectivity_radius, word_ball
 from .linalg import QuotientLaplacian, build_laplacian
 from .walks import GroupRingElement, require_well_balanced
 
@@ -424,22 +418,25 @@ def _window_edges(f: GroupRingElement, radius: int):
 
 
 def lift_marginals(
-    chain: QuotientChain,
+    quotients,
     f: GroupRingElement,
     radius: int,
     samples: int,
     seed: int = 0,
+    max_steps=None,
 ) -> list:
     """Estimate forest edge marginals on the group through a quotient chain.
 
-    For each quotient, the window of group edges within the given radius is
+    quotients is any sequence of quotients of f's family, a QuotientChain
+    included; max_steps caps each random walk as in wilson_sample.  For each
+    quotient, the window of group edges within the given radius is
     pulled back to multigraph edge copies (injectivity radius at least
     radius + 1 makes this well defined and injective), and the empirical
     inclusion frequency over uniform spanning tree samples is tabulated.
     Rows are aligned across quotients for convergence display.
     """
     require_well_balanced(f)
-    if f.family != chain.family:
+    if any(q.family != f.family for q in quotients):
         raise FamilyMismatchError("chain and element families differ")
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -448,7 +445,7 @@ def lift_marginals(
     window = _window_edges(f, radius)
     gens = [w for w, c in f.items() if c < 0 and not w.is_identity()]
     tables = []
-    for qi, quotient in enumerate(chain):
+    for qi, quotient in enumerate(quotients):
         inj = injectivity_radius(quotient, r_max=radius + 1, generators=gens)
         if inj < radius + 1:
             raise WindowError(
@@ -473,7 +470,7 @@ def lift_marginals(
         counts = [0] * len(copy_ids)
         for sample_index in range(samples):
             gen = rng_stream(seed, qi, sample_index)
-            tree = wilson_sample(graph, root=0, rng=gen)
+            tree = wilson_sample(graph, root=0, rng=gen, max_steps=max_steps)
             in_tree = set(tree.edges)
             for i, cid in enumerate(copy_ids):
                 if cid in in_tree:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
     WindowError,
 )
-from .forests import (
-    QuotientMultigraph,
-    degree_statistics,
-    lift_marginals,
-    rng_stream,
-    wilson_sample,
-)
+from .forests import QuotientMultigraph, lift_marginals, rng_stream, wilson_sample
 from .groups import (
     FiniteQuotient,
     GroupFamily,
@@ -173,7 +166,6 @@ class ExperimentConfig:
     root: int = 0
     h: "GroupRingElement | None" = None
     seed: int = 0
-    threads: int = 1
     engine: str = "auto"
     out: "str | None" = None
     caps: dict = field(default_factory=dict)
@@ -203,11 +195,24 @@ class ExperimentConfig:
             f"tol: {_fmt(self.tol)}",
             f"root: {self.root}",
             f"seed: {self.seed}",
-            f"threads: {self.threads}",
+            # fixed: the golden corpus and the benchmark digests pin this line
+            "threads: 1",
             f"engine: {self.engine}",
             "caps: " + " ".join(f"{k}={self.cap(k)}" for k in sorted(DEFAULT_CAPS)),
         ]
         return tuple(lines)
+
+
+# fields resolve_config takes from its keyword params; it derives the others
+_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentConfig)) - {
+    "operation",
+    "family",
+    "f",
+    "quotients",
+    "injectivity_radii",
+    "h",
+    "caps",
+}
 
 
 def resolve_config(
@@ -256,9 +261,11 @@ def resolve_config(
             continue
         if key in DEFAULT_CAPS:
             caps[key] = int(value)
-        else:
+        elif key in _FIELD_NAMES:
             fields[key] = value
-    for key in ("K", "samples", "radius", "k_max", "root", "seed", "threads"):
+        else:
+            raise ValueError(f"unknown parameter {key!r}")
+    for key in ("K", "samples", "radius", "k_max", "root", "seed"):
         if key in fields:
             fields[key] = int(fields[key])
     for key in ("kappa", "tol"):
@@ -266,8 +273,6 @@ def resolve_config(
             fields[key] = float(fields[key])
     if fields.get("samples", 1) < 1:
         raise ValueError("samples must be >= 1")
-    if fields.get("threads", 1) < 1:
-        raise ValueError("threads must be >= 1")
     return ExperimentConfig(
         operation=operation,
         family=fam,
@@ -281,19 +286,8 @@ def resolve_config(
 
 
 @dataclass
-class ConvergenceRow:
-    """One fully formatted output row."""
-
-    index: int
-    cells: tuple
-
-    def render(self) -> str:
-        return ",".join(self.cells)
-
-
-@dataclass
 class Report:
-    """CSV-ready result: resolved-config header, provenance columns, rows."""
+    """CSV-ready result: resolved-config header, provenance columns, rows of cells."""
 
     operation: str
     config_lines: tuple
@@ -306,17 +300,8 @@ class Report:
         out.extend(f"#   {line}" for line in self.config_lines)
         out.extend(f"# note: {note}" for note in self.notes)
         out.append(",".join(self.columns))
-        out.extend(row.render() for row in self.rows)
+        out.extend(",".join(row) for row in self.rows)
         return "\n".join(out) + "\n"
-
-
-def _run_tasks(cfg: ExperimentConfig, tasks: list) -> list:
-    """Run zero-arg callables, results in submission order."""
-    if cfg.threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
 
 
 def _at_quotient(i: int, label: str, fn):
@@ -325,6 +310,14 @@ def _at_quotient(i: int, label: str, fn):
         return fn()
     except GroupForestsError as err:
         raise type(err)(f"quotient {i} ({label}): {err}") from err
+
+
+def _per_quotient(cfg: ExperimentConfig, fn) -> list:
+    """fn(i, q, laplacian) for each quotient in chain order."""
+    return [
+        _at_quotient(i, q.label, lambda i=i, q=q: fn(i, q, build_laplacian(q, cfg.f)))
+        for i, q in enumerate(cfg.quotients)
+    ]
 
 
 def _support_words(f) -> list:
@@ -372,25 +365,6 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     raises IdentityMismatchError and the process exits nonzero.
     """
     _check_exact_sizes(cfg)
-    laps = [
-        _at_quotient(i, q.label, lambda q=q: build_laplacian(q, cfg.f))
-        for i, q in enumerate(cfg.quotients)
-    ]
-
-    def exact_task(i):
-        lap = laps[i]
-        tau = spanning_tree_count(lap)
-        comp = harmonic_component_group(lap, modulus=tau)
-        if comp.order != tau:
-            raise IdentityMismatchError(
-                f"tau {_int_text(tau)} != component order {_int_text(comp.order)}"
-            )
-        return tau, comp.order
-
-    def spectral_task(i):
-        summary = _spectrum_summary(cfg, cfg.quotients[i], laps[i])
-        return fk_estimate_eigen(summary, kappa=cfg.kappa)
-
     notes = []
     ent_cell = ""
     try:
@@ -400,32 +374,25 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     except (ResourceLimitError, UnsupportedFamilyError) as err:
         notes.append(f"tree_entropy column skipped: {err}")
 
-    tasks = []
-    for i, q in enumerate(cfg.quotients):
-        tasks.append(lambda i=i, q=q: _at_quotient(i, q.label, lambda: exact_task(i)))
-        tasks.append(lambda i=i, q=q: _at_quotient(i, q.label, lambda: spectral_task(i)))
-    results = _run_tasks(cfg, tasks)
-
-    fk_col = f"fk_eigen_kappa{cfg.kappa:g}"
-    ent_col = f"tree_entropy_K{cfg.K}"
-    rows = []
-    for i, q in enumerate(cfg.quotients):
-        (tau, order), fk = results[2 * i], results[2 * i + 1]
-        rows.append(
-            ConvergenceRow(
-                i,
-                (
-                    str(i),
-                    str(q.size),
-                    str(cfg.injectivity_radii[i]),
-                    _int_text(tau),
-                    _int_text(order),
-                    _fmt(math.log(tau) / q.size),
-                    _fmt(fk),
-                    ent_cell,
-                ),
+    def row(i, q, lap):
+        tau = spanning_tree_count(lap)
+        comp = harmonic_component_group(lap, modulus=tau)
+        if comp.order != tau:
+            raise IdentityMismatchError(
+                f"tau {_int_text(tau)} != component order {_int_text(comp.order)}"
             )
+        fk = fk_estimate_eigen(_spectrum_summary(cfg, q, lap), kappa=cfg.kappa)
+        return (
+            str(i),
+            str(q.size),
+            str(cfg.injectivity_radii[i]),
+            _int_text(tau),
+            _int_text(comp.order),
+            _fmt(math.log(tau) / q.size),
+            _fmt(fk),
+            ent_cell,
         )
+
     columns = (
         "n",
         "N",
@@ -433,49 +400,31 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
         "tau",
         "component_order",
         "log_tau_per_site",
-        fk_col,
-        ent_col,
+        f"fk_eigen_kappa{cfg.kappa:g}",
+        f"tree_entropy_K{cfg.K}",
     )
-    return Report("identity", cfg.header_lines(), columns, rows, tuple(notes))
+    return Report("identity", cfg.header_lines(), columns, _per_quotient(cfg, row), tuple(notes))
 
 
 def run_fk_det(cfg: ExperimentConfig) -> Report:
     """Both determinant estimators side by side across the chain."""
     _check_exact_sizes(cfg)
-    laps = [
-        _at_quotient(i, q.label, lambda q=q: build_laplacian(q, cfg.f))
-        for i, q in enumerate(cfg.quotients)
-    ]
-    tasks = []
-    for i, q in enumerate(cfg.quotients):
-        tasks.append(
-            lambda i=i, q=q: _at_quotient(
-                i, q.label, lambda: fk_estimate_eigen(_spectrum_summary(cfg, q, laps[i]), kappa=cfg.kappa)
-            )
-        )
-        tasks.append(
-            lambda i=i, q=q: _at_quotient(i, q.label, lambda: fk_estimate_tree(laps[i]))
-        )
-    results = _run_tasks(cfg, tasks)
-    rows = []
-    for i, q in enumerate(cfg.quotients):
-        eig, tre = results[2 * i], results[2 * i + 1]
+
+    def row(i, q, lap):
+        eig = fk_estimate_eigen(_spectrum_summary(cfg, q, lap), kappa=cfg.kappa)
+        tre = fk_estimate_tree(lap)
         # the estimators differ by exactly log(N)/N at kappa=0
         gap = math.log(q.size) / q.size
-        rows.append(
-            ConvergenceRow(
-                i,
-                (
-                    str(i),
-                    str(q.size),
-                    str(cfg.injectivity_radii[i]),
-                    _fmt(eig),
-                    _fmt(tre),
-                    _fmt(gap),
-                    _fmt(abs(eig - tre - gap)),
-                ),
-            )
+        return (
+            str(i),
+            str(q.size),
+            str(cfg.injectivity_radii[i]),
+            _fmt(eig),
+            _fmt(tre),
+            _fmt(gap),
+            _fmt(abs(eig - tre - gap)),
         )
+
     columns = (
         "n",
         "N",
@@ -485,94 +434,80 @@ def run_fk_det(cfg: ExperimentConfig) -> Report:
         "log_n_over_n",
         "consistency_gap",
     )
-    return Report("fk-det", cfg.header_lines(), columns, rows)
+    return Report("fk-det", cfg.header_lines(), columns, _per_quotient(cfg, row))
 
 
 # ----- forests ---------------------------------------------------------------
 
 
-def _check_mean_degree(tree, expected: Fraction) -> None:
-    """Raise unless the tree's mean degree is exactly `expected` (-O keeps this)."""
-    mean = degree_statistics(tree).mean
-    if mean != expected:
-        raise AssertionError(f"mean tree degree {mean} != {expected}")
+def _mean_tree_degree(n: int) -> Fraction:
+    """Mean degree of any spanning tree on n vertices: 2(n-1)/n."""
+    return Fraction(2 * (n - 1), n)
 
 
 def run_sample_ust(cfg: ExperimentConfig) -> Report:
-    """Sampled spanning trees as edge lists, one row per tree edge."""
+    """Sampled spanning trees as edge lists, one row per tree edge.
+
+    Every sample passes SpanningTree.validate, which raises (also under
+    python -O) unless its edges are N-1 distinct copies without a cycle.
+    """
     max_steps = cfg.cap("max_steps") or None
-    rows = []
-    notes = []
-    for i, q in enumerate(cfg.quotients):
-        graph = _at_quotient(
-            i, q.label, lambda q=q: QuotientMultigraph(build_laplacian(q, cfg.f))
-        )
-        expected = Fraction(2 * (graph.n - 1), graph.n)
+
+    def edge_rows(i, q, lap):
+        graph = QuotientMultigraph(lap)
+        out = []
         for s in range(cfg.samples):
-            tree = _at_quotient(
-                i,
-                q.label,
-                lambda: wilson_sample(
-                    graph, root=cfg.root, rng=rng_stream(cfg.seed, i, s), max_steps=max_steps
-                ),
+            tree = wilson_sample(
+                graph, root=cfg.root, rng=rng_stream(cfg.seed, i, s), max_steps=max_steps
             )
-            _check_mean_degree(tree, expected)
+            tree.validate()
             for u, v, slot in tree.as_edge_list():
-                rows.append(
-                    ConvergenceRow(i, (str(i), str(s), str(u), str(v), str(slot)))
-                )
-        notes.append(f"quotient {i}: mean tree degree {expected} on every sample")
+                out.append((str(i), str(s), str(u), str(v), str(slot)))
+        return out
+
+    rows = [row for chunk in _per_quotient(cfg, edge_rows) for row in chunk]
+    notes = tuple(
+        f"quotient {i}: mean tree degree {_mean_tree_degree(q.size)} on every sample"
+        for i, q in enumerate(cfg.quotients)
+    )
     columns = ("n", "sample", "u", "v", "slot")
-    return Report("sample-ust", cfg.header_lines(), columns, rows, tuple(notes))
+    return Report("sample-ust", cfg.header_lines(), columns, rows, notes)
 
 
 def run_forest_suite(cfg: ExperimentConfig) -> Report:
     """Window-edge marginal tables across the chain with per-row drift.
 
     Drift compares each edge frequency with the same window edge one
-    quotient earlier; the mean-degree column restates the exact per-sample
-    value 2(N-1)/N, checked on an extra held-out sample.
+    quotient earlier; the mean-degree column is 2(N-1)/N, the mean degree
+    of every spanning tree on N vertices.
     """
-    chain = QuotientChain(cfg.quotients)
-    tables = lift_marginals(chain, cfg.f, cfg.radius, cfg.samples, seed=cfg.seed)
-
-    def mean_task(i, q):
-        graph = QuotientMultigraph(build_laplacian(q, cfg.f))
-        # one extra sample past the marginal block keeps the streams disjoint
-        tree = wilson_sample(graph, rng=rng_stream(cfg.seed, i, cfg.samples))
-        expected = Fraction(2 * (graph.n - 1), graph.n)
-        _check_mean_degree(tree, expected)
-        return expected
-
-    means = _run_tasks(
-        cfg,
-        [
-            (lambda i=i, q=q: _at_quotient(i, q.label, lambda: mean_task(i, q)))
-            for i, q in enumerate(cfg.quotients)
-        ],
+    tables = lift_marginals(
+        cfg.quotients,
+        cfg.f,
+        cfg.radius,
+        cfg.samples,
+        seed=cfg.seed,
+        max_steps=cfg.cap("max_steps") or None,
     )
-
     rows = []
     prev = None
     for i, (q, table) in enumerate(zip(cfg.quotients, tables)):
+        mean = str(_mean_tree_degree(q.size))
         for row in table.rows:
             drift = ""
             if prev is not None and row.label in prev:
                 drift = format(abs(row.frequency - prev[row.label]), ".6f")
             rows.append(
-                ConvergenceRow(
-                    i,
-                    (
-                        str(i),
-                        str(q.size),
-                        str(cfg.injectivity_radii[i]),
-                        row.label,
-                        format(row.frequency, ".6f"),
-                        format(row.halfwidth, ".6f"),
-                        drift,
-                        str(cfg.samples),
-                        str(means[i]),
-                    ),
+                (
+                    str(i),
+                    str(q.size),
+                    str(cfg.injectivity_radii[i]),
+                    row.label,
+                    format(row.frequency, ".6f"),
+                    format(row.halfwidth, ".6f"),
+                    drift,
+                    str(cfg.samples),
+                    mean,
                 )
             )
         prev = {r.label: r.frequency for r in table.rows}
@@ -662,13 +597,12 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
     probe_count = cfg.cap("probes")
     probes = rng_stream(cfg.seed).random((probe_count, len(window)))
 
-    def one(i, q):
+    def row(i, q, lap):
         inj = injectivity_radius(q, r_max=cfg.radius, generators=support)
         if inj < cfg.radius:
             raise WindowError(
                 f"window radius {cfg.radius} exceeds support injectivity radius {inj}"
             )
-        lap = build_laplacian(q, cfg.f)
         verts = [q.coset_of(w) for w in window]
         reps, mode, order = _component_window_values(cfg, lap, verts, i)
         rad = _covering_radius(probes, reps)
@@ -682,14 +616,6 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
             _fmt(rad),
         )
 
-    results = _run_tasks(
-        cfg,
-        [
-            (lambda i=i, q=q: _at_quotient(i, q.label, lambda: one(i, q)))
-            for i, q in enumerate(cfg.quotients)
-        ],
-    )
-    rows = [ConvergenceRow(i, cells) for i, cells in enumerate(results)]
     columns = (
         "n",
         "N",
@@ -699,7 +625,7 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
         "mode",
         f"covering_radius_probes{probe_count}",
     )
-    return Report("window-density", cfg.header_lines(), columns, rows)
+    return Report("window-density", cfg.header_lines(), columns, _per_quotient(cfg, row))
 
 
 # ----- walk-side reports -----------------------------------------------------
@@ -717,7 +643,7 @@ def run_tree_entropy(cfg: ExperimentConfig) -> Report:
     res = tree_entropy(cfg.f, cfg.K, engine=cfg.engine, **_walk_caps(cfg))
     partials = res.partials
     rows = [
-        ConvergenceRow(k, (str(k), _fmt(float(res.terms[k - 1])), _fmt(float(partials[k - 1]))))
+        (str(k), _fmt(float(res.terms[k - 1])), _fmt(float(partials[k - 1])))
         for k in _checkpoints(cfg.K)
     ]
     notes = [
@@ -735,10 +661,7 @@ def run_green(cfg: ExperimentConfig) -> Report:
     green = green_truncation(cfg.f, cfg.K, cfg.radius + 1, engine=cfg.engine, **_walk_caps(cfg))
     residual = formal_inverse_residual(green, cfg.radius)
     window = word_ball(cfg.family, cfg.radius, generators=_support_words(cfg.f))
-    rows = [
-        ConvergenceRow(j, (format_word(w), _fmt(green.values[w.normal])))
-        for j, w in enumerate(window)
-    ]
+    rows = [(format_word(w), _fmt(green.values[w.normal])) for w in window]
     notes = [
         f"engine: {green.engine}",
         f"residual_radius{cfg.radius}: {_fmt(residual)}",
@@ -768,16 +691,13 @@ def run_homoclinic(cfg: ExperimentConfig) -> Report:
     res = homoclinic_point(h, green, window_radius=cfg.radius)
     window = word_ball(cfg.family, cfg.radius, generators=_support_words(cfg.f))
     rows = []
-    for j, w in enumerate(window):
+    for w in window:
         resid = res.residuals.get(w.normal)
         rows.append(
-            ConvergenceRow(
-                j,
-                (
-                    format_word(w),
-                    _fmt(res.values[w.normal]),
-                    "" if resid is None else _fmt(resid),
-                ),
+            (
+                format_word(w),
+                _fmt(res.values[w.normal]),
+                "" if resid is None else _fmt(resid),
             )
         )
     notes = [f"residual_max: {_fmt(res.residual_max)}", f"green_radius: {green_radius}"]
@@ -790,19 +710,15 @@ def run_spectral_radius(cfg: ExperimentConfig) -> Report:
     probe = spectral_radius_probe(
         cfg.f, cfg.k_max, engine=cfg.engine, tol=cfg.tol, **_walk_caps(cfg)
     )
-    rows = []
-    for j, k in enumerate(probe.k_values):
-        rows.append(
-            ConvergenceRow(
-                j,
-                (
-                    str(k),
-                    _fmt(probe.root_estimates[j]),
-                    _fmt(probe.ratio_estimates[j]),
-                    _fmt(probe.extrapolated_estimates[j]),
-                ),
-            )
+    rows = [
+        (
+            str(k),
+            _fmt(probe.root_estimates[j]),
+            _fmt(probe.ratio_estimates[j]),
+            _fmt(probe.extrapolated_estimates[j]),
         )
+        for j, k in enumerate(probe.k_values)
+    ]
     notes = (
         f"estimate: {_fmt(probe.estimate)}",
         f"amenable_like: {str(probe.amenable_like).lower()}",

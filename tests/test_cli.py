@@ -104,6 +104,11 @@ class TestConfigParsing:
         assert cfg.cap("probes") == 3
         assert cfg.cap("max_dense") == 4096
 
+    def test_param_keys_are_config_fields_or_caps(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for key in cli._PARAM_KEYS:
+            assert key in names or key in runner.DEFAULT_CAPS, key
+
 
 class TestIdentitySuite:
     def test_cycle_chain_tau_column(self):
@@ -220,6 +225,12 @@ class TestForestSuite:
         assert header == ["n", "sample", "u", "v", "slot"]
         assert len(rows) == 4 * 4
         assert "mean tree degree 8/5" in out
+
+    def test_wsf_marginals_applies_step_cap(self, capsys):
+        base = ["--family", "free-abelian:2", "--moduli", "8,8", "--samples", "3"]
+        code, _ = run_cli(["wsf-marginals", *base, "--max-steps", "1"])
+        assert code == 1
+        assert "random walk exceeded 1 steps" in capsys.readouterr().err
 
 
 class TestWalkReports:
@@ -348,12 +359,11 @@ class TestOutputContract:
         assert cli.main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_rows(self):
-        base = ["identity", "--family", "free-abelian:1", "--moduli", "3;5;7"]
-        _, out1 = run_cli(base + ["--threads", "1"])
-        _, out4 = run_cli(base + ["--threads", "4"])
-        strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#   threads")]
-        assert strip(out1) == strip(out4)
+    def test_threads_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["identity", "--family", "free-abelian:1", "--moduli", "3", "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_header_block_records_config(self):
         _, out = run_cli(
@@ -373,6 +383,22 @@ class TestOutputContract:
         _, out = run_cli(["wsf-marginals", "--config", str(cfg_file), "--samples", "50"])
         assert "#   samples: 50" in out
         assert "#   seed: 7" in out
+
+    def test_config_file_matches_flags_byte_for_byte(self, tmp_path):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free-abelian:1\nmoduli: '4;8'\nsamples: 40\nseed: 7\n")
+        _, from_file = run_cli(["sample-ust", "--config", str(cfg_file)])
+        flags = ["--family", "free-abelian:1", "--moduli", "4;8", "--samples", "40", "--seed", "7"]
+        _, from_flags = run_cli(["sample-ust", *flags])
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize("key", ["foo", "threads"])
+    def test_config_file_unknown_key_exits_cleanly(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text(f"family: free-abelian:1\nmoduli: '4'\n{key}: 3\n")
+        code, _ = run_cli(["identity", "--config", str(cfg_file)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown parameter '{key}'\n"
 
     def test_f_file(self, tmp_path):
         f_file = tmp_path / "elem.txt"
@@ -413,31 +439,42 @@ class TestOutputContract:
 
 
 class TestRuntimeChecks:
-    """Report invariants raise explicitly, so `python -O` keeps them."""
+    """sample-ust validates every tree it samples, and python -O keeps the check."""
 
     @staticmethod
-    def skew_degrees(monkeypatch):
-        real = runner.degree_statistics
+    def repeated_edge(tree):
+        return dataclasses.replace(tree, edges=(tree.edges[0],) * len(tree.edges))
 
-        def skewed(tree):
-            stats = real(tree)
-            return dataclasses.replace(stats, mean=stats.mean + 1)
+    @staticmethod
+    def cyclic_edges(tree):
+        # two copies of one doubled bundle close a cycle on its endpoints
+        return dataclasses.replace(tree, edges=((0, 0), (0, 1)))
 
-        monkeypatch.setattr(runner, "degree_statistics", skewed)
-
-    @pytest.mark.parametrize("operation", ["sample-ust", "wsf-marginals"])
-    def test_mean_degree_mismatch_raises(self, monkeypatch, operation):
-        self.skew_degrees(monkeypatch)
-        cfg = resolve_config(operation, family="free-abelian:1", moduli="8", samples=2)
-        with pytest.raises(AssertionError, match="mean tree degree 11/4 != 7/4"):
+    @pytest.mark.parametrize(
+        "corrupt, f, message",
+        [
+            ("repeated_edge", None, "repeated edge copy"),
+            ("cyclic_edges", "e 4\na -2\nA -2", "edge set contains a cycle"),
+        ],
+        ids=["repeated", "cycle"],
+    )
+    def test_invalid_tree_raises(self, monkeypatch, corrupt, f, message):
+        real = runner.wilson_sample
+        bad = getattr(self, corrupt)
+        monkeypatch.setattr(runner, "wilson_sample", lambda *a, **kw: bad(real(*a, **kw)))
+        cfg = resolve_config("sample-ust", family="free-abelian:1", f=f, moduli="3", samples=2)
+        with pytest.raises(AssertionError, match=message):
             runner.run(cfg)
 
     def test_check_survives_optimized_mode(self):
         script = (
             "import dataclasses\n"
             "from groupforests import runner\n"
-            "real = runner.degree_statistics\n"
-            "runner.degree_statistics = lambda t: dataclasses.replace(real(t), mean=0)\n"
+            "real = runner.wilson_sample\n"
+            "def bad(*args, **kwargs):\n"
+            "    tree = real(*args, **kwargs)\n"
+            "    return dataclasses.replace(tree, edges=(tree.edges[0],) * len(tree.edges))\n"
+            "runner.wilson_sample = bad\n"
             "cfg = runner.resolve_config('sample-ust', family='free-abelian:1', moduli='5')\n"
             "try:\n"
             "    runner.run(cfg)\n"
@@ -452,7 +489,7 @@ class TestRuntimeChecks:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.stdout.startswith("raised: mean tree degree 0 != 8/5")
+        assert done.stdout.startswith("raised: repeated edge copy")
 
 
 class TestLargeIntegers:

@@ -406,6 +406,15 @@ class TestLiftMarginals:
         with pytest.raises(FamilyMismatchError):
             lift_marginals(chain, laplacian_element(Z2), 0, 10)
 
+    def test_plain_sequence_matches_chain(self):
+        f = laplacian_element(Z)
+        quotients = [FiniteQuotient.from_moduli(Z, (m,)) for m in (6, 8)]
+        from_chain = lift_marginals(QuotientChain(quotients), f, 1, 50, seed=3)
+        assert lift_marginals(quotients, f, 1, 50, seed=3) == from_chain
+        assert lift_marginals(tuple(quotients), f, 1, 50, seed=3) == from_chain
+        with pytest.raises(FamilyMismatchError):
+            lift_marginals(quotients + [FiniteQuotient.from_moduli(Z2, (6, 6))], f, 1, 50)
+
     def test_rejects_bad_parameters(self):
         f = laplacian_element(Z)
         chain = QuotientChain([FiniteQuotient.from_moduli(Z, (6,))])
