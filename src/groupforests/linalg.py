@@ -5,8 +5,9 @@ convolution operator; this module builds that operator as a sparse Laplacian
 in O(N |S|) from the quotient's permutation of each support word, and
 computes, exactly where the theory is exact:
 
-- the spanning-tree count of the quotient Cayley multigraph (big-integer
-  determinant of the reduced Laplacian, Bareiss elimination),
+- the spanning-tree count of the quotient Cayley multigraph (the exact
+  determinant of the reduced Laplacian, by CRT over word-size primes with a
+  float64 LDL^T per prime: `intmat.modular_determinant`),
 - the component group of harmonic-mod-1 points (Smith normal form of the
   reduced Laplacian; its order equals the tree count),
 - the eigenvalue spectrum with a structural zero count,
@@ -29,7 +30,8 @@ from .errors import (
 )
 from .errors import NotWellBalancedError
 from .groups import FiniteQuotient, GroupWord
-from .intmat import bareiss_determinant, smith_normal_form
+# bareiss_determinant stays bound here, beside the kernel it checks
+from .intmat import bareiss_determinant, modular_determinant, smith_normal_form  # noqa: F401
 from .walks import GroupRingElement, is_well_balanced
 
 
@@ -212,13 +214,15 @@ def _require_connected(L: QuotientLaplacian) -> None:
 def spanning_tree_count(L: QuotientLaplacian, base: int = 0) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
-    The count is the absolute determinant of the reduced Laplacian,
-    independent of the base vertex.
+    The count is the determinant of the reduced Laplacian, independent of
+    the base vertex.  That matrix is positive definite on a connected graph,
+    which is what `modular_determinant` needs: residues mod word-size primes
+    from a float64 LDL^T, lifted by CRT past twice the Hadamard bound.
     """
     _require_connected(L)
     if L.size == 1:
         return 1
-    return abs(bareiss_determinant(L.reduced(base)))
+    return modular_determinant(L.reduced(base))
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def harmonic_component_group(
     # intermediate entries can reach thousands of digits even on small
     # matrices, so the modulus is applied unconditionally.
     if modulus is None:
-        modulus = bareiss_determinant(reduced)
+        modulus = modular_determinant(reduced)
     factors = smith_normal_form(reduced, modulus=modulus)
     if len(factors) < n - 1:
         raise DisconnectedGraphError("reduced Laplacian is singular")

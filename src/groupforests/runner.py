@@ -217,6 +217,7 @@ _FIELD_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentConfig)) - {
 
 def resolve_config(
     operation: str,
+    /,
     family: str = "free-abelian:1",
     f: str | None = None,
     moduli: str | None = None,

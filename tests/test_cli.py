@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import groupforests
-from groupforests import FiniteQuotient, GroupFamily, QuotientLaplacian, cli, linalg, runner
+from groupforests import FiniteQuotient, GroupFamily, QuotientLaplacian, cli, intmat, linalg, runner
 from groupforests.runner import (
     ExperimentConfig,
     _component_window_values,
@@ -143,19 +143,30 @@ class TestIdentitySuite:
 
 
     def test_one_determinant_per_quotient(self, monkeypatch):
-        # tau doubles as the Smith modulus, so Bareiss runs once per quotient
+        # tau doubles as the Smith modulus, so the modular determinant runs
+        # once per quotient, and Bareiss (the test oracle) never runs
         calls = []
-        real = linalg.bareiss_determinant
+        real = linalg.modular_determinant
 
         def counted(rows):
             calls.append(len(rows))
             return real(rows)
 
-        monkeypatch.setattr(linalg, "bareiss_determinant", counted)
+        monkeypatch.setattr(linalg, "modular_determinant", counted)
         code, out = run_cli(["identity", "--family", "free-abelian:2", "--moduli", "3,3;4,4"])
         assert code == 0
         assert column(out, "tau") == column(out, "component_order") == ["11664", "42467328"]
         assert calls == [8, 15]
+
+    @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
+    def test_exact_reports_never_run_bareiss(self, monkeypatch, operation):
+        def refused(rows):
+            raise AssertionError("Bareiss elimination on the CLI path")
+
+        monkeypatch.setattr(linalg, "bareiss_determinant", refused)
+        monkeypatch.setattr(intmat, "bareiss_determinant", refused)
+        code, _ = run_cli([operation, "--family", "heisenberg", "--moduli", "3"])
+        assert code == 0
 
 
 class TestDenseCap:
@@ -399,6 +410,14 @@ class TestOutputContract:
         code, _ = run_cli(["identity", "--config", str(cfg_file)])
         assert code == 1
         assert capsys.readouterr().err == f"error: unknown parameter '{key}'\n"
+
+    def test_config_file_operation_key_exits_cleanly(self, tmp_path, capsys):
+        # the operation is the subcommand; a file cannot set it a second time
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("operation: fk-det\nfamily: free-abelian:1\nmoduli: '4'\n")
+        code, out = run_cli(["identity", "--config", str(cfg_file)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: unknown parameter 'operation'\n"
 
     def test_f_file(self, tmp_path):
         f_file = tmp_path / "elem.txt"

@@ -25,6 +25,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS = {
     "identity-heisenberg": ["identity", "--family", "heisenberg", "--moduli", "3"],
     "identity-torus": ["identity", "--family", "free-abelian:2", "--moduli", "4,4;6,6"],
+    # exact tau on non-abelian, non-amenable quotients (free-group balls)
+    "identity-free-ball": [
+        "identity", "--family", "free:2", "--ball-radius", "3", "--ball-radius", "4",
+    ],
     "tree-entropy-heisenberg": ["tree-entropy", "--family", "heisenberg", "--K", "24"],
     "tree-entropy-free": ["tree-entropy", "--family", "free:2", "--K", "40"],
     "fk-det-heisenberg": ["fk-det", "--family", "heisenberg", "--moduli", "3;5"],

@@ -3,15 +3,30 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from groupforests import (
+    FiniteQuotient,
+    GroupFamily,
+    build_laplacian,
+    free_ball_quotient,
+    intmat,
+    laplacian_element,
+)
 from groupforests.intmat import (
     bareiss_determinant,
     lattice_spans_z_d,
+    modular_determinant,
+    prime_bound,
+    primes_below,
+    reduce_mod,
     smith_normal_form,
     smith_with_transform,
 )
@@ -394,3 +409,195 @@ class TestLatticeSpan:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lattice_spans_z_d([(1, 2, 3)], 2)
+
+
+@st.composite
+def connected_laplacians(draw):
+    """Reduced Laplacians of random connected multigraphs with edge weights.
+
+    A random tree (vertex i hangs off some j < i) keeps the graph connected;
+    extra edges, repeated ones and weights up to 1000 make it a weighted
+    multigraph.
+    """
+    n = draw(st.integers(2, 40))  # past the 16-pivot leaf, so the recursion runs
+    weight = st.integers(1, 1000)
+    edges = [(draw(st.integers(0, i - 1)), i, draw(weight)) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    edges += [e for e in draw(st.lists(pair, max_size=2 * n)) if e[0] != e[1]]
+    lap = np.zeros((n, n), dtype=np.int64)
+    for u, v, w in edges:
+        lap[u, v] -= w
+        lap[v, u] -= w
+        lap[u, u] += w
+        lap[v, v] += w
+    base = draw(st.integers(0, n - 1))
+    return np.delete(np.delete(lap, base, axis=0), base, axis=1).tolist()
+
+
+def first_prime(n):
+    return next(primes_below(prime_bound(n)))
+
+
+class TestModularDeterminant:
+    """The multimodular kernel against Bareiss, its independent oracle."""
+
+    @settings(max_examples=150)
+    @given(connected_laplacians())
+    def test_matches_bareiss_on_connected_multigraphs(self, rows):
+        det = modular_determinant(rows)
+        assert det == bareiss_determinant(rows) and det > 0
+
+    @pytest.mark.parametrize(
+        "quotient",
+        [
+            FiniteQuotient.from_moduli(GroupFamily.free_abelian(2), (5, 7)),
+            FiniteQuotient.from_moduli(GroupFamily.free_abelian(3), (3, 3, 4)),
+            FiniteQuotient.from_moduli(GroupFamily.heisenberg(), (3,)),
+            FiniteQuotient.from_moduli(GroupFamily.heisenberg(), (4,)),
+            free_ball_quotient(GroupFamily.free(2), 3, seed=0),
+            free_ball_quotient(GroupFamily.free(3), 2, seed=5),
+        ],
+        ids=lambda q: f"N={q.size}",
+    )
+    def test_matches_bareiss_on_quotients(self, quotient):
+        rows = build_laplacian(quotient, laplacian_element(quotient.family)).reduced(0)
+        assert modular_determinant(rows) == bareiss_determinant(rows)
+
+    @settings(max_examples=300)
+    @given(int_matrices(square=True, entry=st.integers(-9, 9)))
+    def test_symmetric_input_exact_or_refused(self, rows):
+        # symmetrize; the kernel is exact exactly when no leading minor is 0
+        n = len(rows)
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        minors = [bareiss_determinant([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+        if all(minors):
+            assert modular_determinant(rows) == minors[-1]
+        else:
+            with pytest.raises(ValueError, match="leading principal minor"):
+                modular_determinant(rows)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: [[p, 1], [1, 2]],  # first leading minor p
+            lambda p: [[2, 1, 0], [1, (p + 1) // 2, 1], [0, 1, 3]],  # second minor p
+            lambda p: [[p + 1, 1], [1, 1]],  # the determinant itself is p
+            lambda p: [[3 * p, p], [p, 2 * p]],  # every pivot divisible by p
+        ],
+    )
+    def test_skips_a_prime_dividing_a_leading_minor(self, make):
+        p = first_prime(len(make(5)))
+        rows = make(p)
+        assert modular_determinant(rows) == bareiss_determinant(rows)
+
+    def test_empty_and_one_by_one(self):
+        assert modular_determinant([]) == 1
+        assert modular_determinant([[7]]) == 7
+        assert modular_determinant(np.array([[2, -1], [-1, 2]])) == 3
+
+    def test_entries_past_the_int64_square(self):
+        # the Hadamard bound of these rows overflows int64 and is taken exactly
+        rows = [[2**40, 1, 0], [1, 2**40, 3], [0, 3, 2**40]]
+        assert modular_determinant(rows) == bareiss_determinant(rows)
+
+    def test_many_primes_off_base_zero(self):
+        # tau of the 12 x 12 torus has 241 bits: a dozen primes in the CRT
+        q = FiniteQuotient.from_moduli(GroupFamily.free_abelian(2), (12, 12))
+        rows = build_laplacian(q, laplacian_element(q.family)).reduced(5)
+        det = modular_determinant(rows)
+        assert det == bareiss_determinant(rows) and det.bit_length() == 241
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2], [3]],  # ragged
+            [[1, 2, 3], [4, 5, 6]],  # not square
+            [[[1]]],  # not a matrix
+            [[2, 1], [0, 2]],  # not symmetric
+            [[2**70, 0], [0, 1]],  # not int64
+        ],
+    )
+    def test_rejects_malformed_input(self, rows):
+        with pytest.raises(ValueError):
+            modular_determinant(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, 0]],  # first leading minor 0, determinant -1
+            [[1, 1], [1, 1]],  # singular
+            [[0, 0], [0, 5]],  # zero row
+            [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # unreduced Laplacian
+            [[4, 2, 1], [2, 1, 3], [1, 3, 9]],  # second leading minor 0
+        ],
+    )
+    def test_zero_leading_minor_is_refused(self, rows):
+        with pytest.raises(ValueError, match="leading principal minor"):
+            modular_determinant(rows)
+
+    def test_singular_laplacian_stops_at_the_hadamard_bound(self, monkeypatch):
+        # every prime sees the zero pivot; the search stops once the dropped
+        # primes multiply past H = 20**13.5 (58 bits): 3 primes, or one batch
+        drawn = []
+
+        def counted(bound):
+            for q in primes_below(bound):
+                drawn.append(q)
+                yield q
+
+        monkeypatch.setattr(intmat, "primes_below", counted)
+        q = FiniteQuotient.from_moduli(GroupFamily.heisenberg(), (3,))
+        lap = build_laplacian(q, laplacian_element(q.family)).matrix
+        with pytest.raises(ValueError, match="leading principal minor 27 is 0"):
+            modular_determinant(lap)
+        assert 3 <= len(drawn) <= 8
+
+    def test_refusal_survives_optimized_python(self):
+        code = (
+            "from groupforests.intmat import modular_determinant as d\n"
+            "for rows in ([[2, 1], [0, 2]], [[0, 1], [1, 0]]):\n"
+            "    try:\n"
+            "        d(rows)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestResidueArithmetic:
+    """Float64 residues are exact up to the 2**52 limit the primes are chosen for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 343, 4096, 10**5])
+    def test_prime_bound_keeps_gemms_exact(self, n):
+        p = first_prime(n)
+        assert n * (p - 1) ** 2 < 2**52
+        # balanced residues leave the same headroom for the Schur update
+        assert n * ((p + 1) // 2) ** 2 + (p + 1) // 2 < 2**52
+
+    def test_primes_below_lists_every_prime_largest_first(self):
+        # the bound spans two sieve windows
+        bound = 2**16 + 50
+        oracle = [q for q in range(bound - 1, 1, -1) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+        assert list(primes_below(bound)) == oracle
+
+    @pytest.mark.parametrize("n", [1, 343, 4096])
+    def test_reduction_at_the_limit(self, n):
+        rng = random.Random(n)
+        for p in itertools.islice(primes_below(prime_bound(n)), 3):
+            xs = [2**52, -(2**52), 2**52 - 1, 1 - 2**52, p * (2**52 // p), p // 2, -(p // 2)]
+            xs += [rng.randrange(-(2**52), 2**52) for _ in range(200)]
+            xs += [x + k for x in (p * (2**52 // p) - p // 2,) for k in range(-2, 3)]
+            r = reduce_mod(np.array(xs, dtype=np.float64), float(p), 1.0 / p)
+            for x, y in zip(xs, r.tolist()):
+                assert y == int(y) and (x - int(y)) % p == 0
+                assert abs(y) <= (p + 1) // 2
+
+    def test_gemm_at_the_limit(self):
+        # n residues of the largest magnitude: the dot product is exact
+        n = 4096
+        p = first_prime(n)
+        h = float((p + 1) // 2)
+        row = np.full((1, n), h)
+        assert int((row @ row.T)[0, 0]) == n * ((p + 1) // 2) ** 2
