@@ -9,10 +9,14 @@ a chain of quotients estimates forest edge marginals on the group itself.
 
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
+Each walk step reads one stream double x (drawn 256 at a time as Python
+floats) and leaves v by exit index int(x * degree); the exits left when the
+walk meets the tree are the tree edges, so marginals need no built tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +34,7 @@ from .linalg import QuotientLaplacian, build_laplacian
 from .walks import GroupRingElement, require_well_balanced
 
 _MASK64 = (1 << 64) - 1
+_DRAW_BLOCK = 256  # doubles per generator call in Wilson's walk
 
 
 def rng_stream(seed: int, quotient_index: int = 0, sample_index: int = 0) -> np.random.Generator:
@@ -41,25 +46,6 @@ def rng_stream(seed: int, quotient_index: int = 0, sample_index: int = 0) -> np.
     return np.random.Generator(bits)
 
 
-class _BlockUniform:
-    """Uniform doubles drawn 64 at a time to amortize generator call cost."""
-
-    __slots__ = ("gen", "buf", "pos")
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.buf = gen.random(64)
-        self.pos = 0
-
-    def next(self) -> float:
-        if self.pos == 64:
-            self.buf = self.gen.random(64)
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
-
-
 class QuotientMultigraph:
     """Undirected multigraph on the cosets, one bundle per unordered pair.
 
@@ -67,11 +53,12 @@ class QuotientMultigraph:
     in (u, v) order: the upper-triangle entries of the sparse Laplacian;
     loops never appear (the Laplacian folds them away).  An edge copy is
     addressed as (bundle, slot).  incidence[x] lists (neighbour, bundle,
-    slot) for every copy at x, by neighbour and then slot.  When the
-    Laplacian remembers its quotient and group ring element, each slot of a
-    bundle decodes to a (word, copy) symbol as read from the lower
-    endpoint, i.e. lower * word = upper.  Everything is built with array
-    operations in O(N |S|); no N x N matrix is formed.
+    slot) for every copy at x, by neighbour and then slot; neighbours[x] is
+    the same list reduced to its neighbour entries, all that a random walk
+    reads.  When the Laplacian remembers its quotient and group ring
+    element, each slot of a bundle decodes to a (word, copy) symbol as read
+    from the lower endpoint, i.e. lower * word = upper.  Everything is built
+    with array operations in O(N |S|); no N x N matrix is formed.
     """
 
     def __init__(self, laplacian: QuotientLaplacian):
@@ -91,15 +78,13 @@ class QuotientMultigraph:
         neighbour = np.concatenate([bv[bundle], bu[bundle]])
         bundle, slot = np.tile(bundle, 2), np.tile(slot, 2)
         order = np.lexsort((slot, bundle, vertex))
-        entries = list(
-            zip(neighbour[order].tolist(), bundle[order].tolist(), slot[order].tolist())
-        )
+        neighbour = neighbour[order].tolist()
+        entries = list(zip(neighbour, bundle[order].tolist(), slot[order].tolist()))
         degrees = np.bincount(vertex, minlength=n)
-        ends = np.cumsum(degrees).tolist()
+        ranges = [(end - d, end) for d, end in zip(degrees.tolist(), np.cumsum(degrees).tolist())]
         self.degrees = tuple(degrees.tolist())
-        self.incidence = tuple(
-            tuple(entries[end - d : end]) for d, end in zip(self.degrees, ends)
-        )
+        self.incidence = tuple(tuple(entries[a:b]) for a, b in ranges)
+        self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in ranges)
         self.symbols = None
         q, f = laplacian.quotient, laplacian.source
         if q is not None and f is not None:
@@ -154,26 +139,33 @@ class SpanningTree:
     edges: tuple
 
     def validate(self) -> None:
+        """Raise AssertionError unless the edges are N-1 distinct copies.
+
+        N-1 copies that connect every vertex have no cycle.  Each round of the
+        connectivity check points every root that an edge joins to a smaller
+        root at one such root, then jumps pointers until every label is a
+        root; labels only decrease, so each round removes a root.
+        """
         n = self.graph.n
         if len(self.edges) != n - 1:
             raise AssertionError(f"expected {n - 1} edges, got {len(self.edges)}")
-        if len(set(self.edges)) != len(self.edges):
+        flat = itertools.chain.from_iterable(self.edges)
+        bundle, slot = np.fromiter(flat, dtype=np.int64, count=2 * n - 2).reshape(-1, 2).T
+        order = np.lexsort((slot, bundle))
+        b, s = bundle[order], slot[order]
+        if np.any((b[1:] == b[:-1]) & (s[1:] == s[:-1])):
             raise AssertionError("repeated edge copy")
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b, _ in self.edges:
-            u, v = self.graph.endpoints(b)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise AssertionError("edge set contains a cycle")
-            parent[ru] = rv
-        # n-1 acyclic edges on n vertices must span
+        lap = self.graph.laplacian
+        upper = lap.rows < lap.cols
+        u, v = lap.rows[upper][bundle], lap.cols[upper][bundle]
+        label = np.arange(n)
+        while not np.array_equal(lu := label[u], lv := label[v]):
+            cross = lu != lv
+            label[np.maximum(lu, lv)[cross]] = np.minimum(lu, lv)[cross]
+            while not np.array_equal(jumped := label[label], label):
+                label = jumped
+        if label.any():  # some vertex lies outside vertex 0's component
+            raise AssertionError("edge set contains a cycle")
 
     def degrees(self) -> tuple:
         deg = [0] * self.graph.n
@@ -192,48 +184,66 @@ class SpanningTree:
         return sorted(out)
 
 
-def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=None) -> SpanningTree:
-    """One uniform spanning tree via loop-erased random walks.
+def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
+    """Wilson's walk: exits[v] indexes v's tree edge in incidence[v].
 
-    rng may be an integer seed (expanded through the stream contract) or a
-    ready Generator.  The walk picks uniformly among incident edge copies,
-    which weights parallel bundles by multiplicity.  A step cap guards the
-    nominally impossible disconnected case and pathological hand-built
-    graphs.
+    exits[root] is -1.  max_steps is a draw budget; draw max_steps + 1 raises.
     """
     n = graph.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
     if not graph.is_connected():
         raise DisconnectedGraphError("spanning trees need a connected multigraph")
-    gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)
-    uniforms = _BlockUniform(gen)
     if max_steps is None:
         max_steps = max(1_000_000, 200 * n * n)
+    left = max_steps
+
+    def block():
+        nonlocal left
+        if left <= 0:
+            raise ResourceLimitError(
+                f"random walk exceeded {max_steps} steps; graph may be malformed"
+            )
+        k = min(_DRAW_BLOCK, left)
+        left -= k
+        return gen.random(k).tolist()
+
+    draws = itertools.chain.from_iterable(iter(block, None))
+    nbr = graph.neighbours
     in_tree = bytearray(n)
     in_tree[root] = 1
-    nxt = [None] * n
-    incidence = graph.incidence
-    steps = 0
+    exits = [-1] * n
     for start in range(n):
         if in_tree[start]:
             continue
         v = start
-        while not in_tree[v]:
-            steps += 1
-            if steps > max_steps:
-                raise ResourceLimitError(
-                    f"random walk exceeded {max_steps} steps; graph may be malformed"
-                )
-            inc = incidence[v]
-            idx = int(uniforms.next() * len(inc))
-            nxt[v] = inc[idx]
-            v = inc[idx][0]
+        for x in draws:
+            row = nbr[v]
+            i = int(x * len(row))
+            exits[v] = i
+            v = row[i]
+            if in_tree[v]:
+                break
         v = start
         while not in_tree[v]:
             in_tree[v] = 1
-            v = nxt[v][0]
-    edges = sorted((nxt[v][1], nxt[v][2]) for v in range(n) if v != root)
+            v = nbr[v][exits[v]]
+    return exits
+
+
+def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=None) -> SpanningTree:
+    """One uniform spanning tree via loop-erased random walks.
+
+    rng may be an integer seed (expanded through the stream contract) or a
+    ready Generator, which advances by whole blocks of 256 doubles.  Each
+    step takes the next double x and leaves v by incidence[v][int(x *
+    degree)], which weights parallel bundles by multiplicity; a vertex's
+    tree edge is its last such exit before the walk meets the tree.
+    max_steps caps the draws (default max(10**6, 200 N^2)) for malformed graphs.
+    """
+    gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)
+    exits = _wilson_exits(graph, root, gen, max_steps)
+    edges = sorted(graph.incidence[v][i][1:] for v, i in enumerate(exits) if v != root)
     return SpanningTree(graph=graph, root=root, edges=tuple(edges))
 
 
@@ -433,7 +443,9 @@ def lift_marginals(
     pulled back to multigraph edge copies (injectivity radius at least
     radius + 1 makes this well defined and injective), and the empirical
     inclusion frequency over uniform spanning tree samples is tabulated.
-    Rows are aligned across quotients for convergence display.
+    Rows are aligned across quotients for convergence display.  A sample
+    counts a window copy when the copy is the walk's exit at one of its
+    endpoints, so no SpanningTree is built per sample.
     """
     require_well_balanced(f)
     if any(q.family != f.family for q in quotients):
@@ -452,42 +464,30 @@ def lift_marginals(
                 f"quotient {qi} has injectivity radius {inj}; the window "
                 f"needs at least {radius + 1}"
             )
-        L = build_laplacian(quotient, f)
-        graph = QuotientMultigraph(L)
-        copy_ids = []
+        graph = QuotientMultigraph(build_laplacian(quotient, f))
+        # each window copy as (u, its exit index at u, v, its exit index at v);
+        # it is a tree edge iff it is an endpoint's exit (the root's is -1)
+        ends = []
         for (g, s, j), _ in window:
             u = quotient.coset_of(g)
             v = quotient.act(u, s)
             if u == v:
                 raise AssertionError("window edge collapsed to a loop")
-            if u < v:
-                b = graph.bundle_index[(u, v)]
-                slot = graph.slot_of(b, s, j)
-            else:
-                b = graph.bundle_index[(v, u)]
-                slot = graph.slot_of(b, s.inverse(), j)
-            copy_ids.append((b, slot))
-        counts = [0] * len(copy_ids)
+            b = graph.bundle_index[(min(u, v), max(u, v))]
+            slot = graph.slot_of(b, s if u < v else s.inverse(), j)
+            iu = graph.incidence[u].index((v, b, slot))
+            ends.append((u, iu, v, graph.incidence[v].index((u, b, slot))))
+        counts = [0] * len(ends)
         for sample_index in range(samples):
-            gen = rng_stream(seed, qi, sample_index)
-            tree = wilson_sample(graph, root=0, rng=gen, max_steps=max_steps)
-            in_tree = set(tree.edges)
-            for i, cid in enumerate(copy_ids):
-                if cid in in_tree:
+            exits = _wilson_exits(graph, 0, rng_stream(seed, qi, sample_index), max_steps)
+            for i, (u, iu, v, iv) in enumerate(ends):
+                if exits[u] == iu or exits[v] == iv:
                     counts[i] += 1
         rows = []
         for ((g, s, j), label), count in zip(window, counts):
             p = count / samples
             halfwidth = 1.96 * math.sqrt(p * (1.0 - p) / samples)
-            rows.append(
-                MarginalRow(
-                    key=(g.normal, s.normal, j),
-                    label=label,
-                    count=count,
-                    frequency=p,
-                    halfwidth=halfwidth,
-                )
-            )
+            rows.append(MarginalRow((g.normal, s.normal, j), label, count, p, halfwidth))
         tables.append(
             MarginalTable(
                 quotient_index=qi, radius=radius, samples=samples, rows=tuple(rows)

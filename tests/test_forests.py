@@ -6,13 +6,21 @@ least four standard errors wide at the stated sample counts.
 """
 
 import itertools
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_linalg import quotient_cases
 
+import groupforests
 from groupforests import (
     DisconnectedGraphError,
     FamilyMismatchError,
@@ -24,6 +32,7 @@ from groupforests import (
     QuotientLaplacian,
     QuotientMultigraph,
     ResourceLimitError,
+    SpanningTree,
     WindowError,
     build_laplacian,
     degree_statistics,
@@ -40,6 +49,7 @@ from groupforests.forests import MARGINAL_CSV_HEADER, _window_edges
 Z = GroupFamily.free_abelian(1)
 Z2 = GroupFamily.free_abelian(2)
 F2 = GroupFamily.free(2)
+H = GroupFamily.heisenberg()
 
 
 def cycle_graph(m, f_text=None):
@@ -54,8 +64,35 @@ def k4_graph():
     return QuotientMultigraph(build_laplacian(q, f))
 
 
+def torus_graph(m):
+    q = FiniteQuotient.from_moduli(Z2, (m, m))
+    return QuotientMultigraph(build_laplacian(q, laplacian_element(Z2)))
+
+
 def hand_graph(rows):
     return QuotientMultigraph(QuotientLaplacian(None, None, np.array(rows)))
+
+
+def is_spanning_tree(graph, edges):
+    """Oracle: n-1 distinct copies that union-find merges without a cycle."""
+    n = graph.n
+    if len(edges) != n - 1 or len(set(edges)) != len(edges):
+        return False
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b, _ in edges:
+        u, v = graph.endpoints(b)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 def all_spanning_trees(graph):
@@ -64,28 +101,56 @@ def all_spanning_trees(graph):
     for b, (u, v, mult) in enumerate(graph.bundles):
         for slot in range(mult):
             copies.append((b, slot))
+    return [
+        frozenset(subset)
+        for subset in itertools.combinations(copies, graph.n - 1)
+        if is_spanning_tree(graph, subset)
+    ]
+
+
+def wilson_oracle(graph, root, gen):
+    """Wilson's walk one step at a time, as the sampler was first written.
+
+    Each step takes the next double of a 64-double block, leaves v by
+    incidence[v][int(x * degree)] and records that copy; erasing the loop
+    keeps each vertex's last record.  Returns the sorted (bundle, slot)
+    tree edges and the number of steps.
+    """
     n = graph.n
-    trees = []
-    for subset in itertools.combinations(copies, n - 1):
-        parent = list(range(n))
+    in_tree = bytearray(n)
+    in_tree[root] = 1
+    nxt = [None] * n
+    buf, pos, steps = None, 64, 0
+    for start in range(n):
+        v = start
+        while not in_tree[v]:
+            if pos == 64:
+                buf, pos = gen.random(64), 0
+            inc = graph.incidence[v]
+            nxt[v] = inc[int(buf[pos] * len(inc))]
+            pos += 1
+            steps += 1
+            v = nxt[v][0]
+        v = start
+        while not in_tree[v]:
+            in_tree[v] = 1
+            v = nxt[v][0]
+    return tuple(sorted(nxt[v][1:] for v in range(n) if v != root)), steps
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        ok = True
-        for b, _ in subset:
-            u, v = graph.endpoints(b)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            trees.append(frozenset(subset))
-    return trees
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree plus extra edges, with multiplicities up to 3."""
+    n = draw(st.integers(1, 12))
+    mult = st.integers(1, 3)
+    edges = [(draw(st.integers(0, i - 1)), i, draw(mult)) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), mult)
+    edges += [e for e in draw(st.lists(pair, max_size=2 * n)) if e[0] != e[1]]
+    lap = np.zeros((n, n), dtype=np.int64)
+    for u, v, m in edges:
+        lap[[u, v], [v, u]] -= m
+        lap[[u, v], [u, v]] += m
+    return hand_graph(lap)
 
 
 class TestMultigraph:
@@ -228,6 +293,43 @@ class TestWilson:
             assert slot == 0
 
 
+class TestWilsonKernel:
+    """The block-drawing kernel against the step-by-step oracle, tree for tree."""
+
+    @staticmethod
+    def assert_matches_oracle(graph, seed):
+        for root in range(graph.n):
+            tree = wilson_sample(graph, root=root, rng=rng_stream(seed, 0, root))
+            assert tree.edges == wilson_oracle(graph, root, rng_stream(seed, 0, root))[0]
+
+    @settings(max_examples=60)
+    @given(connected_multigraphs(), st.integers(0, 2**32))
+    def test_hand_multigraphs(self, graph, seed):
+        self.assert_matches_oracle(graph, seed)
+
+    @settings(max_examples=60)
+    @given(quotient_cases(), st.integers(0, 2**32))
+    def test_quotients(self, case, seed):
+        quotient, f = case
+        self.assert_matches_oracle(QuotientMultigraph(build_laplacian(quotient, f)), seed)
+
+    # the 16 x 16 sample takes 517 steps, so its walk crosses a draw block
+    @pytest.mark.parametrize("m, sample", [(3, 0), (16, 2)])
+    def test_step_cap_is_exact(self, m, sample):
+        g = torus_graph(m)
+        edges, k = wilson_oracle(g, 0, rng_stream(4, 0, sample))
+        assert (k > 256) == (m == 16)
+        assert wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=k).edges == edges
+        message = re.escape(f"random walk exceeded {k - 1} steps; graph may be malformed")
+        with pytest.raises(ResourceLimitError, match=message):
+            wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=k - 1)
+        with pytest.raises(ResourceLimitError, match="exceeded 0 steps"):
+            wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=0)
+
+    def test_no_walk_needs_no_draw(self):
+        assert wilson_sample(hand_graph([[0]]), max_steps=0).edges == ()
+
+
 class TestDegreeStatistics:
     def test_mean_is_exact(self):
         g = k4_graph()
@@ -255,6 +357,84 @@ class TestDegreeStatistics:
             if degree_statistics(t).degrees[0] == 3:
                 hits += 1
         assert abs(hits / m - 1 / 16) < 0.011
+
+
+class TestValidate:
+    """validate accepts exactly the spanning trees, by exhaustive enumeration."""
+
+    @pytest.mark.parametrize(
+        "f_text",
+        [None, "e 3\na -1\na a -1\na a a -1", "e 4\na -2\nA -2"],
+        ids=["cycle", "complete", "doubled"],
+    )
+    def test_accepts_exactly_the_trees(self, f_text):
+        g = cycle_graph(5 if f_text is None else 4, f_text)
+        trees = set(all_spanning_trees(g))
+        copies = [(b, slot) for b, (_, _, m) in enumerate(g.bundles) for slot in range(m)]
+        for subset in itertools.combinations(copies, g.n - 1):
+            tree = SpanningTree(graph=g, root=0, edges=subset)
+            if frozenset(subset) in trees:
+                tree.validate()
+            else:
+                with pytest.raises(AssertionError, match="edge set contains a cycle"):
+                    tree.validate()
+
+    @settings(max_examples=100)
+    @given(quotient_cases(), st.data())
+    def test_swaps_from_a_tree(self, case, data):
+        # swapping tree edges for other copies closes cycles unless the new
+        # copies reconnect the pieces
+        quotient, f = case
+        g = QuotientMultigraph(build_laplacian(quotient, f))
+        edges = list(wilson_sample(g, rng=data.draw(st.integers(0, 99))).edges)
+        copies = [(b, slot) for b, (_, _, m) in enumerate(g.bundles) for slot in range(m)]
+        for _ in range(data.draw(st.integers(0, 3)) if edges else 0):
+            edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(copies))
+        tree = SpanningTree(graph=g, root=0, edges=tuple(edges))
+        if is_spanning_tree(g, edges):
+            tree.validate()
+        else:
+            repeated = len(set(edges)) < len(edges)
+            message = "repeated edge copy" if repeated else "edge set contains a cycle"
+            with pytest.raises(AssertionError, match=message):
+                tree.validate()
+
+    def test_count_repeat_and_cycle(self):
+        g = cycle_graph(4, "e 4\na -2\nA -2")
+        cases = [
+            (((0, 0), (1, 0)), "expected 3 edges, got 2"),
+            (((0, 0), (0, 0), (1, 0)), "repeated edge copy"),
+            (((0, 0), (0, 1), (1, 0)), "edge set contains a cycle"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(AssertionError, match=message):
+                SpanningTree(graph=g, root=0, edges=edges).validate()
+
+    def test_survives_optimized_mode(self):
+        script = (
+            "from groupforests import *\n"
+            "Z = GroupFamily.free_abelian(1)\n"
+            "f = parse_group_ring(Z, 'e 4\\na -2\\nA -2')\n"
+            "g = QuotientMultigraph(build_laplacian(FiniteQuotient.from_moduli(Z, (4,)), f))\n"
+            "for edges in [((0, 0), (1, 0)), ((0, 0), (0, 0), (1, 0)), ((0, 0), (0, 1), (1, 0))]:\n"
+            "    try:\n"
+            "        SpanningTree(graph=g, root=0, edges=edges).validate()\n"
+            "    except AssertionError as err:\n"
+            "        print('raised:', err)\n"
+        )
+        src = os.path.dirname(os.path.dirname(groupforests.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines() == [
+            "raised: expected 3 edges, got 2",
+            "raised: repeated edge copy",
+            "raised: edge set contains a cycle",
+        ]
 
 
 class TestOrientation:
@@ -392,6 +572,44 @@ class TestLiftMarginals:
         for row in table.rows:
             assert 0.0 <= row.frequency <= 1.0
             assert row.halfwidth < 0.06
+
+    @pytest.mark.parametrize(
+        "family, f_text, moduli, radius",
+        [
+            (Z2, "e 6\na -2\nA -2\nb -1\nB -1", ((6, 6), (8, 8)), 1),
+            (H, None, ((5,), (7,)), 1),
+            (F2, None, None, 1),
+        ],
+        ids=["doubled-torus", "heisenberg", "free-ball"],
+    )
+    def test_counts_match_sampled_trees(self, family, f_text, moduli, radius):
+        # exits decide membership; the oracle looks each copy up in a built tree
+        f = laplacian_element(family) if f_text is None else parse_group_ring(family, f_text)
+        if moduli is None:
+            from groupforests import free_ball_quotient
+
+            quotients = [free_ball_quotient(family, r, seed=1) for r in (2, 3)]
+        else:
+            quotients = [FiniteQuotient.from_moduli(family, m) for m in moduli]
+        samples = 60
+        tables = lift_marginals(quotients, f, radius, samples, seed=4)
+        window = _window_edges(f, radius)
+        for qi, (q, table) in enumerate(zip(quotients, tables)):
+            graph = QuotientMultigraph(build_laplacian(q, f))
+            ends, copies = [], []
+            for (g, s, j), _ in window:
+                u, v = q.coset_of(g), q.act(q.coset_of(g), s)
+                b = graph.bundle_index[(min(u, v), max(u, v))]
+                copies.append((b, graph.slot_of(b, s if u < v else s.inverse(), j)))
+                ends.append((u, v))
+            assert any(0 in uv for uv in ends)  # copies at the root are counted too
+            trees = [
+                set(wilson_sample(graph, root=0, rng=rng_stream(4, qi, i)).edges)
+                for i in range(samples)
+            ]
+            assert [row.count for row in table.rows] == [
+                sum(c in t for t in trees) for c in copies
+            ]
 
     def test_window_needs_injectivity_margin(self):
         f = laplacian_element(Z)

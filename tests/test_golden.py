@@ -45,6 +45,17 @@ CONFIGS = {
         "wsf-marginals", "--family", "free-abelian:2", "--moduli", "6,6;8,8",
         "--samples", "20", "--seed", "1",
     ],
+    # doubled bundles: the #0/#1 rows pin which slot each window copy reads
+    "wsf-marginals-multiplicity": [
+        "wsf-marginals", "--family", "free-abelian:2",
+        "--f", "e 6;a -2;A -2;b -1;B -1", "--moduli", "6,6;8,8",
+        "--samples", "200", "--seed", "3",
+    ],
+    # non-abelian quotients: pins the incidence order the walk draws from
+    "wsf-marginals-heisenberg": [
+        "wsf-marginals", "--family", "heisenberg", "--moduli", "5;7",
+        "--samples", "200", "--seed", "3",
+    ],
     "green-heisenberg": ["green", "--family", "heisenberg", "--K", "12", "--radius", "1"],
     "green-lattice": ["green", "--family", "free-abelian:3", "--K", "20", "--radius", "1"],
     "homoclinic-heisenberg": [

@@ -618,6 +618,7 @@ class TestSparseOperator:
         )
         assert graph.bundles == bundles
         assert graph.incidence == incidence
+        assert graph.neighbours == tuple(tuple(x for x, _, _ in inc) for inc in incidence)
         assert graph.symbols == symbols
         assert graph.degrees == tuple(len(inc) for inc in incidence)
         assert L._dense is None
