@@ -52,8 +52,10 @@ from .walks import (
     homoclinic_point,
     laplacian_element,
     parse_group_ring,
+    require_transient,
     require_well_balanced,
     spectral_radius_probe,
+    support_words,
     tree_entropy,
 )
 
@@ -319,10 +321,6 @@ def _per_quotient(cfg: ExperimentConfig, fn) -> list:
         _at_quotient(i, q.label, lambda i=i, q=q: fn(i, q, build_laplacian(q, cfg.f)))
         for i, q in enumerate(cfg.quotients)
     ]
-
-
-def _support_words(f) -> list:
-    return [w for w, _ in f.items() if not w.is_identity()]
 
 
 def _spectrum_summary(cfg: ExperimentConfig, quotient: FiniteQuotient, lap):
@@ -593,7 +591,7 @@ def run_window_density(cfg: ExperimentConfig) -> Report:
     non-increasing column exactly.
     """
     _check_exact_sizes(cfg)
-    support = _support_words(cfg.f)
+    support = support_words(cfg.f)
     window = word_ball(cfg.family, cfg.radius, generators=support)
     probe_count = cfg.cap("probes")
     probes = rng_stream(cfg.seed).random((probe_count, len(window)))
@@ -661,7 +659,7 @@ def run_green(cfg: ExperimentConfig) -> Report:
     # one extra shell so the residual over the requested window is defined
     green = green_truncation(cfg.f, cfg.K, cfg.radius + 1, engine=cfg.engine, **_walk_caps(cfg))
     residual = formal_inverse_residual(green, cfg.radius)
-    window = word_ball(cfg.family, cfg.radius, generators=_support_words(cfg.f))
+    window = word_ball(cfg.family, cfg.radius, generators=support_words(cfg.f))
     rows = [(format_word(w), _fmt(green.values[w.normal])) for w in window]
     notes = [
         f"engine: {green.engine}",
@@ -675,7 +673,7 @@ def run_green(cfg: ExperimentConfig) -> Report:
 
 def _support_radius(f, words) -> int:
     """Distance of the farthest word from the identity in f's support metric."""
-    support = _support_words(f)
+    support = support_words(f)
     targets = {w.normal for w in words}
     for r in range(65):
         ball = {w.normal for w in word_ball(f.family, r, generators=support)}
@@ -685,12 +683,13 @@ def _support_radius(f, words) -> int:
 
 
 def run_homoclinic(cfg: ExperimentConfig) -> Report:
+    require_transient(cfg.family)
     h = cfg.h if cfg.h is not None else cfg.f
     h_rad = _support_radius(cfg.f, [w for w, _ in h.items()])
     green_radius = cfg.radius + h_rad + 1
     green = green_truncation(cfg.f, cfg.K, green_radius, engine=cfg.engine, **_walk_caps(cfg))
     res = homoclinic_point(h, green, window_radius=cfg.radius)
-    window = word_ball(cfg.family, cfg.radius, generators=_support_words(cfg.f))
+    window = word_ball(cfg.family, cfg.radius, generators=support_words(cfg.f))
     rows = []
     for w in window:
         resid = res.residuals.get(w.normal)

@@ -10,14 +10,17 @@ entropy (log f_e minus the weighted return series), truncated Green's
 functions, homoclinic points of the associated harmonic model, and a
 spectral-radius probe for amenability.
 
-Engines for the return series:
+Each engine walks once per call: the same pass yields the return series at
+the identity and, for Green's function, the sums of mu^k over a word ball,
+so the Green tail estimate reads the series of its own walk.  The engines:
 
 - "direct": step-by-step powers of mu.  Works for every family.  On the
   Heisenberg group it runs on a dense (x, y, z) box, where each support word
   is a shift in (x, y) and a shear in z: exact int64 walk counts while
   f_e^k < 2^63 (each value then equals the exact rational's float), float64
   probabilities after.  Other families use dictionary convolution over
-  normal forms, exact rationals up to a support size and floats after.  Both
+  normal forms, exact rationals up to a support size and floats after (for
+  Green's sums, floats from the second step on).  Both
   stop at the same step with the same error once the support exceeds
   max_support.
 - "grid": for free-abelian families, evaluates the Fourier multiplier of mu
@@ -461,6 +464,11 @@ def _mu_float(f: GroupRingElement):
     return {nf: -c / fe for nf, c in f._coeffs.items() if nf != ident}
 
 
+def support_words(f: GroupRingElement) -> list:
+    """The non-identity support words of f, in coefficient order."""
+    return [w for w, _ in f.items() if not w.is_identity()]
+
+
 def _auto_engine(f: GroupRingElement) -> str:
     fam = f.family
     if fam.kind == "free-abelian":
@@ -583,13 +591,18 @@ def _direct_powers(f, K, max_support, max_exact_support):
     return _dict_powers(f, K, max_support, max_exact_support)
 
 
-def _series_direct(f, K, max_support, max_exact_support):
+def _direct_pass(f, K, ball, max_support, max_exact_support):
     ident = f.family.identity_normal()
-    out = np.zeros(K + 1)
-    out[0] = 1.0
+    series = np.zeros(K + 1)
+    series[0] = 1.0
+    sums = {nf: float(nf == ident) for nf in ball}  # mu^0 is the point mass at e
     for k, value_at in _direct_powers(f, K, max_support, max_exact_support):
-        out[k] = value_at(ident)
-    return ReturnSeries(out, "direct", K)
+        series[k] = value_at(ident)
+        for nf in sums:
+            v = value_at(nf)
+            if v:
+                sums[nf] += v
+    return series, sums, None
 
 
 DEFAULT_MAX_GRID_FLOPS = 1 << 30
@@ -637,31 +650,32 @@ def _grid_reach(f) -> int:
     )
 
 
-def _series_grid(f, K, grid_size, max_cells):
+def _grid_pass(f, K, ball, radius, grid_size, max_cells):
     fam = f.family
     if fam.kind != "free-abelian":
         raise UnsupportedFamilyError("grid engine needs a free-abelian family")
     d = fam.rank
-    R = _grid_reach(f)
-    m = grid_size or _pick_grid_size(K * R + 1, d, max_cells, iterations=K)
+    m = grid_size or _pick_grid_size(
+        K * _grid_reach(f) + radius + 1, d, max_cells, iterations=K
+    )
     if m**d > max_cells:
         raise ResourceLimitError(f"grid {m}^{d} exceeds cell cap {max_cells}")
     lam = _grid_multiplier(f, m)
-    out = np.zeros(K + 1)
-    out[0] = 1.0
+    series = np.zeros(K + 1)
+    series[0] = 1.0
     p = np.ones_like(lam)
+    S = np.ones_like(lam) if ball else None
     for k in range(1, K + 1):
         p = p * lam
-        out[k] = float(p.mean())
-    np.maximum(out, 0.0, out=out)  # guard float rounding of exact zeros
-    notes = ()
-    alias_free = (m - 1) // R
-    if alias_free < K:
-        notes = (
-            f"grid size {m} wraps for k > {alias_free}; affected values are "
-            "upper bounds with exponentially small excess",
-        )
-    return ReturnSeries(out, "grid", min(K, alias_free), notes)
+        series[k] = float(p.mean())
+        if ball:
+            S += p
+    np.maximum(series, 0.0, out=series)  # guard float rounding of exact zeros
+    sums = {}
+    if ball:
+        table = np.fft.ifftn(S).real
+        sums = {nf: float(table[tuple(int(x) % m for x in nf)]) for nf in ball}
+    return series, sums, m
 
 
 def _tree_first_passage(f, K):
@@ -705,8 +719,46 @@ def _tree_returns(f, K, max_order):
     return F, out
 
 
-def _series_tree(f, K, max_order):
-    return ReturnSeries(_tree_returns(f, K, max_order)[1], "tree", K)
+def _tree_pass(f, K, ball, max_order):
+    F, series = _tree_returns(f, K, max_order)
+    # first-passage distribution to each ball word, then renewal at it; the
+    # ball runs in breadth-first order, so a word's parent comes first
+    ident = f.family.identity_normal()
+    sums = {}
+    passage = {ident: None}  # None encodes the delta at step 0
+    for nf in ball:
+        if nf == ident:
+            sums[nf] = float(np.sum(series))
+            continue
+        parent, last = nf[:-1], nf[-1]
+        pp = passage[parent]
+        fp = F[last][: K + 1] if pp is None else np.convolve(pp, F[last])[: K + 1]
+        passage[nf] = fp
+        sums[nf] = float(np.sum(np.convolve(fp, series)[: K + 1]))
+    return series, sums, None
+
+
+def _walk_pass(
+    f, K, engine, radius, max_support, max_exact_support, grid_size, max_grid_cells, max_tree_order
+):
+    """One walk of one engine: (engine, series, sums, grid size).
+
+    series[k] = (mu^k)_e for k = 0..K.  With a radius, sums maps each word of
+    that ball (support metric) to sum_{k=0}^{K} (mu^k) at it; with radius
+    None it is empty.  The grid size is m on the grid engine, else None.
+    """
+    if engine == "auto":
+        engine = _auto_engine(f)
+    ball = ()
+    if radius is not None:
+        ball = [w.normal for w in word_ball(f.family, radius, generators=support_words(f))]
+    if engine == "direct":
+        return engine, *_direct_pass(f, K, ball, max_support, max_exact_support)
+    if engine == "grid":
+        return engine, *_grid_pass(f, K, ball, radius or 0, grid_size, max_grid_cells)
+    if engine == "tree":
+        return engine, *_tree_pass(f, K, ball, max_tree_order)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def return_series(
@@ -723,15 +775,19 @@ def return_series(
     if K < 0:
         raise ValueError("K must be >= 0")
     require_well_balanced(f)
-    if engine == "auto":
-        engine = _auto_engine(f)
-    if engine == "direct":
-        return _series_direct(f, K, max_support, max_exact_support)
-    if engine == "grid":
-        return _series_grid(f, K, grid_size, max_grid_cells)
-    if engine == "tree":
-        return _series_tree(f, K, max_tree_order)
-    raise ValueError(f"unknown engine {engine!r}")
+    engine, values, _, m = _walk_pass(
+        f, K, engine, None, max_support, max_exact_support, grid_size, max_grid_cells,
+        max_tree_order,
+    )
+    alias_free, notes = K, ()
+    if m is not None:
+        alias_free = (m - 1) // _grid_reach(f)
+        if alias_free < K:
+            notes = (
+                f"grid size {m} wraps for k > {alias_free}; affected values are "
+                "upper bounds with exponentially small excess",
+            )
+    return ReturnSeries(values, engine, min(K, alias_free), notes)
 
 
 # ----- tree entropy ---------------------------------------------------------
@@ -763,12 +819,23 @@ class TreeEntropyResult:
         return self.value
 
 
+def _last_even_terms(values: np.ndarray, K: int):
+    """(k2, values[k2 - 2], values[k2]) for the largest even k2 <= K; None for K < 6.
+
+    Both tail estimates fit a geometric ratio to these two terms.
+    """
+    if K < 6:
+        return None
+    k2 = K - (K % 2)
+    return k2, values[k2 - 2], values[k2]
+
+
 def _tail_estimate(values: np.ndarray, K: int) -> float:
     # geometric fit on the last two even-index terms of the return series
-    if K < 6:
+    terms = _last_even_terms(values, K)
+    if terms is None:
         return math.inf
-    k2 = K - (K % 2)
-    a, b = values[k2 - 2], values[k2]
+    k2, a, b = terms
     if a <= 0 or b <= 0:
         return 0.0
     q = b / a
@@ -814,6 +881,15 @@ def _is_transient(family: GroupFamily) -> bool:
     return family.kind == "heisenberg"
 
 
+def require_transient(family: GroupFamily) -> None:
+    """Raise UnsupportedFamilyError when the family's walks are recurrent."""
+    if not _is_transient(family):
+        raise UnsupportedFamilyError(
+            f"{family.kind}({family.rank}) walks are recurrent: the Green series "
+            "diverges and no homoclinic point is defined there"
+        )
+
+
 @dataclass(frozen=True)
 class GreenTruncation:
     """Window values of f_e^{-1} sum_{k=0}^{K} mu^k.
@@ -846,77 +922,6 @@ class GreenTruncation:
         return [GroupWord.from_normal(self.family, nf) for nf in self.values]
 
 
-def _support_generators(f: GroupRingElement):
-    ident = f.family.identity_normal()
-    return [
-        GroupWord.from_normal(f.family, nf) for nf in f._coeffs if nf != ident
-    ]
-
-
-def _green_direct(f, K, radius, max_support):
-    fam = f.family
-    ball = word_ball(fam, radius, generators=_support_generators(f))
-    wanted = {w.normal for w in ball}
-    acc = {nf: 0.0 for nf in wanted}
-    acc[fam.identity_normal()] = 1.0
-    # Green sums floats: dictionary walks leave exact rationals after step 1
-    for _, value_at in _direct_powers(f, K, max_support, max_exact_support=0):
-        for nf in wanted:
-            v = value_at(nf)
-            if v:
-                acc[nf] += v
-    fe = f.identity_coefficient
-    return {nf: v / fe for nf, v in acc.items()}, "direct", ()
-
-
-def _green_grid(f, K, radius, grid_size, max_cells):
-    fam = f.family
-    d = fam.rank
-    R = _grid_reach(f)
-    m = grid_size or _pick_grid_size(K * R + radius + 1, d, max_cells, iterations=K)
-    if m**d > max_cells:
-        raise ResourceLimitError(f"grid {m}^{d} exceeds cell cap {max_cells}")
-    lam = _grid_multiplier(f, m)
-    S = np.ones_like(lam)
-    p = np.ones_like(lam)
-    for _ in range(K):
-        p = p * lam
-        S += p
-    table = np.fft.ifftn(S).real
-    ball = word_ball(fam, radius, generators=_support_generators(f))
-    fe = f.identity_coefficient
-    values = {}
-    for w in ball:
-        idx = tuple(int(x) % m for x in w.normal)
-        values[w.normal] = float(table[idx]) / fe
-    notes = ()
-    if (K * R + radius) >= m:
-        notes = (f"grid size {m} wraps at order {K}; values are upper bounds",)
-    return values, "grid", notes
-
-
-def _green_tree(f, K, radius, max_order):
-    fam = f.family
-    F, ret = _tree_returns(f, K, max_order)
-    # first-passage distribution to each word in the ball, then renewal at it
-    fe = f.identity_coefficient
-    values = {}
-    passage = {fam.identity_normal(): None}  # None encodes the delta at step 0
-    order = word_ball(fam, radius)
-    for word in order:
-        nf = word.normal
-        if nf == fam.identity_normal():
-            values[nf] = float(np.sum(ret)) / fe
-            continue
-        parent, last = nf[:-1], nf[-1]
-        pp = passage[parent]
-        fp = F[last][: K + 1] if pp is None else np.convolve(pp, F[last])[: K + 1]
-        passage[nf] = fp
-        occ = np.convolve(fp, ret)[: K + 1]
-        values[nf] = float(np.sum(occ)) / fe
-    return values, "tree", ()
-
-
 def green_truncation(
     f: GroupRingElement,
     K: int,
@@ -940,31 +945,18 @@ def green_truncation(
         )
         warn.append(msg)
         _warnings.warn(msg, stacklevel=2)
-    if engine == "auto":
-        engine = _auto_engine(f)
-    if engine == "direct":
-        values, eng, notes = _green_direct(f, K, radius, max_support)
-    elif engine == "grid":
-        values, eng, notes = _green_grid(f, K, radius, grid_size, max_grid_cells)
-    elif engine == "tree":
-        values, eng, notes = _green_tree(f, K, radius, max_tree_order)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    # Green sums floats: dictionary walks leave exact rationals after step 1
+    engine, series, sums, m = _walk_pass(
+        f, K, engine, radius, max_support, 0, grid_size, max_grid_cells, max_tree_order
+    )
+    if m is not None and K * _grid_reach(f) + radius >= m:
+        warn.append(f"grid size {m} wraps at order {K}; values are upper bounds")
+    fe = f.identity_coefficient
     # advisory tail estimate: geometric fit of the identity return terms
     tail = math.inf
-    fe = f.identity_coefficient
-    if K >= 6:
-        rs = return_series(
-            f,
-            K,
-            engine=eng,
-            max_support=max_support,
-            grid_size=grid_size,
-            max_grid_cells=max_grid_cells,
-            max_tree_order=max_tree_order,
-        )
-        k2 = K - (K % 2)
-        a, b = rs.values[k2 - 2], rs.values[k2]
+    terms = _last_even_terms(series, K)
+    if terms is not None:
+        _, a, b = terms
         if b <= 0:
             tail = 0.0
         elif b < a:
@@ -975,11 +967,23 @@ def green_truncation(
         source=f,
         K=K,
         radius=radius,
-        values=values,
-        engine=eng,
+        values={nf: v / fe for nf, v in sums.items()},
+        engine=engine,
         tail_estimate=tail,
-        warnings=tuple(warn) + tuple(notes),
+        warnings=tuple(warn),
     )
+
+
+def _times_f_at(values: dict, f: GroupRingElement, t):
+    """(values * f) at t: sum_u values[t u^{-1}] f_u, or None if a term leaves values."""
+    fam = f.family
+    total = 0.0
+    for nf_u, cu in f._coeffs.items():
+        v = values.get(fam.multiply_normals(t, fam.invert_normal(nf_u)))
+        if v is None:
+            return None
+        total += v * cu
+    return total
 
 
 def formal_inverse_residual(green: GreenTruncation, radius: int) -> float:
@@ -990,18 +994,15 @@ def formal_inverse_residual(green: GreenTruncation, radius: int) -> float:
     """
     f = green.source
     fam = green.family
-    ball = word_ball(fam, radius, generators=_support_generators(f))
+    ball = word_ball(fam, radius, generators=support_words(f))
     worst = 0.0
     ident = fam.identity_normal()
     for w in ball:
-        total = 0.0
-        for nf_u, cu in f._coeffs.items():
-            key = fam.multiply_normals(w.normal, fam.invert_normal(nf_u))
-            if key not in green.values:
-                raise WindowError(
-                    f"residual at radius {radius} needs the Green ball of radius {radius + 1}"
-                )
-            total += green.values[key] * cu
+        total = _times_f_at(green.values, f, w.normal)
+        if total is None:
+            raise WindowError(
+                f"residual at radius {radius} needs the Green ball of radius {radius + 1}"
+            )
         target = 1.0 if w.normal == ident else 0.0
         worst = max(worst, abs(total - target))
     return worst
@@ -1040,6 +1041,7 @@ def homoclinic_point(
     h must have integer coefficients.  The window is the word ball (support
     metric of the Green source f) on which every shifted lookup s^{-1} w
     stays inside the Green ball; pass window_radius to restrict it further.
+    A family whose walk is recurrent raises UnsupportedFamilyError.
     """
     fam = green.family
     f = green.source
@@ -1047,12 +1049,8 @@ def homoclinic_point(
         raise FamilyMismatchError("h and the Green truncation use different families")
     if not h.is_integer():
         raise ValueError("homoclinic construction needs integer coefficients in h")
-    if fam.kind == "free-abelian" and fam.rank <= 2:
-        raise UnsupportedFamilyError(
-            "the Green series diverges for free-abelian rank <= 2; "
-            "no homoclinic point is defined there"
-        )
-    gens = _support_generators(f)
+    require_transient(fam)
+    gens = support_words(f)
     if window_radius is None:
         candidates = [GroupWord.from_normal(fam, nf) for nf in green.values]
     else:
@@ -1085,17 +1083,9 @@ def homoclinic_point(
         )
     lift = {nf: ((x + 0.5) % 1.0) - 0.5 for nf, x in values.items()}
     residuals = {}
-    f_items = list(f._coeffs.items())
     for nf_t in values:
-        total = 0.0
-        ok = True
-        for nf_u, cu in f_items:
-            key = fam.multiply_normals(nf_t, fam.invert_normal(nf_u))
-            if key not in lift:
-                ok = False
-                break
-            total += lift[key] * cu
-        if ok:
+        total = _times_f_at(lift, f, nf_t)
+        if total is not None:
             residuals[nf_t] = abs(total - round(total))
     residual_max = max(residuals.values()) if residuals else math.nan
     notes = () if residuals else ("window has no interior points; residual undefined",)

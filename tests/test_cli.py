@@ -266,6 +266,29 @@ class TestWalkReports:
         note = [ln for ln in out.splitlines() if "residual_max" in ln][0]
         assert float(note.split(":")[-1]) < 1e-2
 
+    @pytest.mark.parametrize(
+        "args, engine",
+        [
+            (["--family", "heisenberg"], "direct"),
+            (["--family", "free-abelian:3", "--engine", "direct"], "direct"),
+            (["--family", "free-abelian:3"], "grid"),
+            (["--family", "free:2"], "tree"),
+        ],
+    )
+    def test_homoclinic_walks_once(self, args, engine, engine_passes):
+        code, _ = run_cli(["homoclinic", *args, "--K", "12", "--radius", "1"])
+        assert code == 0
+        assert engine_passes == {engine: 1}
+
+    @pytest.mark.parametrize("family", ["free:1", "free-abelian:1"])
+    def test_homoclinic_refuses_recurrent_family(self, family, engine_passes, capsys):
+        # both spellings of Z fail before any walk
+        code, out = run_cli(["homoclinic", "--family", family, "--K", "20", "--radius", "1"])
+        assert code == 1
+        assert out == ""
+        assert "walks are recurrent" in capsys.readouterr().err
+        assert not engine_passes
+
     def test_spectral_radius_verdicts(self):
         code, out = run_cli(["spectral-radius", "--family", "free:2", "--k-max", "60"])
         assert code == 0

@@ -2,15 +2,18 @@
 
 Each file under tests/golden/ is the CSV that `groupforests <argv>` wrote
 when the corpus was captured.  A change that alters any report by a single
-byte fails here; a change that means to alter one must regenerate the file
-deliberately and say why.  Regenerate with
+byte fails here; a change that means to alter one must replace the file
+deliberately and say why.  Running
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites every file from the current code.
+writes the files that do not exist yet and checks every other one byte for
+byte, naming each that differs and exiting 1 if any does.  To replace a
+file, delete it and rerun.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from groupforests.runner import OPERATIONS
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # name -> argv; one small config per operation, plus the Heisenberg reports
-# that exercise the direct walk engine (including its support-cap note)
+# that exercise the direct walk engine (including its support-cap note) and
+# Green and homoclinic reports on the other walk engines
 CONFIGS = {
     "identity-heisenberg": ["identity", "--family", "heisenberg", "--moduli", "3"],
     "identity-torus": ["identity", "--family", "free-abelian:2", "--moduli", "4,4;6,6"],
@@ -58,8 +62,16 @@ CONFIGS = {
     ],
     "green-heisenberg": ["green", "--family", "heisenberg", "--K", "12", "--radius", "1"],
     "green-lattice": ["green", "--family", "free-abelian:3", "--K", "20", "--radius", "1"],
+    # one Green report per engine: tree, and dictionary convolution on Z^3
+    "green-free": ["green", "--family", "free:2", "--K", "40", "--radius", "2"],
+    "green-lattice-direct": [
+        "green", "--family", "free-abelian:3", "--engine", "direct", "--K", "8", "--radius", "1",
+    ],
     "homoclinic-heisenberg": [
         "homoclinic", "--family", "heisenberg", "--K", "12", "--radius", "1",
+    ],
+    "homoclinic-lattice": [
+        "homoclinic", "--family", "free-abelian:3", "--K", "20", "--radius", "1",
     ],
     "spectral-radius-heisenberg": ["spectral-radius", "--family", "heisenberg", "--k-max", "20"],
     "window-density-torus": [
@@ -84,8 +96,39 @@ def test_every_operation_is_pinned():
     assert {argv[0] for argv in CONFIGS.values()} == set(OPERATIONS)
 
 
-if __name__ == "__main__":
+def test_regeneration_writes_only_missing_files(tmp_path, monkeypatch, capsys):
+    golden = (GOLDEN_DIR / "green-heisenberg.csv").read_bytes()
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(module, "CONFIGS", {"green": CONFIGS["green-heisenberg"]})
+    path = tmp_path / "green.csv"
+    assert main() == 0
+    assert "wrote green.csv" in capsys.readouterr().err
+    assert path.read_bytes() == golden
+    assert main() == 0
+    path.write_bytes(b"stale\n")
+    assert main() == 1
+    assert "differs: green.csv" in capsys.readouterr().err
+    assert path.read_bytes() == b"stale\n"
+
+
+def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in sorted(CONFIGS.items()):
-        _render(argv, GOLDEN_DIR / f"{name}.csv")
-        print(f"wrote {name}.csv", file=sys.stderr)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(CONFIGS.items()):
+            path = GOLDEN_DIR / f"{name}.csv"
+            if not path.exists():
+                _render(argv, path)
+                print(f"wrote {path.name}", file=sys.stderr)
+                continue
+            out = Path(tmp) / path.name
+            _render(argv, out)
+            if out.read_bytes() != path.read_bytes():
+                differ += 1
+                print(f"differs: {path.name}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -584,6 +584,15 @@ class TestGreenTruncation:
         words = {str(w) for w in g.window_words()}
         assert words == {"e", "a", "A", "b", "B"}
 
+    @pytest.mark.parametrize(
+        "family, engine", [(H, "direct"), (Z3, "direct"), (Z3, "grid"), (F2, "tree")]
+    )
+    def test_one_engine_pass(self, family, engine, engine_passes):
+        # the tail estimate reads the identity series of the same walk
+        g = green_truncation(laplacian_element(family), K=8, radius=1, engine=engine)
+        assert math.isfinite(g.tail_estimate)
+        assert engine_passes == {engine: 1}
+
 
 # --- homoclinic points ---
 
@@ -634,10 +643,12 @@ class TestHomoclinic:
             homoclinic_point(elt(F2, "e 1/2"), g)
 
     def test_rejects_low_rank_lattice(self):
-        with pytest.warns(UserWarning):
-            g = green_truncation(laplacian_element(Z2), K=10, radius=1)
-        with pytest.raises(UnsupportedFamilyError):
-            homoclinic_point(elt(Z2, "e 1"), g)
+        # free:1 is Z under another name: its walk is just as recurrent
+        for family in (Z2, GroupFamily.free(1)):
+            with pytest.warns(UserWarning):
+                g = green_truncation(laplacian_element(family), K=10, radius=1)
+            with pytest.raises(UnsupportedFamilyError):
+                homoclinic_point(elt(family, "e 1"), g)
 
     def test_family_mismatch(self):
         g = green_truncation(laplacian_element(F2), K=10, radius=1)
