@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     WindowError,
 )
-from .groups import GroupWord, format_word, injectivity_radius, word_ball
+from .groups import GroupWord, component_labels, format_word, injectivity_radius, word_ball
 from .linalg import QuotientLaplacian, build_laplacian
 from .walks import GroupRingElement, require_well_balanced
 
@@ -141,10 +141,8 @@ class SpanningTree:
     def validate(self) -> None:
         """Raise AssertionError unless the edges are N-1 distinct copies.
 
-        N-1 copies that connect every vertex have no cycle.  Each round of the
-        connectivity check points every root that an edge joins to a smaller
-        root at one such root, then jumps pointers until every label is a
-        root; labels only decrease, so each round removes a root.
+        N-1 copies that connect every vertex have no cycle; connectivity is
+        one `component_labels` pass over the copies' endpoints.
         """
         n = self.graph.n
         if len(self.edges) != n - 1:
@@ -158,13 +156,8 @@ class SpanningTree:
         lap = self.graph.laplacian
         upper = lap.rows < lap.cols
         u, v = lap.rows[upper][bundle], lap.cols[upper][bundle]
-        label = np.arange(n)
-        while not np.array_equal(lu := label[u], lv := label[v]):
-            cross = lu != lv
-            label[np.maximum(lu, lv)[cross]] = np.minimum(lu, lv)[cross]
-            while not np.array_equal(jumped := label[label], label):
-                label = jumped
-        if label.any():  # some vertex lies outside vertex 0's component
+        # a nonzero label is a vertex outside vertex 0's component
+        if component_labels(n, u, v).any():
             raise AssertionError("edge set contains a cycle")
 
     def degrees(self) -> tuple:
@@ -286,27 +279,25 @@ class OrientedForestConfig:
     symbols: tuple
 
     def validate(self) -> None:
+        """Raise AssertionError unless every pointer path reaches the root.
+
+        The N-1 edges (v, parent[v]), v != root, connect all N vertices
+        exactly when they form a tree, and then each pointer path, one
+        pointer per vertex, runs to the root.  A vertex outside the root's
+        component never reaches it, so its path runs into a directed cycle.
+        """
         n = len(self.parent)
         if self.parent[self.root] != -1:
             raise AssertionError("root must not point anywhere")
-        for v in range(n):
-            if v == self.root:
-                continue
-            w = self.parent[v]
-            if not 0 <= w < n:
-                raise AssertionError(f"vertex {v} points outside the graph")
-            # no 2-cycles among non-root vertices
-            if w != self.root and self.parent[w] == v:
-                raise AssertionError(f"2-cycle between {v} and {w}")
-        # no directed cycles: every pointer path must reach the root
-        for v in range(n):
-            seen = 0
-            w = v
-            while w != self.root:
-                w = self.parent[w]
-                seen += 1
-                if seen > n:
-                    raise AssertionError(f"directed cycle reachable from {v}")
+        v = np.delete(np.arange(n), self.root)
+        w = np.array(self.parent, dtype=np.int64)[v]
+        outside = (w < 0) | (w >= n)
+        if outside.any():
+            raise AssertionError(f"vertex {v[outside][0]} points outside the graph")
+        label = component_labels(n, v, w)
+        stray = np.flatnonzero(label != label[self.root])
+        if len(stray):
+            raise AssertionError(f"directed cycle reachable from {stray[0]}")
 
 
 def orient_to_root(tree: SpanningTree) -> OrientedForestConfig:

@@ -62,15 +62,6 @@ class GroupFamily:
         pos = tuple(range(1, self.rank + 1))
         return pos + tuple(-i for i in pos)
 
-    def inverse_letter(self, letter: int) -> int:
-        """The letter of the inverse generator.
-
-        Every generator's inverse partner is its formal inverse; no generator
-        of these families is an involution.
-        """
-        self._check_letter(letter)
-        return -letter
-
     def _check_letter(self, letter: int):
         if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
             raise ValueError(f"letter {letter!r} out of range for rank {self.rank}")
@@ -228,6 +219,30 @@ def format_word(word: GroupWord) -> str:
     return "".join(out)
 
 
+def component_labels(n: int, u, v) -> np.ndarray:
+    """label[x] = the least vertex of x's component; edges are (u[i], v[i]).
+
+    Shiloach-Vishkin hook and jump: each round points every root that an
+    edge joins to a smaller root at the least such root, then jumps pointers
+    until every label is a root.  Labels only decrease, so the root left in a
+    component is its least vertex.  Hooking onto the least root merges every
+    tree with another within two rounds, so there are O(log n) rounds; an
+    arbitrary smaller root would take a round per leaf of some stars.
+    """
+    label = np.arange(n)
+    while not np.array_equal(lu := label[u], lv := label[v]):
+        cross = lu != lv
+        # (larger root, smaller root) of each cross edge as one sorted key
+        key = np.sort(np.maximum(lu, lv)[cross] * n + np.minimum(lu, lv)[cross])
+        hi, lo = np.divmod(key, n)
+        least = np.ones(len(key), dtype=bool)  # the first, so least, lo of each hi
+        least[1:] = hi[1:] != hi[:-1]
+        label[hi[least]] = lo[least]
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
+
+
 class FiniteQuotient:
     """A transitive right action of a family on cosets {0, ..., N-1}.
 
@@ -279,18 +294,11 @@ class FiniteQuotient:
             raise ValueError("not a permutation: repeated images")
 
     def _is_transitive(self) -> bool:
-        reached = np.zeros(self.size, dtype=bool)
-        stack = [0]
-        reached[0] = True
-        while stack:
-            c = stack.pop()
-            for i in range(1, self.family.rank + 1):
-                for p in (self.perms[i], self.perms[-i]):
-                    d = int(p[c])
-                    if not reached[d]:
-                        reached[d] = True
-                        stack.append(d)
-        return bool(reached.all())
+        # the edges (c, c * a_i) of the positive letters; inverses add no new pairs
+        cosets = np.arange(self.size, dtype=np.int64)
+        rank = self.family.rank
+        targets = np.concatenate([self.perms[i] for i in range(1, rank + 1)])
+        return not component_labels(self.size, np.tile(cosets, rank), targets).any()
 
     # ----- constructors -------------------------------------------------
 
@@ -399,9 +407,6 @@ class FiniteQuotient:
         return "\n".join(out) + "\n"
 
     # ----- the action ---------------------------------------------------
-
-    def act_letter(self, coset: int, letter: int) -> int:
-        return int(self.perms[letter][coset])
 
     def act(self, coset: int, word: GroupWord) -> int:
         """Right-translate a coset by a word."""

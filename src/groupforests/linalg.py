@@ -29,7 +29,7 @@ from .errors import (
     FamilyMismatchError,
 )
 from .errors import NotWellBalancedError
-from .groups import FiniteQuotient, GroupWord
+from .groups import FiniteQuotient, GroupWord, component_labels
 # bareiss_determinant stays bound here, beside the kernel it checks
 from .intmat import bareiss_determinant, modular_determinant, smith_normal_form  # noqa: F401
 from .walks import GroupRingElement, is_well_balanced
@@ -103,21 +103,8 @@ class QuotientLaplacian:
     def component_count(self) -> int:
         """Number of connected components of the quotient multigraph."""
         if self._components is None:
-            parent = list(range(self.size))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            count = self.size
-            for u, v in zip(self.rows.tolist(), self.cols.tolist()):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    count -= 1
-            self._components = count
+            label = component_labels(self.size, self.rows, self.cols)
+            self._components = int(np.count_nonzero(label == np.arange(self.size)))
         return self._components
 
     def is_connected(self) -> bool:
@@ -279,13 +266,11 @@ class SpectrumSummary:
     """All eigenvalues of a quotient Laplacian, ascending, with metadata.
 
     zero_count is determined structurally (one zero per connected component
-    of the multigraph), never by magnitude thresholding.  cutoff records the
-    kappa the summary was requested with; estimators may override it.
+    of the multigraph), never by magnitude thresholding.
     """
 
     eigenvalues: np.ndarray
     zero_count: int
-    cutoff: float = 0.0
 
     @property
     def size(self) -> int:
@@ -295,18 +280,14 @@ class SpectrumSummary:
         return self.eigenvalues[self.zero_count :]
 
 
-def spectrum(L: QuotientLaplacian, cutoff: float = 0.0) -> SpectrumSummary:
+def spectrum(L: QuotientLaplacian) -> SpectrumSummary:
     """Dense symmetric eigensolve of the Laplacian."""
     vals = np.linalg.eigvalsh(L.matrix.astype(np.float64))
     vals.sort()
-    return SpectrumSummary(
-        eigenvalues=vals, zero_count=L.component_count(), cutoff=cutoff
-    )
+    return SpectrumSummary(eigenvalues=vals, zero_count=L.component_count())
 
 
-def free_abelian_spectrum(
-    quotient: FiniteQuotient, f: GroupRingElement, cutoff: float = 0.0
-) -> SpectrumSummary:
+def free_abelian_spectrum(quotient: FiniteQuotient, f: GroupRingElement) -> SpectrumSummary:
     """Closed-form spectrum on a congruence quotient of a free-abelian family.
 
     The Laplacian diagonalizes in characters: for each residue vector j the
@@ -343,7 +324,7 @@ def free_abelian_spectrum(
     vals = np.sort(lam.ravel())
     # characters are exact: clamp the single structural zero's rounding dust
     vals[np.abs(vals) < 1e-12 * max(1.0, float(f.one_norm()))] = 0.0
-    return SpectrumSummary(eigenvalues=vals, zero_count=1, cutoff=cutoff)
+    return SpectrumSummary(eigenvalues=vals, zero_count=1)
 
 
 def fk_estimate_eigen(summary: SpectrumSummary, kappa: float = 0.0) -> float:

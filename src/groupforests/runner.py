@@ -104,6 +104,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fmt_circle(x: float) -> str:
+    """A value of [0, 1) in 12 digits; one that rounds up to 1 wraps to 0."""
+    text = _fmt(x)
+    return "0" if text == "1" else text
+
+
 def _int_text(n: int) -> str:
     """Decimal digits of n at any size; str() refuses ints past 4300 digits."""
     try:
@@ -327,11 +333,11 @@ def _spectrum_summary(cfg: ExperimentConfig, quotient: FiniteQuotient, lap):
     """Closed-form character spectrum when available, else dense solve."""
     if quotient.family.kind == "free-abelian":
         try:
-            return free_abelian_spectrum(quotient, cfg.f, cutoff=cfg.kappa)
+            return free_abelian_spectrum(quotient, cfg.f)
         except ValueError:
             pass
     _check_dense(cfg, lap.size, "dense eigensolve")
-    return spectrum(lap, cutoff=cfg.kappa)
+    return spectrum(lap)
 
 
 def _check_dense(cfg: ExperimentConfig, n: int, what: str) -> None:
@@ -696,7 +702,7 @@ def run_homoclinic(cfg: ExperimentConfig) -> Report:
         rows.append(
             (
                 format_word(w),
-                _fmt(res.values[w.normal]),
+                _fmt_circle(res.values[w.normal]),
                 "" if resid is None else _fmt(resid),
             )
         )

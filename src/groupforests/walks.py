@@ -101,16 +101,6 @@ class GroupRingElement:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def from_items(cls, family: GroupFamily, items) -> "GroupRingElement":
-        """Build from (word, coefficient) pairs; words may be GroupWords or text."""
-        acc: dict = {}
-        pairs = items.items() if isinstance(items, dict) else items
-        for w, c in pairs:
-            nf = _word_key(family, w)
-            acc[nf] = acc.get(nf, 0) + _coerce_coeff(c)
-        return cls(family, acc)
-
-    @classmethod
     def identity(cls, family: GroupFamily, coeff=1) -> "GroupRingElement":
         return cls(family, {family.identity_normal(): coeff})
 
@@ -133,14 +123,8 @@ class GroupRingElement:
             (GroupWord.from_normal(self.family, nf), c) for nf, c in self._coeffs.items()
         ]
 
-    def support_normals(self):
-        return list(self._coeffs.keys())
-
     def support(self):
         return [GroupWord.from_normal(self.family, nf) for nf in self._coeffs]
-
-    def support_size(self) -> int:
-        return len(self._coeffs)
 
     def one_norm(self):
         return sum(abs(c) for c in self._coeffs.values())
@@ -390,9 +374,6 @@ class WalkDistribution:
     @property
     def at_identity(self) -> Fraction:
         return self.coeffs.get(self.family.identity_normal(), Fraction(0))
-
-    def support_size(self) -> int:
-        return len(self.coeffs)
 
     def validate(self) -> None:
         if any(c < 0 for c in self.coeffs.values()):
@@ -650,14 +631,12 @@ def _grid_reach(f) -> int:
     )
 
 
-def _grid_pass(f, K, ball, radius, grid_size, max_cells):
+def _grid_pass(f, K, ball, radius, max_cells):
     fam = f.family
     if fam.kind != "free-abelian":
         raise UnsupportedFamilyError("grid engine needs a free-abelian family")
     d = fam.rank
-    m = grid_size or _pick_grid_size(
-        K * _grid_reach(f) + radius + 1, d, max_cells, iterations=K
-    )
+    m = _pick_grid_size(K * _grid_reach(f) + radius + 1, d, max_cells, iterations=K)
     if m**d > max_cells:
         raise ResourceLimitError(f"grid {m}^{d} exceeds cell cap {max_cells}")
     lam = _grid_multiplier(f, m)
@@ -681,6 +660,8 @@ def _grid_pass(f, K, ball, radius, grid_size, max_cells):
 def _tree_first_passage(f, K):
     """First-passage arrays F[t][m] = P(first visit of neighbor t at step m)."""
     fam = f.family
+    if fam.kind != "free":
+        raise UnsupportedFamilyError("tree engine needs a free family")
     mu = _mu_float(f)
     letters = list(fam.letters)
     if set(mu) - {fam._letter_normal(l) for l in letters}:
@@ -703,10 +684,10 @@ def _tree_first_passage(f, K):
     return F, w
 
 
-def _tree_returns(f, K, max_order):
+def _tree_returns(f, K):
     """First-passage table F and the return series up to K, by renewal."""
-    if K > max_order:
-        raise ResourceLimitError(f"tree engine order {K} exceeds cap {max_order}")
+    if K > DEFAULT_MAX_TREE_ORDER:
+        raise ResourceLimitError(f"tree engine order {K} exceeds cap {DEFAULT_MAX_TREE_ORDER}")
     F, w = _tree_first_passage(f, K)
     r = np.zeros(K + 1)
     for u in f.family.letters:
@@ -719,8 +700,8 @@ def _tree_returns(f, K, max_order):
     return F, out
 
 
-def _tree_pass(f, K, ball, max_order):
-    F, series = _tree_returns(f, K, max_order)
+def _tree_pass(f, K, ball):
+    F, series = _tree_returns(f, K)
     # first-passage distribution to each ball word, then renewal at it; the
     # ball runs in breadth-first order, so a word's parent comes first
     ident = f.family.identity_normal()
@@ -738,9 +719,7 @@ def _tree_pass(f, K, ball, max_order):
     return series, sums, None
 
 
-def _walk_pass(
-    f, K, engine, radius, max_support, max_exact_support, grid_size, max_grid_cells, max_tree_order
-):
+def _walk_pass(f, K, engine, radius, max_support, max_exact_support, max_grid_cells):
     """One walk of one engine: (engine, series, sums, grid size).
 
     series[k] = (mu^k)_e for k = 0..K.  With a radius, sums maps each word of
@@ -755,9 +734,9 @@ def _walk_pass(
     if engine == "direct":
         return engine, *_direct_pass(f, K, ball, max_support, max_exact_support)
     if engine == "grid":
-        return engine, *_grid_pass(f, K, ball, radius or 0, grid_size, max_grid_cells)
+        return engine, *_grid_pass(f, K, ball, radius or 0, max_grid_cells)
     if engine == "tree":
-        return engine, *_tree_pass(f, K, ball, max_tree_order)
+        return engine, *_tree_pass(f, K, ball)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -766,18 +745,14 @@ def return_series(
     K: int,
     engine: str = "auto",
     max_support: int = DEFAULT_MAX_SUPPORT,
-    max_exact_support: int = DEFAULT_MAX_EXACT_SUPPORT,
-    grid_size=None,
     max_grid_cells: int = DEFAULT_MAX_GRID_CELLS,
-    max_tree_order: int = DEFAULT_MAX_TREE_ORDER,
 ) -> ReturnSeries:
     """Float return-probability series (mu^k)_e for k = 0..K."""
     if K < 0:
         raise ValueError("K must be >= 0")
     require_well_balanced(f)
     engine, values, _, m = _walk_pass(
-        f, K, engine, None, max_support, max_exact_support, grid_size, max_grid_cells,
-        max_tree_order,
+        f, K, engine, None, max_support, DEFAULT_MAX_EXACT_SUPPORT, max_grid_cells
     )
     alias_free, notes = K, ()
     if m is not None:
@@ -928,9 +903,7 @@ def green_truncation(
     radius: int,
     engine: str = "auto",
     max_support: int = DEFAULT_MAX_SUPPORT,
-    grid_size=None,
     max_grid_cells: int = DEFAULT_MAX_GRID_CELLS,
-    max_tree_order: int = DEFAULT_MAX_TREE_ORDER,
 ) -> GreenTruncation:
     """Truncated Green's function on the radius ball of the support metric."""
     if K < 0 or radius < 0:
@@ -946,9 +919,7 @@ def green_truncation(
         warn.append(msg)
         _warnings.warn(msg, stacklevel=2)
     # Green sums floats: dictionary walks leave exact rationals after step 1
-    engine, series, sums, m = _walk_pass(
-        f, K, engine, radius, max_support, 0, grid_size, max_grid_cells, max_tree_order
-    )
+    engine, series, sums, m = _walk_pass(f, K, engine, radius, max_support, 0, max_grid_cells)
     if m is not None and K * _grid_reach(f) + radius >= m:
         warn.append(f"grid size {m} wraps at order {K}; values are upper bounds")
     fe = f.identity_coefficient

@@ -289,6 +289,27 @@ class TestWalkReports:
         assert "walks are recurrent" in capsys.readouterr().err
         assert not engine_passes
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tree-entropy", "--family", "free-abelian:2", "--K", "40"],
+            ["spectral-radius", "--family", "free-abelian:2", "--k-max", "10"],
+            ["green", "--family", "free-abelian:3", "--K", "10", "--radius", "1"],
+        ],
+        ids=["tree-entropy", "spectral-radius", "green"],
+    )
+    def test_tree_engine_refuses_non_free_family(self, args, capsys):
+        code, out = run_cli([*args, "--engine", "tree"])
+        assert code == 1
+        assert out == ""
+        assert "error: tree engine needs a free family" in capsys.readouterr().err
+
+    def test_circle_cells_stay_below_one(self):
+        # x_e = 0.9999999999999996 rounds to 1 in 12 digits and wraps to 0
+        assert runner._fmt_circle(0.9999999999999996) == "0"
+        assert runner._fmt_circle(0.99381796707) == "0.99381796707"
+        assert runner._fmt_circle(0.0) == "0"
+
     def test_spectral_radius_verdicts(self):
         code, out = run_cli(["spectral-radius", "--family", "free:2", "--k-max", "60"])
         assert code == 0

@@ -494,6 +494,25 @@ class TestOrientation:
         with pytest.raises(AssertionError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "root, parent, message",
+        [
+            (3, (1, 2, 1, -1), "directed cycle reachable from 0"),
+            (1, (0, -1, 1), "directed cycle reachable from 0"),
+            (2, (1, 0, -1), "directed cycle reachable from 0"),
+            (0, (-1, 5, 0), "vertex 1 points outside the graph"),
+            (0, (-1, 0, -1), "vertex 2 points outside the graph"),
+        ],
+        ids=["tail-into-cycle", "self-pointer", "two-cycle", "beyond-n", "negative"],
+    )
+    def test_rejection_messages(self, root, parent, message):
+        n = len(parent)
+        cfg = OrientedForestConfig(
+            root=root, parent=parent, edge_for=(None,) * n, symbols=(None,) * n
+        )
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            cfg.validate()
+
     def test_rejects_pointing_root(self):
         cfg = OrientedForestConfig(
             root=1, parent=(1, 0), edge_for=(None, None), symbols=(None, None)

@@ -1,9 +1,12 @@
 """Group families, words, quotient actions, injectivity radii."""
 
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupforests.errors import FamilyMismatchError, GroupForestsError
 from groupforests.groups import (
@@ -11,6 +14,7 @@ from groupforests.groups import (
     GroupFamily,
     GroupWord,
     QuotientChain,
+    component_labels,
     format_word,
     free_ball_quotient,
     injectivity_radius,
@@ -178,6 +182,63 @@ def test_intransitive_rejected():
     # two 2-cycles: a acts within {0,1} and {2,3}
     with pytest.raises(ValueError):
         FiniteQuotient(Z1, {1: np.array([1, 0, 3, 2])})
+
+
+def test_intransitive_text_rejected():
+    # a and b both swap cosets 0 and 1, so coset 2 is a fixed point of the action
+    with pytest.raises(ValueError, match="do not act transitively"):
+        FiniteQuotient.from_text(F2, "3 2\n1 0 2\n1 0 2\n")
+
+
+def bfs_labels(n, edges):
+    """Oracle: breadth-first search from each unlabelled vertex in ascending order."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        queue = [start]
+        for x in queue:
+            for y in adj[x]:
+                if label[y] < 0:
+                    label[y] = start
+                    queue.append(y)
+    return label
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+
+
+@settings(max_examples=200)
+@given(edge_lists())
+@example((1, []))
+@example((1, [(0, 0)]))
+@example((5, [(3, 1), (1, 3), (3, 1), (4, 4)]))
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_component_labels_match_bfs(case):
+    n, edges = case
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    assert component_labels(n, u, v).tolist() == bfs_labels(n, edges)
+
+
+def test_component_labels_star_takes_few_rounds():
+    # a star whose centre is its largest vertex, centre-first edges: hooking the
+    # centre onto an arbitrary smaller leaf would need about n rounds of O(n)
+    n = 20000
+    leaves = np.arange(n - 1)
+    start = time.perf_counter()
+    label = component_labels(n, np.full(n - 1, n - 1), leaves)
+    assert time.perf_counter() - start < 2.0
+    assert not label.any()
 
 
 def test_heisenberg_quotient_relations_and_size():

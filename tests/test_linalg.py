@@ -463,10 +463,9 @@ class TestSpectrum:
     def test_zero_count_is_structural(self):
         L = build_laplacian(cycle_quotient(4), laplacian_element(Z))
         # eigenvalues are {0, 2, 2, 4}; the zero count comes from connectivity,
-        # not magnitude thresholding, so the requested cutoff cannot change it
-        s = spectrum(L, cutoff=2.5)
+        # not magnitude thresholding
+        s = spectrum(L)
         assert s.zero_count == 1
-        assert s.cutoff == 2.5
         assert len(s.nonzero_eigenvalues()) == 3
 
     def test_nonzero_product_equals_size_times_trees(self):

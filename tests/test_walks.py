@@ -353,15 +353,23 @@ class TestReturnSeries:
         with pytest.raises(UnsupportedFamilyError):
             return_series(laplacian_element(F2), 4, engine="grid")
 
+    @pytest.mark.parametrize("family", [Z3, H], ids=["Z3", "H"])
+    def test_tree_engine_rejects_non_free(self, family):
+        with pytest.raises(UnsupportedFamilyError, match="tree engine needs a free family"):
+            return_series(laplacian_element(family), 4, engine="tree")
+        with pytest.raises(UnsupportedFamilyError):
+            green_truncation(laplacian_element(family), K=4, radius=1, engine="tree")
+
     def test_small_grid_wrap_is_flagged_and_upper_bounds(self):
         f = laplacian_element(Z)
-        series = return_series(f, 30, engine="grid", grid_size=8)
-        assert series.alias_free_through == 7
+        # a 16-cell cap forces the grid to 16 < K + 1
+        series = return_series(f, 30, engine="grid", max_grid_cells=16)
+        assert series.alias_free_through == 15
         assert series.notes
-        for k in range(8):
+        for k in range(16):
             assert abs(series.values[k] - float(binomial_return_oracle(k))) < 1e-15
         # wrapped mass only adds probability
-        for k in range(8, 31):
+        for k in range(16, 31):
             assert series.values[k] >= float(binomial_return_oracle(k)) - 1e-15
 
     def test_rejects_unbalanced_input(self):
