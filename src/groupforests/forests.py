@@ -9,9 +9,12 @@ a chain of quotients estimates forest edge marginals on the group itself.
 
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
-Each walk step reads one stream double x (drawn 256 at a time as Python
-floats) and leaves v by exit index int(x * degree); the exits left when the
-walk meets the tree are the tree edges, so marginals need no built tree.
+Each walk step reads one stream double x (drawn 256 at a time) and leaves v
+by exit index int(x * degree).  On a regular multigraph the degree is one
+number d, so the indices of a whole block come from one NumPy multiply and
+truncation, the same IEEE product; otherwise each step multiplies by its
+own row length.  The exits left when the walk meets the tree are the tree
+edges, so marginals need no built tree.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ _DRAW_BLOCK = 256  # doubles per generator call in Wilson's walk
 
 def rng_stream(seed: int, quotient_index: int = 0, sample_index: int = 0) -> np.random.Generator:
     """Independent counter-based stream for one (seed, quotient, sample) cell."""
-    bits = np.random.Philox(
-        counter=[0, 0, 0, int(sample_index) & _MASK64],
-        key=[int(seed) & _MASK64, int(quotient_index) & _MASK64],
-    )
-    return np.random.Generator(bits)
+    # uint64 arrays: NumPy reads a Python list holding 2**63 or more as
+    # float64, which merges neighbouring keys and casts 2**64 - 1 to 0
+    counter = np.array([0, 0, 0, int(sample_index) & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, int(quotient_index) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 class QuotientMultigraph:
@@ -55,10 +58,12 @@ class QuotientMultigraph:
     addressed as (bundle, slot).  incidence[x] lists (neighbour, bundle,
     slot) for every copy at x, by neighbour and then slot; neighbours[x] is
     the same list reduced to its neighbour entries, all that a random walk
-    reads.  When the Laplacian remembers its quotient and group ring
-    element, each slot of a bundle decodes to a (word, copy) symbol as read
-    from the lower endpoint, i.e. lower * word = upper.  Everything is built
-    with array operations in O(N |S|); no N x N matrix is formed.
+    reads.  regular_degree is the common length of those rows, or None when
+    they differ (fixed points of the action fold into loops).  When the
+    Laplacian remembers its quotient and group ring element, each slot of a
+    bundle decodes to a (word, copy) symbol as read from the lower endpoint,
+    i.e. lower * word = upper.  Everything is built with array operations in
+    O(N |S|); no N x N matrix is formed.
     """
 
     def __init__(self, laplacian: QuotientLaplacian):
@@ -83,6 +88,8 @@ class QuotientMultigraph:
         degrees = np.bincount(vertex, minlength=n)
         ranges = [(end - d, end) for d, end in zip(degrees.tolist(), np.cumsum(degrees).tolist())]
         self.degrees = tuple(degrees.tolist())
+        regular = n > 0 and degrees.min() == degrees.max()
+        self.regular_degree = int(degrees[0]) if regular else None
         self.incidence = tuple(tuple(entries[a:b]) for a, b in ranges)
         self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in ranges)
         self.symbols = None
@@ -181,6 +188,9 @@ def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
     """Wilson's walk: exits[v] indexes v's tree edge in incidence[v].
 
     exits[root] is -1.  max_steps is a draw budget; draw max_steps + 1 raises.
+    Each draw x becomes the exit index int(x * len(row)); on a regular graph
+    the block's indices come at once as (x * d).astype(int64), which is the
+    same multiply and truncation.
     """
     n = graph.n
     if not 0 <= root < n:
@@ -190,6 +200,7 @@ def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
     if max_steps is None:
         max_steps = max(1_000_000, 200 * n * n)
     left = max_steps
+    d = graph.regular_degree
 
     def block():
         nonlocal left
@@ -199,7 +210,8 @@ def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
             )
         k = min(_DRAW_BLOCK, left)
         left -= k
-        return gen.random(k).tolist()
+        x = gen.random(k)
+        return x.tolist() if d is None else (x * d).astype(np.int64).tolist()
 
     draws = itertools.chain.from_iterable(iter(block, None))
     nbr = graph.neighbours
@@ -210,13 +222,20 @@ def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
         if in_tree[start]:
             continue
         v = start
-        for x in draws:
-            row = nbr[v]
-            i = int(x * len(row))
-            exits[v] = i
-            v = row[i]
-            if in_tree[v]:
-                break
+        if d is None:
+            for x in draws:
+                row = nbr[v]
+                i = int(x * len(row))
+                exits[v] = i
+                v = row[i]
+                if in_tree[v]:
+                    break
+        else:
+            for i in draws:
+                exits[v] = i
+                v = nbr[v][i]
+                if in_tree[v]:
+                    break
         v = start
         while not in_tree[v]:
             in_tree[v] = 1
@@ -231,7 +250,9 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     ready Generator, which advances by whole blocks of 256 doubles.  Each
     step takes the next double x and leaves v by incidence[v][int(x *
     degree)], which weights parallel bundles by multiplicity; a vertex's
-    tree edge is its last such exit before the walk meets the tree.
+    tree edge is its last such exit before the walk meets the tree.  On a
+    regular graph the indices of a block are computed together, with the
+    same float product, so the tree does not depend on the path taken.
     max_steps caps the draws (default max(10**6, 200 N^2)) for malformed graphs.
     """
     gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)

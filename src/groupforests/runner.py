@@ -254,6 +254,9 @@ def resolve_config(
         with open(path) as fh:
             quotients.append(FiniteQuotient.from_text(fam, fh.read(), label=str(path)))
     seed = int(params.get("seed", 0) or 0)
+    # the Philox key holds the seed as one 64-bit word
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     for r in ball_radii:
         quotients.append(free_ball_quotient(fam, int(r), seed=seed))
     radii = ()

@@ -463,6 +463,25 @@ class TestOutputContract:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == "error: unknown parameter 'operation'\n"
 
+    @pytest.mark.parametrize("seed", [-1, -2, 2**64])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fk-det", "--family", "free:2", "--ball-radius", "2"],
+            ["wsf-marginals", "--family", "free-abelian:2", "--moduli", "6,6", "--samples", "50"],
+        ],
+    )
+    def test_seed_outside_64_bits_is_refused(self, capsys, argv, seed):
+        code, out = run_cli([*argv, "--seed", str(seed)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+    def test_seeds_past_2_63_draw_distinct_trees(self):
+        argv = ["sample-ust", "--family", "free-abelian:2", "--moduli", "4,4", "--samples", "5"]
+        outs = [run_cli([*argv, "--seed", str(s)]) for s in (2**63, 2**63 + 1, 2**64 - 1)]
+        assert all(code == 0 for code, _ in outs)
+        assert len({tuple(map(tuple, parse_csv(out)[1])) for _, out in outs}) == 3
+
     def test_f_file(self, tmp_path):
         f_file = tmp_path / "elem.txt"
         f_file.write_text("e 4\na -2\nA -2\n")

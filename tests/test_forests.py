@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from groupforests import (
     WindowError,
     build_laplacian,
     degree_statistics,
+    free_ball_quotient,
     laplacian_element,
     lift_marginals,
     orient_to_root,
@@ -136,6 +138,25 @@ def wilson_oracle(graph, root, gen):
             in_tree[v] = 1
             v = nxt[v][0]
     return tuple(sorted(nxt[v][1:] for v in range(n) if v != root)), steps
+
+
+class ScriptedGenerator(np.random.Generator):
+    """A Generator whose random(k) reads the next k values of a fixed script.
+
+    The script is the given head followed by filler forever, so any block
+    size consumes the same sequence of doubles.
+    """
+
+    def __init__(self, head, filler=0.1):
+        super().__init__(np.random.PCG64(0))
+        self.head, self.filler, self.pos = list(head), filler, 0
+
+    def random(self, k):
+        out = np.full(k, self.filler)
+        head = self.head[self.pos : self.pos + k]
+        out[: len(head)] = head
+        self.pos += k
+        return out
 
 
 @st.composite
@@ -264,6 +285,14 @@ class TestWilson:
         # principle but these two differ
         assert t3.edges != t1.edges or t4.edges != t1.edges
 
+    def test_seeds_past_2_63_get_distinct_streams(self):
+        # a Python list holding 2**63 went through float64, merging these keys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {tuple(rng_stream(s).random(4)) for s in (0, 2**63, 2**63 + 1)}
+            draws |= {tuple(rng_stream(0, 0, s).random(4)) for s in (2**63, 2**63 + 1)}
+        assert len(draws) == 5
+
     def test_integer_seed_accepted(self):
         g = cycle_graph(5)
         assert wilson_sample(g, rng=17).edges == wilson_sample(g, rng=17).edges
@@ -313,18 +342,46 @@ class TestWilsonKernel:
         quotient, f = case
         self.assert_matches_oracle(QuotientMultigraph(build_laplacian(quotient, f)), seed)
 
+    @staticmethod
+    def assert_step_cap_is_exact(graph, sample):
+        """Exactly the oracle's k draws give its tree and k - 1 raise; returns k."""
+        edges, k = wilson_oracle(graph, 0, rng_stream(4, 0, sample))
+        assert wilson_sample(graph, rng=rng_stream(4, 0, sample), max_steps=k).edges == edges
+        message = re.escape(f"random walk exceeded {k - 1} steps; graph may be malformed")
+        with pytest.raises(ResourceLimitError, match=message):
+            wilson_sample(graph, rng=rng_stream(4, 0, sample), max_steps=k - 1)
+        with pytest.raises(ResourceLimitError, match="exceeded 0 steps"):
+            wilson_sample(graph, rng=rng_stream(4, 0, sample), max_steps=0)
+        return k
+
     # the 16 x 16 sample takes 517 steps, so its walk crosses a draw block
     @pytest.mark.parametrize("m, sample", [(3, 0), (16, 2)])
     def test_step_cap_is_exact(self, m, sample):
         g = torus_graph(m)
-        edges, k = wilson_oracle(g, 0, rng_stream(4, 0, sample))
+        assert g.regular_degree == 4
+        k = self.assert_step_cap_is_exact(g, sample)
         assert (k > 256) == (m == 16)
-        assert wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=k).edges == edges
-        message = re.escape(f"random walk exceeded {k - 1} steps; graph may be malformed")
-        with pytest.raises(ResourceLimitError, match=message):
-            wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=k - 1)
-        with pytest.raises(ResourceLimitError, match="exceeded 0 steps"):
-            wilson_sample(g, rng=rng_stream(4, 0, sample), max_steps=0)
+
+    # fixed points of the radius-3 ball's action fold into loops, leaving
+    # rows of length 2 beside rows of length 4; sample 8 takes 275 steps
+    @pytest.mark.parametrize("sample", [0, 8])
+    def test_step_cap_is_exact_on_irregular_graph(self, sample):
+        q = free_ball_quotient(F2, 3, seed=0)
+        g = QuotientMultigraph(build_laplacian(q, laplacian_element(F2)))
+        assert g.regular_degree is None and set(g.degrees) == {2, 4}
+        k = self.assert_step_cap_is_exact(g, sample)
+        assert (k > 256) == (sample == 8)
+
+    def test_tie_double_keeps_the_float_product(self):
+        # x * 3 rounds to 2.0 although floor(3x) is 1 exactly, so an index
+        # from exact arithmetic or raw bits would leave vertex 1 by another edge
+        x = ((2**54 - 1) // 3) / 2**53
+        assert int(x * 3) == 2 and (2**54 - 1) // 3 * 3 >> 53 == 1
+        g = k4_graph()
+        assert g.regular_degree == 3
+        tree = wilson_sample(g, rng=ScriptedGenerator([x]))
+        assert tree.edges == wilson_oracle(g, 0, ScriptedGenerator([x]))[0]
+        assert tree.edges != wilson_oracle(g, 0, ScriptedGenerator([0.5]))[0]
 
     def test_no_walk_needs_no_draw(self):
         assert wilson_sample(hand_graph([[0]]), max_steps=0).edges == ()
