@@ -31,16 +31,11 @@ from .groups import (
     word_ball,
 )
 from .forests import (
-    MARGINAL_CSV_HEADER,
-    DegreeStatistics,
     MarginalRow,
     MarginalTable,
-    OrientedForestConfig,
     QuotientMultigraph,
     SpanningTree,
-    degree_statistics,
     lift_marginals,
-    orient_to_root,
     rng_stream,
     wilson_sample,
 )
@@ -64,10 +59,8 @@ from .walks import (
     ReturnSeries,
     SpectralRadiusProbe,
     TreeEntropyResult,
-    WalkDistribution,
     WellBalancedReport,
     convolve,
-    convolve_powers,
     formal_inverse_residual,
     format_group_ring,
     green_truncation,
@@ -76,11 +69,9 @@ from .walks import (
     laplacian_element,
     parse_group_ring,
     require_well_balanced,
-    return_probability,
     return_series,
     spectral_radius_probe,
     tree_entropy,
-    walk_distribution,
 )
 
 __version__ = "0.1.0"

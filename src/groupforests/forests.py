@@ -3,9 +3,8 @@
 The sampler is Wilson's algorithm: loop-erased random walks from each
 unvisited vertex into the growing tree, which yields the exact uniform law
 on spanning trees with parallel edges handled by weighting steps
-proportionally to multiplicity.  Orientation toward the root gives a finite
-analogue of the oriented forest model, and lifting tree indicators through
-a chain of quotients estimates forest edge marginals on the group itself.
+proportionally to multiplicity.  Lifting tree indicators through a chain
+of quotients estimates forest edge marginals on the group itself.
 
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
@@ -22,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -167,14 +165,6 @@ class SpanningTree:
         if component_labels(n, u, v).any():
             raise AssertionError("edge set contains a cycle")
 
-    def degrees(self) -> tuple:
-        deg = [0] * self.graph.n
-        for b, _ in self.edges:
-            u, v = self.graph.endpoints(b)
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
     def as_edge_list(self) -> list:
         """(u, v, slot) triples, u < v, sorted; slots distinguish parallel copies."""
         out = []
@@ -262,108 +252,6 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
 
 
 @dataclass(frozen=True)
-class DegreeStatistics:
-    """Per-vertex tree degrees with histogram and exact mean."""
-
-    degrees: tuple
-    histogram: dict
-    mean: Fraction
-
-
-def degree_statistics(tree: SpanningTree) -> DegreeStatistics:
-    deg = tree.degrees()
-    hist: dict = {}
-    for d in deg:
-        hist[d] = hist.get(d, 0) + 1
-    # sum of degrees is 2(N-1) for any tree, so the mean is exact
-    return DegreeStatistics(
-        degrees=deg,
-        histogram=dict(sorted(hist.items())),
-        mean=Fraction(sum(deg), len(deg)),
-    )
-
-
-@dataclass(frozen=True)
-class OrientedForestConfig:
-    """Every non-root vertex points along its unique tree edge toward the root.
-
-    parent[v] is the next vertex on the path to the root (-1 at the root),
-    edge_for[v] the (bundle, slot) copy carrying that step, and symbols[v]
-    the (word, copy) decode when the graph knows one: parent = v * word on
-    cosets.  Words from upper endpoints are inverses of stored bundle
-    symbols, so they need not lie in the support itself.
-    """
-
-    root: int
-    parent: tuple
-    edge_for: tuple
-    symbols: tuple
-
-    def validate(self) -> None:
-        """Raise AssertionError unless every pointer path reaches the root.
-
-        The N-1 edges (v, parent[v]), v != root, connect all N vertices
-        exactly when they form a tree, and then each pointer path, one
-        pointer per vertex, runs to the root.  A vertex outside the root's
-        component never reaches it, so its path runs into a directed cycle.
-        """
-        n = len(self.parent)
-        if self.parent[self.root] != -1:
-            raise AssertionError("root must not point anywhere")
-        v = np.delete(np.arange(n), self.root)
-        w = np.array(self.parent, dtype=np.int64)[v]
-        outside = (w < 0) | (w >= n)
-        if outside.any():
-            raise AssertionError(f"vertex {v[outside][0]} points outside the graph")
-        label = component_labels(n, v, w)
-        stray = np.flatnonzero(label != label[self.root])
-        if len(stray):
-            raise AssertionError(f"directed cycle reachable from {stray[0]}")
-
-
-def orient_to_root(tree: SpanningTree) -> OrientedForestConfig:
-    """Breadth-first orientation of a spanning tree toward its root."""
-    graph = tree.graph
-    n = graph.n
-    adj = [[] for _ in range(n)]
-    for b, slot in tree.edges:
-        u, v = graph.endpoints(b)
-        adj[u].append((v, b, slot))
-        adj[v].append((u, b, slot))
-    parent = [-1] * n
-    edge_for: list = [None] * n
-    symbols: list = [None] * n
-    seen = bytearray(n)
-    seen[tree.root] = 1
-    frontier = [tree.root]
-    while frontier:
-        nxt_frontier = []
-        for p in frontier:
-            for child, b, slot in adj[p]:
-                if seen[child]:
-                    continue
-                seen[child] = 1
-                parent[child] = p
-                edge_for[child] = (b, slot)
-                if graph.symbols is not None:
-                    word, j = graph.symbols[b][slot]
-                    lower, _ = graph.endpoints(b)
-                    # stored symbol reads lower -> upper; flip if the child
-                    # sits at the upper endpoint
-                    symbols[child] = (word, j) if child == lower else (word.inverse(), j)
-                nxt_frontier.append(child)
-        frontier = nxt_frontier
-    if not all(seen):
-        raise AssertionError("tree does not span; run validate() on it")
-    return OrientedForestConfig(
-        root=tree.root,
-        parent=tuple(parent),
-        edge_for=tuple(edge_for),
-        symbols=tuple(symbols),
-    )
-
-
-@dataclass(frozen=True)
 class MarginalRow:
     """Empirical inclusion data for one lifted window edge."""
 
@@ -388,18 +276,6 @@ class MarginalTable:
             if row.label == label:
                 return row.frequency
         raise KeyError(label)
-
-    def csv_rows(self) -> list:
-        out = []
-        for row in self.rows:
-            out.append(
-                f"{self.quotient_index},{row.label},{row.frequency:.6f},"
-                f"{row.halfwidth:.6f},{self.samples}"
-            )
-        return out
-
-
-MARGINAL_CSV_HEADER = "quotient_index,edge_word,frequency,halfwidth,samples"
 
 
 def _window_edges(f: GroupRingElement, radius: int):

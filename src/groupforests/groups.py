@@ -280,7 +280,6 @@ class FiniteQuotient:
                     )
         if not self._is_transitive():
             raise ValueError("the generator permutations do not act transitively")
-        self._normal_flag = None
         self.moduli = None  # set by from_moduli for congruence quotients
 
     def _check_permutation(self, p: np.ndarray):
@@ -430,47 +429,6 @@ class FiniteQuotient:
         """Image of a group element under the quotient map (its coset index)."""
         return self.act(0, word)
 
-    # ----- diagnostics --------------------------------------------------
-
-    def is_normal_action(self) -> bool:
-        """Whether the action looks like right translation on a genuine group quotient.
-
-        Builds left translations from BFS representative words and checks that
-        they commute with every generator's right translation.  For coset
-        spaces of non-normal subgroups this fails; such actions are still
-        accepted everywhere, this flag is purely informational.
-        """
-        if self._normal_flag is not None:
-            return self._normal_flag
-        reps: list = [None] * self.size
-        reps[0] = ()
-        order = [0]
-        qi = 0
-        while qi < len(order):
-            c = order[qi]
-            qi += 1
-            for l in self.family.letters:
-                d = int(self.perms[l][c])
-                if reps[d] is None:
-                    reps[d] = reps[c] + (l,)
-                    order.append(d)
-        flag = True
-        for t in self.family.letters:
-            left = np.empty(self.size, dtype=np.int64)
-            for c in range(self.size):
-                x = int(self.perms[t][0])
-                for l in reps[c]:
-                    x = int(self.perms[l][x])
-                left[c] = x
-            for s in self.family.letters:
-                if not np.array_equal(left[self.perms[s]], self.perms[s][left]):
-                    flag = False
-                    break
-            if not flag:
-                break
-        self._normal_flag = flag
-        return flag
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"<FiniteQuotient N={self.size} family={self.family.kind}({self.family.rank}){tag}>"
@@ -566,7 +524,7 @@ def word_ball(family: GroupFamily, radius: int, generators=None) -> list:
 class QuotientChain:
     """An ordered family of quotients with non-decreasing injectivity radius."""
 
-    def __init__(self, quotients, r_max: int = 512, generators=None):
+    def __init__(self, quotients):
         self.quotients = list(quotients)
         if not self.quotients:
             raise ValueError("a chain needs at least one quotient")
@@ -575,7 +533,7 @@ class QuotientChain:
             if q.family != fam:
                 raise FamilyMismatchError("all quotients in a chain share one family")
         self.family = fam
-        self.radii = [injectivity_radius(q, r_max=r_max, generators=generators) for q in self.quotients]
+        self.radii = [injectivity_radius(q) for q in self.quotients]
         for a, b in zip(self.radii, self.radii[1:]):
             if b < a:
                 raise ValueError(

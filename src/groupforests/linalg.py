@@ -92,13 +92,9 @@ class QuotientLaplacian:
             self._dense = m
         return self._dense
 
-    def reduced(self, base: int = 0) -> list:
-        """The matrix with the base vertex's row and column deleted, as int rows."""
-        n = self.size
-        if not 0 <= base < n:
-            raise ValueError(f"base vertex {base} out of range")
-        m = self.matrix
-        return np.delete(np.delete(m, base, axis=0), base, axis=1).tolist()
+    def reduced(self) -> list:
+        """The matrix with vertex 0's row and column deleted, as int rows."""
+        return self.matrix[1:, 1:].tolist()
 
     def component_count(self) -> int:
         """Number of connected components of the quotient multigraph."""
@@ -109,22 +105,6 @@ class QuotientLaplacian:
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
-
-    def to_matrix_market(self) -> str:
-        """Coordinate-format text (1-based, lower triangle of the symmetric matrix)."""
-        n = self.size
-        lower = self.cols < self.rows
-        diag = np.flatnonzero(self.diagonal)
-        rows = np.concatenate([self.rows[lower], diag])
-        cols = np.concatenate([self.cols[lower], diag])
-        vals = np.concatenate([self.values[lower], self.diagonal[diag]])
-        order = np.lexsort((cols, rows))
-        entries = [
-            f"{i + 1} {j + 1} {v}"
-            for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist())
-        ]
-        head = "%%MatrixMarket matrix coordinate integer symmetric"
-        return "\n".join([head, f"{n} {n} {len(entries)}", *entries]) + "\n"
 
     def __repr__(self):
         return f"<QuotientLaplacian N={self.size} over {self.quotient!r}>"
@@ -198,18 +178,19 @@ def _require_connected(L: QuotientLaplacian) -> None:
         )
 
 
-def spanning_tree_count(L: QuotientLaplacian, base: int = 0) -> int:
+def spanning_tree_count(L: QuotientLaplacian) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
-    The count is the determinant of the reduced Laplacian, independent of
-    the base vertex.  That matrix is positive definite on a connected graph,
-    which is what `modular_determinant` needs: residues mod word-size primes
-    from a float64 LDL^T, lifted by CRT past twice the Hadamard bound.
+    The count is the determinant of the reduced Laplacian (vertex 0 struck;
+    by the matrix-tree theorem every vertex gives the same count).  That
+    matrix is positive definite on a connected graph, which is what
+    `modular_determinant` needs: residues mod word-size primes from a
+    float64 LDL^T, lifted by CRT past twice the Hadamard bound.
     """
     _require_connected(L)
     if L.size == 1:
         return 1
-    return modular_determinant(L.reduced(base))
+    return modular_determinant(L.reduced())
 
 
 @dataclass(frozen=True)
@@ -224,17 +205,12 @@ class ComponentGroup:
     invariant_factors: tuple
     order: int
 
-    def nontrivial_factors(self) -> tuple:
-        return tuple(d for d in self.invariant_factors if d != 1)
-
     def __str__(self):
         facs = " ".join(str(d) for d in self.invariant_factors)
         return f"{facs} | {self.order}" if facs else f"| {self.order}"
 
 
-def harmonic_component_group(
-    L: QuotientLaplacian, base: int = 0, modulus: int | None = None
-) -> ComponentGroup:
+def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -> ComponentGroup:
     """Smith normal form of the reduced Laplacian as a ComponentGroup.
 
     modulus, when given, must be a nonzero multiple of the reduced
@@ -245,7 +221,7 @@ def harmonic_component_group(
     n = L.size
     if n == 1:
         return ComponentGroup(invariant_factors=(), order=1)
-    reduced = L.reduced(base)
+    reduced = L.reduced()
     # determinant-modulus entry reduction: sound because det(A) Z^k is
     # contained in A Z^k, so it never changes the cokernel.  Without it,
     # intermediate entries can reach thousands of digits even on small
@@ -342,7 +318,7 @@ def fk_estimate_eigen(summary: SpectrumSummary, kappa: float = 0.0) -> float:
     return float(np.sum(np.log(kept)) / summary.size)
 
 
-def fk_estimate_tree(L: QuotientLaplacian, base: int = 0) -> float:
+def fk_estimate_tree(L: QuotientLaplacian) -> float:
     """Normalized log spanning-tree count (1/N) log tau, exact big-int inside."""
-    tau = spanning_tree_count(L, base)
+    tau = spanning_tree_count(L)
     return math.log(tau) / L.size

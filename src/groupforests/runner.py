@@ -221,6 +221,30 @@ _FIELD_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentConfig)) - {
     "h",
     "caps",
 }
+_INT_FIELDS = frozenset({"K", "samples", "radius", "k_max", "root", "seed"})
+_FLOAT_FIELDS = frozenset({"kappa", "tol"})
+
+
+def _config_number(key: str, value, whole: bool):
+    """A config value as an int (whole) or a float; ValueError naming key otherwise.
+
+    A config file may hold any YAML value there.  Text is read as a number
+    (YAML reads 1e-3 as text); a bool, a list, a mapping, or a fraction
+    where a whole number is due is refused rather than truncated.
+    """
+    number = value
+    if isinstance(value, str):
+        try:
+            number = int(value) if whole else float(value)
+        except ValueError:
+            pass
+    ok = isinstance(number, (int, float)) and not isinstance(number, bool)
+    if ok and whole and isinstance(number, float):
+        ok = number.is_integer()
+    if not ok:
+        kind = "an integer" if whole else "a number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return int(number) if whole else float(number)
 
 
 def resolve_config(
@@ -253,38 +277,36 @@ def resolve_config(
     for path in quotient_files:
         with open(path) as fh:
             quotients.append(FiniteQuotient.from_text(fam, fh.read(), label=str(path)))
-    seed = int(params.get("seed", 0) or 0)
+    fields = dict(OP_DEFAULTS.get(operation, {}))
+    caps = {}
+    for key, value in params.items():
+        if value is None:
+            continue
+        if key in DEFAULT_CAPS:
+            caps[key] = _config_number(key, value, whole=True)
+            if caps[key] < 0:
+                raise ValueError(f"{key} must be >= 0, got {caps[key]}")
+        elif key in _INT_FIELDS or key in _FLOAT_FIELDS:
+            fields[key] = _config_number(key, value, whole=key in _INT_FIELDS)
+        elif key in _FIELD_NAMES:
+            fields[key] = value
+        else:
+            raise ValueError(f"unknown parameter {key!r}")
+    if fields.get("samples", 1) < 1:
+        raise ValueError("samples must be >= 1")
+    seed = fields.get("seed", 0)
     # the Philox key holds the seed as one 64-bit word
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     for r in ball_radii:
-        quotients.append(free_ball_quotient(fam, int(r), seed=seed))
+        radius = _config_number("ball_radii", r, whole=True)
+        quotients.append(free_ball_quotient(fam, radius, seed=seed))
     radii = ()
     if quotients:
         chain = QuotientChain(quotients)
         radii = tuple(chain.radii)
     elif operation in CHAIN_OPERATIONS:
         raise ValueError(f"operation {operation!r} needs at least one quotient")
-
-    fields = dict(OP_DEFAULTS.get(operation, {}))
-    caps = dict(params.pop("caps", {}) or {})
-    for key, value in params.items():
-        if value is None:
-            continue
-        if key in DEFAULT_CAPS:
-            caps[key] = int(value)
-        elif key in _FIELD_NAMES:
-            fields[key] = value
-        else:
-            raise ValueError(f"unknown parameter {key!r}")
-    for key in ("K", "samples", "radius", "k_max", "root", "seed"):
-        if key in fields:
-            fields[key] = int(fields[key])
-    for key in ("kappa", "tol"):
-        if key in fields:
-            fields[key] = float(fields[key])
-    if fields.get("samples", 1) < 1:
-        raise ValueError("samples must be >= 1")
     return ExperimentConfig(
         operation=operation,
         family=fam,
@@ -546,7 +568,7 @@ def _component_window_values(cfg: ExperimentConfig, lap, window_vertices, stream
     n = lap.size
     if n == 1:
         return np.zeros((1, len(window_vertices))), "enumerated", 1
-    reduced = lap.reduced(0)
+    reduced = lap.reduced()
     # tree-count modulus keeps the transform's entries bounded; without it
     # the plain reduction can blow up on matrices of any size
     factors, V = smith_with_transform(reduced, modulus=spanning_tree_count(lap))
@@ -651,7 +673,7 @@ def run_tree_entropy(cfg: ExperimentConfig) -> Report:
     res = tree_entropy(cfg.f, cfg.K, engine=cfg.engine, **_walk_caps(cfg))
     partials = res.partials
     rows = [
-        (str(k), _fmt(float(res.terms[k - 1])), _fmt(float(partials[k - 1])))
+        (str(k), _fmt(float(res.terms[k])), _fmt(float(partials[k])))
         for k in _checkpoints(cfg.K)
     ]
     notes = [

@@ -98,16 +98,6 @@ class GroupRingElement:
         self.family = family
         self._coeffs = dict(sorted(clean.items()))
 
-    # ----- construction -------------------------------------------------
-
-    @classmethod
-    def identity(cls, family: GroupFamily, coeff=1) -> "GroupRingElement":
-        return cls(family, {family.identity_normal(): coeff})
-
-    @classmethod
-    def zero(cls, family: GroupFamily) -> "GroupRingElement":
-        return cls(family, {})
-
     # ----- inspection ---------------------------------------------------
 
     def coefficient(self, w):
@@ -128,17 +118,6 @@ class GroupRingElement:
 
     def one_norm(self):
         return sum(abs(c) for c in self._coeffs.values())
-
-    def support_letter_radius(self) -> int:
-        """Upper bound on the letter length of any support element.
-
-        Uses the normal form's letter spelling, which is a geodesic for
-        free and free-abelian families and an upper bound for heisenberg.
-        """
-        r = 0
-        for nf in self._coeffs:
-            r = max(r, len(self.family.letters_of_normal(nf)))
-        return r
 
     def is_integer(self) -> bool:
         return all(isinstance(c, int) for c in self._coeffs.values())
@@ -354,73 +333,6 @@ def require_well_balanced(f: GroupRingElement) -> None:
         raise NotWellBalancedError("; ".join(report.violations))
 
 
-# ----- the step distribution and exact convolution powers ------------------
-
-
-@dataclass(frozen=True)
-class WalkDistribution:
-    """An exact rational probability distribution on the group: one mu^k."""
-
-    family: GroupFamily
-    step_count: int
-    coeffs: dict  # normal form -> Fraction
-
-    def mass(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
-
-    def coefficient(self, w) -> Fraction:
-        return self.coeffs.get(_word_key(self.family, w), Fraction(0))
-
-    @property
-    def at_identity(self) -> Fraction:
-        return self.coeffs.get(self.family.identity_normal(), Fraction(0))
-
-    def validate(self) -> None:
-        if any(c < 0 for c in self.coeffs.values()):
-            raise AssertionError("negative probability")
-        if self.mass() != 1:
-            raise AssertionError(f"mass {self.mass()} != 1")
-
-    def as_group_ring_element(self) -> GroupRingElement:
-        return GroupRingElement(self.family, self.coeffs)
-
-
-def walk_distribution(f: GroupRingElement) -> WalkDistribution:
-    """The step distribution mu = -(f - f_e)/f_e of a well-balanced f."""
-    require_well_balanced(f)
-    fe = f.identity_coefficient
-    ident = f.family.identity_normal()
-    coeffs = {
-        nf: Fraction(-c, fe) for nf, c in f._coeffs.items() if nf != ident
-    }
-    return WalkDistribution(f.family, 1, coeffs)
-
-
-def convolve_powers(f: GroupRingElement, k_max=None, max_support: int = DEFAULT_MAX_SUPPORT):
-    """Yield mu^0, mu^1, ... as exact WalkDistributions (k_max inclusive, or endless)."""
-    mu = walk_distribution(f)
-    fam = f.family
-    cur = {fam.identity_normal(): Fraction(1)}
-    k = 0
-    while True:
-        yield WalkDistribution(fam, k, dict(cur))
-        if k_max is not None and k >= k_max:
-            return
-        cur = _dict_step(fam, cur, mu.coeffs, Fraction(0))
-        k += 1
-        _check_support(len(cur), max_support, k)
-
-
-def return_probability(f: GroupRingElement, k: int, max_support: int = DEFAULT_MAX_SUPPORT) -> Fraction:
-    """Exact rational (mu^k) at the identity."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for dist in convolve_powers(f, k_max=k, max_support=max_support):
-        if dist.step_count == k:
-            return dist.at_identity
-    raise AssertionError("unreachable")
-
-
 # ----- return-probability series engines ------------------------------------
 
 
@@ -468,9 +380,11 @@ def _dict_powers(f, K, max_support, max_exact_support):
     words, floats after; value_at(nf) is (mu^k) at nf as a float.
     """
     fam = f.family
-    mu_exact = walk_distribution(f).coeffs
+    ident = fam.identity_normal()
+    fe = f.identity_coefficient
+    mu_exact = {nf: Fraction(-c, fe) for nf, c in f._coeffs.items() if nf != ident}
     mu_float = {nf: float(c) for nf, c in mu_exact.items()}
-    cur: dict = {fam.identity_normal(): Fraction(1)}
+    cur: dict = {ident: Fraction(1)}
     exact = True
     for k in range(1, K + 1):
         if exact:
@@ -893,9 +807,6 @@ class GreenTruncation:
     def at_identity(self) -> float:
         return self.values[self.family.identity_normal()]
 
-    def window_words(self):
-        return [GroupWord.from_normal(self.family, nf) for nf in self.values]
-
 
 def green_truncation(
     f: GroupRingElement,
@@ -1094,9 +1005,6 @@ class SpectralRadiusProbe:
     amenable_like: bool
     tol: float
     engine: str
-
-    def final_root_estimate(self) -> float:
-        return self.root_estimates[-1]
 
 
 def spectral_radius_probe(

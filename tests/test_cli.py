@@ -18,7 +18,17 @@ import numpy as np
 import pytest
 
 import groupforests
-from groupforests import FiniteQuotient, GroupFamily, QuotientLaplacian, cli, intmat, linalg, runner
+from groupforests import (
+    FiniteQuotient,
+    GroupFamily,
+    QuotientLaplacian,
+    cli,
+    intmat,
+    laplacian_element,
+    linalg,
+    return_series,
+    runner,
+)
 from groupforests.runner import (
     ExperimentConfig,
     _component_window_values,
@@ -135,7 +145,7 @@ class TestIdentitySuite:
             assert abs(f_val - (v + math.log(n) / n)) < 1e-9
 
     def test_mismatch_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setattr(runner, "spanning_tree_count", lambda lap, base=0: 999)
+        monkeypatch.setattr(runner, "spanning_tree_count", lambda lap: 999)
         code, _ = run_cli(["identity", "--family", "free-abelian:1", "--moduli", "3"])
         assert code == 1
         err = capsys.readouterr().err
@@ -251,6 +261,22 @@ class TestWalkReports:
         header, rows = parse_csv(out)
         assert rows[-1][0] == "80"
         assert abs(float(rows[-1][2]) - math.log(27 / 8)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "family, K", [("free-abelian:2", 400), ("heisenberg", 24), ("free:2", 40)]
+    )
+    def test_tree_entropy_row_k_reads_step_k(self, family, K):
+        # the free-abelian:2 report prints every second step, so its odd-step
+        # terms are the zeros of a walk that returns only at even steps
+        code, out = run_cli(["tree-entropy", "--family", family, "--K", str(K)])
+        assert code == 0
+        series = return_series(laplacian_element(parse_family(family)), K).values
+        _, rows = parse_csv(out)
+        for k, term, _ in rows:
+            assert term == runner._fmt(series[int(k)] / int(k)), k
+        value = out.split("# note: value: ")[1].split("\n")[0]
+        assert rows[-1][0] == str(K)
+        assert abs(float(rows[-1][2]) - float(value)) < 1e-12
 
     def test_green_identity_value(self):
         code, out = run_cli(["green", "--family", "free:2", "--K", "60", "--radius", "1"])
@@ -462,6 +488,59 @@ class TestOutputContract:
         code, out = run_cli(["identity", "--config", str(cfg_file)])
         assert code == 1 and out == ""
         assert capsys.readouterr().err == "error: unknown parameter 'operation'\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_dense: [3]", "max_dense must be an integer, got [3]"),
+            ("kappa: {a: 1}", "kappa must be a number, got {'a': 1}"),
+            ("tol: [0.1]", "tol must be a number, got [0.1]"),
+            ("seed: 2.9", "seed must be an integer, got 2.9"),
+            ("samples: 2.7", "samples must be an integer, got 2.7"),
+            ("K: true", "K must be an integer, got True"),
+            ("radius: '1.5'", "radius must be an integer, got '1.5'"),
+            ("max_grid_cells: -1", "max_grid_cells must be >= 0, got -1"),
+            ("probes: -3", "probes must be >= 0, got -3"),
+            ("max_steps: -5", "max_steps must be >= 0, got -5"),
+        ],
+    )
+    def test_config_file_value_of_wrong_type_or_sign(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text(f"family: free-abelian:2\nmoduli: '4,4'\n{line}\n")
+        code, out = run_cli(["window-density", "--config", str(cfg_file)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_fractional_ball_radius_is_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free:2\nball_radii: [2.5]\n")
+        code, out = run_cli(["fk-det", "--config", str(cfg_file)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: ball_radii must be an integer, got 2.5\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["green", "--family", "free-abelian:3", "--max-grid-cells", "-1"],
+            ["window-density", "--family", "free-abelian:2", "--moduli", "4,4", "--probes", "-3"],
+            ["sample-ust", "--family", "free-abelian:2", "--moduli", "4,4", "--max-steps", "-5"],
+        ],
+        ids=["max_grid_cells", "probes", "max_steps"],
+    )
+    def test_negative_cap_flag_is_refused(self, capsys, argv):
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        key = argv[-2].removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be >= 0, got {argv[-1]}\n"
+
+    def test_config_file_integral_values_keep_working(self, tmp_path):
+        # YAML reads 1e-3 as text; 3.0 samples and seed 2.0 are whole numbers
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free-abelian:2\nmoduli: '3,3'\nsamples: 3.0\nseed: 2.0\n")
+        flags = ["--family", "free-abelian:2", "--moduli", "3,3", "--samples", "3", "--seed", "2"]
+        assert run_cli(["sample-ust", "--config", str(cfg_file)]) == run_cli(["sample-ust", *flags])
+        cfg = resolve_config("fk-det", family="free-abelian:1", moduli="4", kappa="1e-3", K="7")
+        assert (cfg.kappa, cfg.K) == (0.001, 7)
 
     @pytest.mark.parametrize("seed", [-1, -2, 2**64])
     @pytest.mark.parametrize(

@@ -60,6 +60,11 @@ CONFIGS = {
         "wsf-marginals", "--family", "heisenberg", "--moduli", "5;7",
         "--samples", "200", "--seed", "3",
     ],
+    # free-ball quotients: the irregular Wilson walk and the slot_of decode
+    "wsf-marginals-free-ball": [
+        "wsf-marginals", "--family", "free:2", "--ball-radius", "2", "--ball-radius", "3",
+        "--samples", "300",
+    ],
     "green-heisenberg": ["green", "--family", "heisenberg", "--K", "12", "--radius", "1"],
     "green-lattice": ["green", "--family", "free-abelian:3", "--K", "20", "--radius", "1"],
     # one Green report per engine: tree, and dictionary convolution on Z^3
@@ -74,6 +79,10 @@ CONFIGS = {
         "homoclinic", "--family", "free-abelian:3", "--K", "20", "--radius", "1",
     ],
     "spectral-radius-heisenberg": ["spectral-radius", "--family", "heisenberg", "--k-max", "20"],
+    # the dictionary engine's exact Fraction phase, which Green leaves after step 1
+    "spectral-radius-lattice-direct": [
+        "spectral-radius", "--family", "free-abelian:2", "--engine", "direct", "--k-max", "24",
+    ],
     "window-density-torus": [
         "window-density", "--family", "free-abelian:2", "--moduli", "4,4;6,6", "--seed", "1",
     ],

@@ -160,7 +160,6 @@ def test_klein_four_quotient_of_f2():
     q = FiniteQuotient(F2, {k: np.array(v) for k, v in perms.items()})
     w = parse_word(F2, "abab")
     assert q.coset_of(w) == 0
-    assert q.is_normal_action()
 
 
 def test_inverse_pairing_enforced():
@@ -249,7 +248,6 @@ def test_heisenberg_quotient_relations_and_size():
     z = q.word_permutation(parse_word(H, "abAB"))
     assert not np.array_equal(z, np.arange(27))
     assert np.array_equal(z[x], x[z])
-    assert q.is_normal_action()
 
 
 def test_word_permutation_matches_act():
@@ -260,12 +258,6 @@ def test_word_permutation_matches_act():
         arr = q.word_permutation(w)
         for c in range(q.size):
             assert arr[c] == q.act(c, w)
-
-
-def test_non_normal_action_flagged():
-    # transitive action of F2 on 3 points with a point stabilizer that is not normal
-    q = FiniteQuotient(F2, {1: np.array([1, 0, 2]), 2: np.array([0, 2, 1])})
-    assert not q.is_normal_action()
 
 
 def test_quotient_text_round_trip(tmp_path):

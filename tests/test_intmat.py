@@ -460,7 +460,7 @@ class TestModularDeterminant:
         ids=lambda q: f"N={q.size}",
     )
     def test_matches_bareiss_on_quotients(self, quotient):
-        rows = build_laplacian(quotient, laplacian_element(quotient.family)).reduced(0)
+        rows = build_laplacian(quotient, laplacian_element(quotient.family)).reduced()
         assert modular_determinant(rows) == bareiss_determinant(rows)
 
     @settings(max_examples=300)
@@ -503,7 +503,8 @@ class TestModularDeterminant:
     def test_many_primes_off_base_zero(self):
         # tau of the 12 x 12 torus has 241 bits: a dozen primes in the CRT
         q = FiniteQuotient.from_moduli(GroupFamily.free_abelian(2), (12, 12))
-        rows = build_laplacian(q, laplacian_element(q.family)).reduced(5)
+        m = build_laplacian(q, laplacian_element(q.family)).matrix
+        rows = np.delete(np.delete(m, 5, axis=0), 5, axis=1).tolist()
         det = modular_determinant(rows)
         assert det == bareiss_determinant(rows) and det.bit_length() == 241
 

@@ -1,12 +1,15 @@
 """Group ring arithmetic and random walk series.
 
-Oracles used here and nowhere in the package: central binomial coefficients
-for rank-1 and rank-2 lattice walks, a radial birth-death chain for the
-regular tree, explicit path enumeration with matrix products for the
-nilpotent family, and numeric double integrals for lattice constants.
+Oracles used here and nowhere in the package: the exact walk (rational
+convolution powers of the step law, which the walk engines are compared
+against), central binomial coefficients for rank-1 and rank-2 lattice
+walks, a radial birth-death chain for the regular tree, explicit path
+enumeration with matrix products for the nilpotent family, and numeric
+double integrals for lattice constants.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,6 @@ from groupforests import (
     UnsupportedFamilyError,
     WindowError,
     convolve,
-    convolve_powers,
     format_group_ring,
     formal_inverse_residual,
     green_truncation,
@@ -30,11 +32,9 @@ from groupforests import (
     laplacian_element,
     parse_group_ring,
     require_well_balanced,
-    return_probability,
     return_series,
     spectral_radius_probe,
     tree_entropy,
-    walk_distribution,
 )
 from groupforests import walks
 from groupforests.groups import GroupWord, parse_word
@@ -52,6 +52,63 @@ def elt(family, text):
 
 
 # --- oracles ---
+
+
+@dataclass(frozen=True)
+class WalkDistribution:
+    """An exact rational probability distribution on the group: one mu^k."""
+
+    family: GroupFamily
+    step_count: int
+    coeffs: dict  # normal form -> Fraction
+
+    def mass(self) -> Fraction:
+        return sum(self.coeffs.values(), Fraction(0))
+
+    def coefficient(self, w) -> Fraction:
+        return self.coeffs.get(walks._word_key(self.family, w), Fraction(0))
+
+    @property
+    def at_identity(self) -> Fraction:
+        return self.coeffs.get(self.family.identity_normal(), Fraction(0))
+
+    def validate(self) -> None:
+        if any(c < 0 for c in self.coeffs.values()):
+            raise AssertionError("negative probability")
+        if self.mass() != 1:
+            raise AssertionError(f"mass {self.mass()} != 1")
+
+    def as_group_ring_element(self) -> GroupRingElement:
+        return GroupRingElement(self.family, self.coeffs)
+
+
+def walk_distribution(f):
+    """The step distribution mu = -(f - f_e)/f_e of a well-balanced f."""
+    require_well_balanced(f)
+    fe = f.identity_coefficient
+    coeffs = {w.normal: Fraction(-c, fe) for w, c in f.items() if not w.is_identity()}
+    return WalkDistribution(f.family, 1, coeffs)
+
+
+def convolve_powers(f, k_max):
+    """Yield mu^0, mu^1, ..., mu^k_max as exact WalkDistributions."""
+    fam = f.family
+    mu = walk_distribution(f).coeffs
+    cur = {fam.identity_normal(): Fraction(1)}
+    yield WalkDistribution(fam, 0, cur)
+    for k in range(1, k_max + 1):
+        nxt = {}
+        for a, p in cur.items():
+            for b, q in mu.items():
+                ab = fam.multiply_normals(a, b)
+                nxt[ab] = nxt.get(ab, 0) + p * q
+        cur = nxt
+        yield WalkDistribution(fam, k, cur)
+
+
+def return_probability(f, k):
+    """Exact rational (mu^k) at the identity."""
+    return list(convolve_powers(f, k))[-1].at_identity
 
 
 def binomial_return_oracle(k):
@@ -194,8 +251,6 @@ class TestGroupRing:
     def test_one_norm_and_radius(self):
         f = elt(F2, "e 4\na -1\nA -1\nb -1\nB -1")
         assert f.one_norm() == 8
-        assert f.support_letter_radius() == 1
-        assert elt(F2, "a b A 1").support_letter_radius() == 3
 
     def test_integerness(self):
         assert elt(Z, "e 2\na -2").is_integer()
@@ -298,11 +353,32 @@ class TestReturnSeries:
 
     def test_return_probability_needs_nonnegative_k(self):
         with pytest.raises(ValueError):
-            return_probability(laplacian_element(Z), -1)
+            return_series(laplacian_element(Z), -1)
 
     def test_support_cap(self):
         with pytest.raises(ResourceLimitError):
-            return_probability(laplacian_element(F2), 40, max_support=100)
+            return_series(laplacian_element(F2), 40, engine="direct", max_support=100)
+
+    @pytest.mark.parametrize(
+        "family, f_text",
+        [(Z, "e 6\na -2\nA -2\na a -1\nA A -1"), (Z2, None), (Z3, None), (F2, None)],
+        ids=["Z-weighted", "Z2", "Z3", "F2"],
+    )
+    @pytest.mark.parametrize("max_exact", [walks.DEFAULT_MAX_EXACT_SUPPORT, 0])
+    def test_dict_powers_match_exact_distribution(self, family, f_text, max_exact):
+        # exact phase: each value is the float of an exact rational; float
+        # phase (no exact support at all): within rounding of it
+        f = laplacian_element(family) if f_text is None else elt(family, f_text)
+        dists = list(convolve_powers(f, 6))
+        for dist, (k, value_at) in zip(dists[1:], walks._dict_powers(f, 6, 10**6, max_exact)):
+            assert dist.step_count == k
+            for nf, p in dist.coeffs.items():
+                if max_exact:
+                    assert value_at(nf) == float(p)
+                else:
+                    assert abs(value_at(nf) - float(p)) <= 1e-14 * float(p)
+        series = return_series(f, 6, engine="direct").values
+        assert list(series) == [float(d.at_identity) for d in dists]
 
     def test_grid_engine_matches_exact(self):
         f = laplacian_element(Z)
@@ -589,7 +665,7 @@ class TestGreenTruncation:
 
     def test_ball_contents(self):
         g = green_truncation(laplacian_element(F2), K=4, radius=1)
-        words = {str(w) for w in g.window_words()}
+        words = {str(GroupWord.from_normal(F2, nf)) for nf in g.values}
         assert words == {"e", "a", "A", "b", "B"}
 
     @pytest.mark.parametrize(
@@ -688,7 +764,7 @@ class TestSpectralRadiusProbe:
         # plain 2k-th roots approach the radius from below; extrapolation
         # must improve on them for the tree
         probe = spectral_radius_probe(laplacian_element(F2), k_max=200)
-        raw = probe.final_root_estimate()
+        raw = probe.root_estimates[-1]
         target = math.sqrt(3) / 2
         assert raw < target
         assert abs(probe.estimate - target) < abs(raw - target)
