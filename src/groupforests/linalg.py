@@ -9,12 +9,18 @@ computes, exactly where the theory is exact:
   determinant of the reduced Laplacian, by CRT over word-size primes with a
   float64 LDL^T per prime: `intmat.modular_determinant`),
 - the component group of harmonic-mod-1 points (Smith normal form of the
-  reduced Laplacian; its order equals the tree count),
+  reduced Laplacian; its order equals the tree count).  When a support word
+  b with coefficient -1 cycles m >= 3 layers of K vertices that the other
+  support words keep in place, a unit-pivot sweep along b reduces the
+  Laplacian to a (2K - 1)-square matrix with the same cokernel, and the
+  Smith form runs on that (`_layer_sweep`); other quotients, an f without
+  such a b, and hand-built Laplacians use the (N - 1)-square one,
 - the eigenvalue spectrum with a structural zero count,
 - log-determinant estimates: the eigenvalue form with a spectral cutoff and
   the tree form (1/N) log tau.
 
-Only the exact kernels and the dense eigensolve build the N x N matrix.
+Only the exact kernels and the dense eigensolve build the N x N matrix;
+the sweep reads the sparse entries.
 """
 
 from __future__ import annotations
@@ -213,6 +219,11 @@ class ComponentGroup:
 def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -> ComponentGroup:
     """Smith normal form of the reduced Laplacian as a ComponentGroup.
 
+    When `_layer_sweep` finds layers for L, the Smith form runs on its
+    (2K - 1)-square relation matrix, whose cokernel is the same group, and
+    the factors are padded with leading 1s to N - 1; otherwise it runs on the
+    (N - 1)-square reduced Laplacian.
+
     modulus, when given, must be a nonzero multiple of the reduced
     determinant, e.g. the tree count a caller already holds; otherwise the
     determinant is computed here.
@@ -221,20 +232,128 @@ def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -
     n = L.size
     if n == 1:
         return ComponentGroup(invariant_factors=(), order=1)
-    reduced = L.reduced()
+    relations = _layer_sweep(L)
+    if relations is None:
+        relations = L.reduced()
+        if modulus is None:
+            modulus = modular_determinant(relations)
+    elif modulus is None:
+        modulus = modular_determinant(L.reduced())
     # determinant-modulus entry reduction: sound because det(A) Z^k is
     # contained in A Z^k, so it never changes the cokernel.  Without it,
     # intermediate entries can reach thousands of digits even on small
     # matrices, so the modulus is applied unconditionally.
-    if modulus is None:
-        modulus = modular_determinant(reduced)
-    factors = smith_normal_form(reduced, modulus=modulus)
-    if len(factors) < n - 1:
+    factors = smith_normal_form(relations, modulus=modulus)
+    if len(factors) < len(relations):
         raise DisconnectedGraphError("reduced Laplacian is singular")
+    factors = [1] * (n - 1 - len(factors)) + factors
     order = 1
     for d in factors:
         order *= d
     return ComponentGroup(invariant_factors=tuple(factors), order=order)
+
+
+def _layer_sweep(L: QuotientLaplacian) -> list | None:
+    """A (2K - 1)-square integer matrix with the reduced Laplacian's cokernel.
+
+    Needs a support word b of f with coefficient -1 whose right
+    multiplication cycles m >= 3 layers of K vertices each (`_layers`), and
+    an L whose entries respect them: every off-diagonal entry (v, g) joins
+    layer j to layer j or j +- 1, and the only ones from layer j to j + 1 are
+    (g b, g) with value -1.  Returns None otherwise.
+
+    Column g of L, read as the relation sum_v L[v, g] e_v = 0 of the
+    cokernel, then has a unit pivot at e_{g b}.  With e_0 = 0 and the
+    vertices of layers 0 and 1 as unknowns, the columns at layers 1 .. m - 2
+    give e_{g b} as an integer vector over the unknowns, one layer after the
+    next; the columns at layers m - 1 and 0 (vertex 0's struck) are the
+    relations left.  Only unit pivots are eliminated, so the cokernel of
+    their matrix is the reduced Laplacian's.
+    """
+    found = _layers(L)
+    if found is None:
+        return None
+    layer, shift, m = found
+    n = L.size
+    step = (layer[L.rows] - layer[L.cols]) % m
+    forward = step == 1
+    if not (
+        ((step == 0) | forward | (step == m - 1)).all()
+        and np.count_nonzero(forward) == n
+        and np.array_equal(L.rows[forward], shift[L.cols[forward]])
+        and (L.values[forward] == -1).all()
+    ):
+        return None
+    cosets = np.arange(n)
+    unknown = np.flatnonzero(layer <= 1)[1:]  # vertex 0 comes first
+    x = np.zeros((n, len(unknown)), dtype=object)
+    x[unknown, np.arange(len(unknown))] = 1
+    # every entry of L, diagonal included, grouped by the layer of its column
+    rows = np.concatenate([L.rows, cosets])
+    cols = np.concatenate([L.cols, cosets])
+    order = np.lexsort((cols, layer[cols]))
+    rows, cols = rows[order], cols[order]
+    values = np.concatenate([L.values, L.diagonal])[order].astype(object)
+    bounds = np.searchsorted(layer[cols], np.arange(m + 1))
+
+    def column_sums(j):
+        """(g, sum_v L[v, g] x_v) for the columns g of layer j, ascending."""
+        lo, hi = bounds[j], bounds[j + 1]
+        c = cols[lo:hi]
+        first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        return c[first], np.add.reduceat(values[lo:hi, None] * x[rows[lo:hi]], first, axis=0)
+
+    for j in range(1, m - 1):
+        # x at g b is still 0, so the column's sum is the rest of its relation
+        g, sums = column_sums(j)
+        x[shift[g]] = sums
+    return np.concatenate([column_sums(m - 1)[1], column_sums(0)[1][1:]]).tolist()
+
+
+def _layers(L: QuotientLaplacian):
+    """(layer, shift, m) for the support word b of least layer size, or None.
+
+    For each support word b of f with coefficient -1, the blocks start as
+    the components of the edges of the support words other than b and b^-1,
+    and are merged until right multiplication by b (the permutation `shift`)
+    maps every block onto one block.  b qualifies when the blocks form one
+    b-cycle of m >= 3 blocks; layer[v] numbers v's block along that cycle
+    from vertex 0's.
+    """
+    q, f = L.quotient, L.source
+    if q is None or f is None:
+        return None
+    n = L.size
+    cosets = np.arange(n)
+    moves = [(w, q.word_permutation(w)) for w in f.support() if not w.is_identity()]
+    best = None
+    for b, shift in moves:
+        if f.coefficient(b) != -1:
+            continue
+        others = [p for w, p in moves if w != b and w != b.inverse()]
+        label = component_labels(
+            n, np.tile(cosets, len(others)), np.concatenate([cosets[:0], *others])
+        )
+        while True:  # u ~ v must give u b ~ v b
+            coarser = component_labels(
+                n, np.concatenate([cosets, shift]), np.concatenate([label, shift[label]])
+            )
+            if np.array_equal(coarser, label):
+                break
+            label = coarser
+        m = int(np.count_nonzero(label == cosets))
+        if m < 3 or (best is not None and m <= best[2]):
+            continue
+        orbit = [0]
+        for _ in range(m - 1):
+            orbit.append(int(shift[orbit[-1]]))
+        blocks = label[orbit]
+        if len(np.unique(blocks)) != m:
+            continue
+        index = np.empty(n, dtype=np.int64)
+        index[blocks] = np.arange(m)
+        best = (index[label], shift, m)
+    return best
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,9 @@ def resolve_config(
             raise ValueError(f"unknown parameter {key!r}")
     if fields.get("samples", 1) < 1:
         raise ValueError("samples must be >= 1")
+    # no probe would report a covering radius of 0, a perfect density
+    if caps.get("probes", 1) < 1:
+        raise ValueError("probes must be >= 1")
     seed = fields.get("seed", 0)
     # the Philox key holds the seed as one 64-bit word
     if not 0 <= seed < 1 << 64:

@@ -168,6 +168,40 @@ class TestIdentitySuite:
         assert column(out, "tau") == column(out, "component_order") == ["11664", "42467328"]
         assert calls == [8, 15]
 
+    @pytest.mark.parametrize(
+        "argv, smith_rows, reduced_calls",
+        [
+            (["--family", "free-abelian:2", "--moduli", "8,8"], [15], 1),
+            # b is the generator of order 5, then 9: K is the shorter side
+            (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [5, 11], 2),
+            (["--family", "heisenberg", "--moduli", "3"], [17], 1),
+            (["--family", "free:2", "--ball-radius", "3"], [52], 2),
+        ],
+        ids=["torus", "torus-rect", "heisenberg", "free-ball"],
+    )
+    def test_component_group_route(self, monkeypatch, argv, smith_rows, reduced_calls):
+        # tori and Heisenberg quotients take the layer sweep's (2K-1)-square
+        # matrix and read the reduced Laplacian only for tau; a free ball
+        # has no layers and reads it again for the (N-1)-square Smith form
+        rows, reads = [], []
+        real_smith, real_reduced = linalg.smith_normal_form, QuotientLaplacian.reduced
+
+        def smith(matrix, modulus=None):
+            rows.append(len(matrix))
+            return real_smith(matrix, modulus=modulus)
+
+        def reduced(self):
+            reads.append(self.size)
+            return real_reduced(self)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", smith)
+        monkeypatch.setattr(QuotientLaplacian, "reduced", reduced)
+        code, out = run_cli(["identity", *argv])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order")
+        assert rows == smith_rows
+        assert len(reads) == reduced_calls
+
     @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
     def test_exact_reports_never_run_bareiss(self, monkeypatch, operation):
         def refused(rows):
@@ -532,6 +566,13 @@ class TestOutputContract:
         assert code == 1 and out == ""
         key = argv[-2].removeprefix("--").replace("-", "_")
         assert capsys.readouterr().err == f"error: {key} must be >= 0, got {argv[-1]}\n"
+
+    def test_zero_probes_is_refused(self, capsys):
+        # an empty probe set would print a covering radius of 0 on every row
+        argv = ["window-density", "--family", "free-abelian:2", "--moduli", "4,4", "--probes", "0"]
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: probes must be >= 1\n"
 
     def test_config_file_integral_values_keep_working(self, tmp_path):
         # YAML reads 1e-3 as text; 3.0 samples and seed 2.0 are whole numbers

@@ -29,6 +29,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS = {
     "identity-heisenberg": ["identity", "--family", "heisenberg", "--moduli", "3"],
     "identity-torus": ["identity", "--family", "free-abelian:2", "--moduli", "4,4;6,6"],
+    # the layer sweep on unequal sides and on rank 3
+    "identity-torus-rect": ["identity", "--family", "free-abelian:2", "--moduli", "3,5;6,9"],
+    "identity-z3": ["identity", "--family", "free-abelian:3", "--moduli", "3,3,3;4,4,4"],
     # exact tau on non-abelian, non-amenable quotients (free-group balls)
     "identity-free-ball": [
         "identity", "--family", "free:2", "--ball-radius", "3", "--ball-radius", "4",

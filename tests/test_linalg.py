@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupforests import (
@@ -36,6 +36,7 @@ from groupforests import (
     spanning_tree_count,
     spectrum,
 )
+from groupforests import linalg
 from groupforests.groups import GroupWord
 from groupforests.intmat import bareiss_determinant, smith_normal_form
 
@@ -395,6 +396,96 @@ class TestComponentGroup:
     def test_component_group_str_roundtrip(self):
         g = ComponentGroup((1, 2, 6), 12)
         assert str(g) == "1 2 6 | 12"
+
+
+# --- the layer sweep against the dense Smith form ---
+
+UNIT_F = "e 6\na -1\nA -1\nb -2\nB -2"  # a unit coefficient on a only
+NO_UNIT_F = "e 8\na -2\nA -2\nb -2\nB -2"
+
+
+def assert_dense_factors(L):
+    """The component group's factors are the (N-1)-square Smith form's."""
+    tau = spanning_tree_count(L)
+    g = harmonic_component_group(L, modulus=tau)
+    assert g.invariant_factors == tuple(smith_normal_form(L.reduced(), modulus=tau))
+    assert g.order == tau
+    assert harmonic_component_group(L).invariant_factors == g.invariant_factors
+
+
+class TestLayerSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(1, 8), min_size=d, max_size=d)))
+    def test_tori_match_the_dense_smith_form(self, moduli):
+        assume(math.prod(moduli) <= 160)
+        family = GroupFamily.free_abelian(len(moduli))
+        quotient = FiniteQuotient.from_moduli(family, tuple(moduli))
+        L = build_laplacian(quotient, laplacian_element(family))
+        relations = linalg._layer_sweep(L)
+        if max(moduli) < 3:
+            assert relations is None
+        else:
+            # b is a generator of the largest modulus: the least layer size
+            assert len(relations) == 2 * L.size // max(moduli) - 1
+        assert_dense_factors(L)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_heisenberg_matches_the_dense_smith_form(self, m):
+        L = build_laplacian(FiniteQuotient.from_moduli(H, (m,)), laplacian_element(H))
+        relations = linalg._layer_sweep(L)
+        # K is the normal subgroup <a, c> of m^2 cosets; at m = 2 b has order 2
+        assert (relations is None) if m == 2 else len(relations) == 2 * m * m - 1
+        assert_dense_factors(L)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8))
+    def test_unit_coefficient_on_one_letter(self, p, r):
+        assume(p * r <= 160)
+        L = build_laplacian(FiniteQuotient.from_moduli(Z2, (p, r)), parse_group_ring(Z2, UNIT_F))
+        relations = linalg._layer_sweep(L)
+        # only a has coefficient -1, so the layers run along a
+        assert (relations is None) if p < 3 else len(relations) == 2 * r - 1
+        assert_dense_factors(L)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_unit_coefficient_on_heisenberg(self, m):
+        L = build_laplacian(FiniteQuotient.from_moduli(H, (m,)), parse_group_ring(H, UNIT_F))
+        assert len(linalg._layer_sweep(L)) == 2 * m * m - 1
+        assert_dense_factors(L)
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            build_laplacian(torus_quotient(5), parse_group_ring(Z2, NO_UNIT_F)),
+            build_laplacian(free_ball_quotient(F2, 3), laplacian_element(F2)),
+            QuotientLaplacian(
+                None, None, build_laplacian(torus_quotient(5), laplacian_element(Z2)).matrix
+            ),
+        ],
+        ids=["no-unit-coefficient", "free-ball", "hand-built"],
+    )
+    def test_fallback_is_the_dense_smith_form(self, L, monkeypatch):
+        assert linalg._layer_sweep(L) is None
+        sizes = []
+        real = linalg.smith_normal_form
+
+        def recorded(rows, modulus=None):
+            sizes.append(len(rows))
+            return real(rows, modulus=modulus)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+        assert_dense_factors(L)
+        assert sizes == [L.size - 1] * 2  # with the modulus tau, then without
+
+    def test_layers_are_checked_on_the_laplacian(self):
+        # quotient and f admit layers, but the matrix is another f's: its
+        # entries from layer j to j + 1 are -2, so there is no unit pivot
+        q = torus_quotient(5)
+        M = build_laplacian(q, parse_group_ring(Z2, NO_UNIT_F)).matrix
+        L = QuotientLaplacian(q, laplacian_element(Z2), M)
+        assert linalg._layers(L) is not None
+        assert linalg._layer_sweep(L) is None
+        assert_dense_factors(L)
 
 
 # --- spectra and determinant estimates ---
