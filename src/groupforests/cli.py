@@ -101,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ValueError(f"config file {path}: {err}") from err
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -145,8 +148,8 @@ def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
         family=str(merged.pop("family", "free-abelian:1")),
         f=f_text,
         moduli=None if moduli is None else str(moduli),
-        quotient_files=tuple(merged.pop("quotient_files", ()) or ()),
-        ball_radii=tuple(merged.pop("ball_radii", ()) or ()),
+        quotient_files=merged.pop("quotient_files", ()),
+        ball_radii=merged.pop("ball_radii", ()),
         h=h_text,
         **merged,
     )

@@ -1,6 +1,8 @@
 """Uniform spanning trees on quotient multigraphs and lifted edge statistics.
 
-The sampler is Wilson's algorithm: loop-erased random walks from each
+The multigraph is a view of the quotient Laplacian: its bundles are the
+Laplacian's upper-triangle entries and each vertex's edge copies one CSR
+row.  The sampler is Wilson's algorithm: loop-erased random walks from each
 unvisited vertex into the growing tree, which yields the exact uniform law
 on spanning trees with parallel edges handled by weighting steps
 proportionally to multiplicity.  Lifting tree indicators through a chain
@@ -30,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     WindowError,
 )
-from .groups import GroupWord, component_labels, format_word, injectivity_radius, word_ball
+from .groups import component_labels, format_word, injectivity_radius, word_ball
 from .linalg import QuotientLaplacian, build_laplacian
 from .walks import GroupRingElement, require_well_balanced
 
@@ -48,91 +50,40 @@ def rng_stream(seed: int, quotient_index: int = 0, sample_index: int = 0) -> np.
 
 
 class QuotientMultigraph:
-    """Undirected multigraph on the cosets, one bundle per unordered pair.
+    """Walk view of a quotient Laplacian's sorted off-diagonal triples.
 
-    bundles[b] = (u, v, multiplicity) with u < v and multiplicity -M[u][v],
-    in (u, v) order: the upper-triangle entries of the sparse Laplacian;
-    loops never appear (the Laplacian folds them away).  An edge copy is
-    addressed as (bundle, slot).  incidence[x] lists (neighbour, bundle,
-    slot) for every copy at x, by neighbour and then slot; neighbours[x] is
-    the same list reduced to its neighbour entries, all that a random walk
-    reads.  regular_degree is the common length of those rows, or None when
-    they differ (fixed points of the action fold into loops).  When the
-    Laplacian remembers its quotient and group ring element, each slot of a
-    bundle decodes to a (word, copy) symbol as read from the lower endpoint,
-    i.e. lower * word = upper.  Everything is built with array operations in
-    O(N |S|); no N x N matrix is formed.
+    Bundle b is the b-th upper-triangle entry of the Laplacian: the pair
+    lower[b] < upper[b] with multiplicity -M[u][v], in (u, v) order; loops
+    never appear (the Laplacian folds them away).  An edge copy is addressed
+    as (bundle, slot).  Row x lists every copy at x, by neighbour and then
+    slot, as the CSR slice offsets[x]:offsets[x + 1] of copy_bundle and
+    copy_slot; neighbours[x] is the same row reduced to its neighbours, all
+    that a random walk reads.  regular_degree is the common length of the
+    rows, or None when they differ (fixed points of the action fold into
+    loops).  Everything is built with array operations in O(N |S|); no
+    N x N matrix is formed.
     """
 
     def __init__(self, laplacian: QuotientLaplacian):
-        n = laplacian.size
+        n = self.n = laplacian.size
         self.laplacian = laplacian
-        self.n = n
         upper = laplacian.rows < laplacian.cols
-        bu, bv = laplacian.rows[upper], laplacian.cols[upper]
-        mult = -laplacian.values[upper]
-        self.bundles = tuple(zip(bu.tolist(), bv.tolist(), mult.tolist()))
-        self.bundle_index = {(u, v): b for b, (u, v, _) in enumerate(self.bundles)}
-        copies = np.maximum(mult, 0)
-        bundle = np.repeat(np.arange(len(mult)), copies)
+        self.lower, self.upper = laplacian.rows[upper], laplacian.cols[upper]
+        copies = np.maximum(-laplacian.values[upper], 0)
+        bundle = np.repeat(np.arange(len(copies)), copies)
         slot = np.arange(len(bundle)) - np.repeat(np.cumsum(copies) - copies, copies)
         # both ends of every copy, in (vertex, bundle, slot) order
-        vertex = np.concatenate([bu[bundle], bv[bundle]])
-        neighbour = np.concatenate([bv[bundle], bu[bundle]])
+        vertex = np.concatenate([self.lower[bundle], self.upper[bundle]])
+        neighbour = np.concatenate([self.upper[bundle], self.lower[bundle]])
         bundle, slot = np.tile(bundle, 2), np.tile(slot, 2)
         order = np.lexsort((slot, bundle, vertex))
-        neighbour = neighbour[order].tolist()
-        entries = list(zip(neighbour, bundle[order].tolist(), slot[order].tolist()))
+        self.copy_bundle, self.copy_slot = bundle[order], slot[order]
         degrees = np.bincount(vertex, minlength=n)
-        ranges = [(end - d, end) for d, end in zip(degrees.tolist(), np.cumsum(degrees).tolist())]
-        self.degrees = tuple(degrees.tolist())
+        self.offsets = np.concatenate([[0], np.cumsum(degrees)])
         regular = n > 0 and degrees.min() == degrees.max()
         self.regular_degree = int(degrees[0]) if regular else None
-        self.incidence = tuple(tuple(entries[a:b]) for a, b in ranges)
-        self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in ranges)
-        self.symbols = None
-        q, f = laplacian.quotient, laplacian.source
-        if q is not None and f is not None:
-            self.symbols = self._decode_symbols(q, f, bu, bv, mult)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(m for _, _, m in self.bundles)
-
-    def is_connected(self) -> bool:
-        return self.laplacian.is_connected()
-
-    def endpoints(self, bundle: int) -> tuple:
-        u, v, _ = self.bundles[bundle]
-        return u, v
-
-    def _decode_symbols(self, quotient, f, bu, bv, mult):
-        slots = [[] for _ in self.bundles]
-        found = np.zeros(len(mult), dtype=np.int64)
-        for w, c in f.items():
-            if c >= 0 or w.is_identity():
-                continue
-            m = int(-c)
-            hits = np.flatnonzero(quotient.word_permutation(w)[bu] == bv)
-            found[hits] += m
-            copies = [(w, j) for j in range(m)]
-            for b in hits.tolist():
-                slots[b].extend(copies)
-        if not np.array_equal(found, mult):
-            raise AssertionError("bundle multiplicity disagrees with symbol decode")
-        return tuple(tuple(s) for s in slots)
-
-    def slot_of(self, bundle: int, word: GroupWord, copy: int) -> int:
-        """Slot of the copy that reads as (word, copy) from the lower endpoint."""
-        if self.symbols is None:
-            raise ValueError("graph carries no symbol decode")
-        for slot, (w, j) in enumerate(self.symbols[bundle]):
-            if j == copy and w == word:
-                return slot
-        raise KeyError(f"no slot for ({word}, {copy}) in bundle {bundle}")
-
-    def __repr__(self):
-        return f"<QuotientMultigraph n={self.n} bundles={len(self.bundles)} edges={self.edge_count}>"
+        neighbour, ends = neighbour[order].tolist(), self.offsets.tolist()
+        self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 @dataclass(frozen=True)
@@ -143,6 +94,11 @@ class SpanningTree:
     root: int
     edges: tuple
 
+    def _copies(self):
+        """The edges as two arrays, bundles and slots."""
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2).T
+
     def validate(self) -> None:
         """Raise AssertionError unless the edges are N-1 distinct copies.
 
@@ -152,30 +108,24 @@ class SpanningTree:
         n = self.graph.n
         if len(self.edges) != n - 1:
             raise AssertionError(f"expected {n - 1} edges, got {len(self.edges)}")
-        flat = itertools.chain.from_iterable(self.edges)
-        bundle, slot = np.fromiter(flat, dtype=np.int64, count=2 * n - 2).reshape(-1, 2).T
+        bundle, slot = self._copies()
         order = np.lexsort((slot, bundle))
         b, s = bundle[order], slot[order]
         if np.any((b[1:] == b[:-1]) & (s[1:] == s[:-1])):
             raise AssertionError("repeated edge copy")
-        lap = self.graph.laplacian
-        upper = lap.rows < lap.cols
-        u, v = lap.rows[upper][bundle], lap.cols[upper][bundle]
         # a nonzero label is a vertex outside vertex 0's component
-        if component_labels(n, u, v).any():
+        if component_labels(n, self.graph.lower[bundle], self.graph.upper[bundle]).any():
             raise AssertionError("edge set contains a cycle")
 
     def as_edge_list(self) -> list:
         """(u, v, slot) triples, u < v, sorted; slots distinguish parallel copies."""
-        out = []
-        for b, slot in self.edges:
-            u, v = self.graph.endpoints(b)
-            out.append((u, v, slot))
-        return sorted(out)
+        bundle, slot = self._copies()
+        u, v = self.graph.lower[bundle].tolist(), self.graph.upper[bundle].tolist()
+        return sorted(zip(u, v, slot.tolist()))
 
 
 def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
-    """Wilson's walk: exits[v] indexes v's tree edge in incidence[v].
+    """Wilson's walk: exits[v] indexes v's tree edge in row v of the graph.
 
     exits[root] is -1.  max_steps is a draw budget; draw max_steps + 1 raises.
     Each draw x becomes the exit index int(x * len(row)); on a regular graph
@@ -185,7 +135,7 @@ def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
     n = graph.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
-    if not graph.is_connected():
+    if not graph.laplacian.is_connected():
         raise DisconnectedGraphError("spanning trees need a connected multigraph")
     if max_steps is None:
         max_steps = max(1_000_000, 200 * n * n)
@@ -238,8 +188,8 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
 
     rng may be an integer seed (expanded through the stream contract) or a
     ready Generator, which advances by whole blocks of 256 doubles.  Each
-    step takes the next double x and leaves v by incidence[v][int(x *
-    degree)], which weights parallel bundles by multiplicity; a vertex's
+    step takes the next double x and leaves v by copy int(x * degree) of its
+    row, which weights parallel bundles by multiplicity; a vertex's
     tree edge is its last such exit before the walk meets the tree.  On a
     regular graph the indices of a block are computed together, with the
     same float product, so the tree does not depend on the path taken.
@@ -247,7 +197,8 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     """
     gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)
     exits = _wilson_exits(graph, root, gen, max_steps)
-    edges = sorted(graph.incidence[v][i][1:] for v, i in enumerate(exits) if v != root)
+    at = np.delete(graph.offsets[:-1] + np.array(exits, dtype=np.int64), root)
+    edges = sorted(zip(graph.copy_bundle[at].tolist(), graph.copy_slot[at].tolist()))
     return SpanningTree(graph=graph, root=root, edges=tuple(edges))
 
 
@@ -353,18 +304,20 @@ def lift_marginals(
                 f"needs at least {radius + 1}"
             )
         graph = QuotientMultigraph(build_laplacian(quotient, f))
-        # each window copy as (u, its exit index at u, v, its exit index at v);
-        # it is a tree edge iff it is an endpoint's exit (the root's is -1)
+        nbr = graph.neighbours
+        # Each window copy as (u, its exit index at u, v, its exit index at
+        # v); it is a tree edge iff it is an endpoint's exit (the root's is
+        # -1).  Copy j is slot j, as the bundle {u, v} holds s's copies alone:
+        # a support word w != s with u.w = v would put g.w and g.s on one coset
+        # inside B(radius + 1), where the map was just checked injective; from
+        # v, v.w' = u means u.w'^-1 = v, the same case as f is self-adjoint.
         ends = []
         for (g, s, j), _ in window:
             u = quotient.coset_of(g)
             v = quotient.act(u, s)
             if u == v:
                 raise AssertionError("window edge collapsed to a loop")
-            b = graph.bundle_index[(min(u, v), max(u, v))]
-            slot = graph.slot_of(b, s if u < v else s.inverse(), j)
-            iu = graph.incidence[u].index((v, b, slot))
-            ends.append((u, iu, v, graph.incidence[v].index((u, b, slot))))
+            ends.append((u, nbr[u].index(v) + j, v, nbr[v].index(u) + j))
         counts = [0] * len(ends)
         for sample_index in range(samples):
             exits = _wilson_exits(graph, 0, rng_stream(seed, qi, sample_index), max_steps)

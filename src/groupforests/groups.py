@@ -434,6 +434,19 @@ class FiniteQuotient:
         return f"<FiniteQuotient N={self.size} family={self.family.kind}({self.family.rank}){tag}>"
 
 
+def _closure(family: GroupFamily, generators) -> list:
+    """The generators and their inverses, identity skipped; the letters if None."""
+    if generators is None:
+        return [GroupWord.from_letters(family, (l,)) for l in family.letters]
+    gens = []
+    for g in generators:
+        if g.family != family:
+            raise FamilyMismatchError("generator family does not match")
+        if not g.is_identity():
+            gens += [g, g.inverse()]
+    return gens
+
+
 def injectivity_radius(
     quotient: FiniteQuotient, r_max: int = 512, generators=None
 ) -> int:
@@ -445,18 +458,7 @@ def injectivity_radius(
     distinct elements land on one coset at depth r, the radius is r - 1.
     """
     fam = quotient.family
-    if generators is None:
-        gens = [GroupWord.from_letters(fam, (l,)) for l in fam.letters]
-    else:
-        gens = []
-        for g in generators:
-            if g.family != fam:
-                raise FamilyMismatchError("generator family does not match quotient")
-            if g.is_identity():
-                continue
-            gens.append(g)
-            gens.append(g.inverse())
-    gen_pairs = [(g.normal, quotient.word_permutation(g)) for g in gens]
+    gen_pairs = [(g.normal, quotient.word_permutation(g)) for g in _closure(fam, generators)]
     ident = fam.identity_normal()
     owner = {0: ident}
     seen = {ident}
@@ -489,18 +491,7 @@ def word_ball(family: GroupFamily, radius: int, generators=None) -> list:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if generators is None:
-        gens = [GroupWord.from_letters(family, (l,)) for l in family.letters]
-    else:
-        gens = []
-        for g in generators:
-            if g.family != family:
-                raise FamilyMismatchError("generator family does not match")
-            if g.is_identity():
-                continue
-            gens.append(g)
-            gens.append(g.inverse())
-    gen_normals = sorted({g.normal for g in gens})
+    gen_normals = sorted({g.normal for g in _closure(family, generators)})
     ident = family.identity_normal()
     seen = {ident}
     out = [ident]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields as dataclass_fields
 from fractions import Fraction
 
@@ -229,8 +230,9 @@ def _config_number(key: str, value, whole: bool):
     """A config value as an int (whole) or a float; ValueError naming key otherwise.
 
     A config file may hold any YAML value there.  Text is read as a number
-    (YAML reads 1e-3 as text); a bool, a list, a mapping, or a fraction
-    where a whole number is due is refused rather than truncated.
+    (YAML reads 1e-3 as text); a bool, a list, a mapping, a number no float
+    holds (nan, infinity, an int past the float range) or a fraction where
+    a whole number is due is refused, not truncated.
     """
     number = value
     if isinstance(value, str):
@@ -244,7 +246,16 @@ def _config_number(key: str, value, whole: bool):
     if not ok:
         kind = "an integer" if whole else "a number"
         raise ValueError(f"{key} must be {kind}, got {value!r}")
+    if not whole and not abs(number) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return int(number) if whole else float(number)
+
+
+def _config_list(key: str, value) -> tuple:
+    """A list-valued key as a tuple, None as empty; a scalar is refused, not iterated."""
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return tuple(value or ())
 
 
 def resolve_config(
@@ -274,7 +285,10 @@ def resolve_config(
     if moduli:
         for mods in parse_moduli(moduli):
             quotients.append(FiniteQuotient.from_moduli(fam, mods))
-    for path in quotient_files:
+    for path in _config_list("quotient_files", quotient_files):
+        # open(0) would read stdin and close it
+        if not isinstance(path, str):
+            raise ValueError(f"quotient_files must be a list of paths, got {path!r}")
         with open(path) as fh:
             quotients.append(FiniteQuotient.from_text(fam, fh.read(), label=str(path)))
     fields = dict(OP_DEFAULTS.get(operation, {}))
@@ -301,7 +315,7 @@ def resolve_config(
     # the Philox key holds the seed as one 64-bit word
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    for r in ball_radii:
+    for r in _config_list("ball_radii", ball_radii):
         radius = _config_number("ball_radii", r, whole=True)
         quotients.append(free_ball_quotient(fam, radius, seed=seed))
     radii = ()

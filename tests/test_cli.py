@@ -536,6 +536,10 @@ class TestOutputContract:
             ("max_grid_cells: -1", "max_grid_cells must be >= 0, got -1"),
             ("probes: -3", "probes must be >= 0, got -3"),
             ("max_steps: -5", "max_steps must be >= 0, got -5"),
+            ("kappa: .nan", "kappa must be a finite number, got nan"),
+            ("kappa: -.inf", "kappa must be a finite number, got -inf"),
+            ("tol: nan", "tol must be a finite number, got 'nan'"),
+            ("tol: .inf", "tol must be a finite number, got inf"),
         ],
     )
     def test_config_file_value_of_wrong_type_or_sign(self, tmp_path, capsys, line, message):
@@ -544,6 +548,63 @@ class TestOutputContract:
         code, out = run_cli(["window-density", "--config", str(cfg_file)])
         assert code == 1 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fk-det", "--family", "free-abelian:2", "--moduli", "4,4", "--kappa", "nan"],
+            ["fk-det", "--family", "free-abelian:2", "--moduli", "4,4", "--kappa", "inf"],
+            ["spectral-radius", "--family", "free-abelian:2", "--k-max", "8", "--tol", "nan"],
+        ],
+        ids=["kappa-nan", "kappa-inf", "tol-nan"],
+    )
+    def test_non_finite_number_flag_is_refused(self, capsys, argv):
+        # nan printed fk_eigen 0 on every row and amenable_like false
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        key = argv[-2].removeprefix("--")
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("ball_radii: 3", "ball_radii must be a list, got 3"),
+            ("ball_radii: '34'", "ball_radii must be a list, got '34'"),
+            ("ball_radii: {a: 2}", "ball_radii must be a list, got {'a': 2}"),
+            ("quotient_files: 3", "quotient_files must be a list, got 3"),
+            ("quotient_files: run.quot", "quotient_files must be a list, got 'run.quot'"),
+            ("quotient_files: [0]", "quotient_files must be a list of paths, got 0"),
+            ("quotient_files: [true]", "quotient_files must be a list of paths, got True"),
+        ],
+    )
+    def test_config_file_list_key_of_wrong_type(self, tmp_path, capsys, line, message):
+        # a scalar was iterated ('34' built radii 3 and 4) or raised TypeError,
+        # and a path of 0 read the quotient from stdin and closed it
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text(f"family: free:2\n{line}\n")
+        code, out = run_cli(["fk-det", "--config", str(cfg_file)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_empty_list_key_means_none(self, tmp_path):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free:2\nball_radii: [2]\nquotient_files:\n")
+        flags = ["--family", "free:2", "--ball-radius", "2"]
+        assert run_cli(["fk-det", "--config", str(cfg_file)]) == run_cli(["fk-det", *flags])
+
+    def test_int_past_the_float_range_is_refused(self):
+        # float() of it would raise OverflowError, which main does not catch
+        with pytest.raises(ValueError, match="^kappa must be a finite number, got 1000"):
+            resolve_config("fk-det", family="free-abelian:1", moduli="4", kappa=10**400)
+
+    def test_config_file_malformed_yaml_exits_cleanly(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free-abelian:1\nK: [\n")
+        code, out = run_cli(["identity", "--config", str(cfg_file)])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg_file}: ")
+        assert "Traceback" not in err
 
     def test_config_file_fractional_ball_radius_is_refused(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.yml"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import quotient_cases
+from test_linalg import multigraph_tables, quotient_cases, symbol_decode
 
 import groupforests
 from groupforests import (
@@ -36,6 +36,7 @@ from groupforests import (
     WindowError,
     build_laplacian,
     free_ball_quotient,
+    injectivity_radius,
     laplacian_element,
     lift_marginals,
     parse_group_ring,
@@ -86,8 +87,7 @@ def is_spanning_tree(graph, edges):
         return x
 
     for b, _ in edges:
-        u, v = graph.endpoints(b)
-        ru, rv = find(u), find(v)
+        ru, rv = find(int(graph.lower[b])), find(int(graph.upper[b]))
         if ru == rv:
             return False
         parent[ru] = rv
@@ -96,15 +96,17 @@ def is_spanning_tree(graph, edges):
 
 def all_spanning_trees(graph):
     """Oracle: every (n-1)-subset of edge copies that is acyclic and spanning."""
-    copies = []
-    for b, (u, v, mult) in enumerate(graph.bundles):
-        for slot in range(mult):
-            copies.append((b, slot))
     return [
         frozenset(subset)
-        for subset in itertools.combinations(copies, graph.n - 1)
+        for subset in itertools.combinations(edge_copies(graph), graph.n - 1)
         if is_spanning_tree(graph, subset)
     ]
+
+
+def edge_copies(graph):
+    """Every (bundle, slot) copy, from the rebuilt bundle table."""
+    bundles, _ = multigraph_tables(graph)
+    return [(b, slot) for b, (_, _, m) in enumerate(bundles) for slot in range(m)]
 
 
 def wilson_oracle(graph, root, gen):
@@ -116,6 +118,7 @@ def wilson_oracle(graph, root, gen):
     tree edges and the number of steps.
     """
     n = graph.n
+    _, incidence = multigraph_tables(graph)
     in_tree = bytearray(n)
     in_tree[root] = 1
     nxt = [None] * n
@@ -125,7 +128,7 @@ def wilson_oracle(graph, root, gen):
         while not in_tree[v]:
             if pos == 64:
                 buf, pos = gen.random(64), 0
-            inc = graph.incidence[v]
+            inc = incidence[v]
             nxt[v] = inc[int(buf[pos] * len(inc))]
             pos += 1
             steps += 1
@@ -174,30 +177,36 @@ def connected_multigraphs(draw):
 class TestMultigraph:
     def test_bundles_match_laplacian(self):
         g = k4_graph()
+        bundles, _ = multigraph_tables(g)
         assert g.n == 4
-        assert len(g.bundles) == 6
-        assert all(m == 1 for _, _, m in g.bundles)
-        assert g.degrees == (3, 3, 3, 3)
-        assert g.edge_count == 6
+        assert len(bundles) == 6
+        assert all(m == 1 for _, _, m in bundles)
+        assert np.diff(g.offsets).tolist() == [3, 3, 3, 3]
+        assert g.regular_degree == 3
 
     def test_parallel_copies(self):
         g = cycle_graph(2)
-        assert g.bundles == ((0, 1, 2),)
-        assert g.degrees == (2, 2)
+        assert multigraph_tables(g)[0] == ((0, 1, 2),)
+        assert np.diff(g.offsets).tolist() == [2, 2]
 
     def test_symbol_decode(self):
         g = cycle_graph(5)
         q = g.laplacian.quotient
-        for b, (u, v, mult) in enumerate(g.bundles):
-            assert len(g.symbols[b]) == mult
-            for word, j in g.symbols[b]:
+        symbols = symbol_decode(g)
+        for b, (u, v, mult) in enumerate(multigraph_tables(g)[0]):
+            assert len(symbols[b]) == mult
+            for word, j in symbols[b]:
                 assert q.act(u, word) == v
 
-    def test_hand_graph_has_no_symbols(self):
-        g = hand_graph([[1, -1], [-1, 1]])
-        assert g.symbols is None
-        with pytest.raises(ValueError):
-            g.slot_of(0, None, 0)
+    def test_hand_graph_rows(self):
+        # a double bundle {0, 1} and a single {0, 2}: rows by neighbour, then slot
+        g = hand_graph([[3, -2, -1], [-2, 2, 0], [-1, 0, 1]])
+        assert (g.lower.tolist(), g.upper.tolist()) == ([0, 0], [1, 2])
+        assert g.offsets.tolist() == [0, 3, 5, 6]
+        assert g.copy_bundle.tolist() == [0, 0, 1, 0, 0, 1]
+        assert g.copy_slot.tolist() == [0, 1, 0, 0, 1, 0]
+        assert g.neighbours == ((1, 1, 2), (0, 0), (0,))
+        assert g.regular_degree is None
 
     def test_tree_count_equals_enumeration(self):
         for g in (k4_graph(), cycle_graph(4), cycle_graph(4, "e 4\na -2\nA -2")):
@@ -221,9 +230,10 @@ class TestLargeQuotient:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert graph.n == 16384
-        assert len(graph.bundles) == graph.edge_count == 2 * 16384
-        assert graph.degrees == (4,) * 16384
-        assert graph.incidence[0] == ((1, 0, 0), (127, 1, 0), (128, 2, 0), (16256, 3, 0))
+        bundles, incidence = multigraph_tables(graph)
+        assert len(bundles) == sum(m for _, _, m in bundles) == 2 * 16384
+        assert graph.regular_degree == 4 and graph.offsets[-1] == 4 * 16384
+        assert incidence[0] == ((1, 0, 0), (127, 1, 0), (128, 2, 0), (16256, 3, 0))
         tree = wilson_sample(graph, rng=rng_stream(0))
         tree.validate()
 
@@ -365,7 +375,7 @@ class TestWilsonKernel:
     def test_step_cap_is_exact_on_irregular_graph(self, sample):
         q = free_ball_quotient(F2, 3, seed=0)
         g = QuotientMultigraph(build_laplacian(q, laplacian_element(F2)))
-        assert g.regular_degree is None and set(g.degrees) == {2, 4}
+        assert g.regular_degree is None and set(np.diff(g.offsets).tolist()) == {2, 4}
         k = self.assert_step_cap_is_exact(g, sample)
         assert (k > 256) == (sample == 8)
 
@@ -428,8 +438,7 @@ class TestValidate:
     def test_accepts_exactly_the_trees(self, f_text):
         g = cycle_graph(5 if f_text is None else 4, f_text)
         trees = set(all_spanning_trees(g))
-        copies = [(b, slot) for b, (_, _, m) in enumerate(g.bundles) for slot in range(m)]
-        for subset in itertools.combinations(copies, g.n - 1):
+        for subset in itertools.combinations(edge_copies(g), g.n - 1):
             tree = SpanningTree(graph=g, root=0, edges=subset)
             if frozenset(subset) in trees:
                 tree.validate()
@@ -445,7 +454,7 @@ class TestValidate:
         quotient, f = case
         g = QuotientMultigraph(build_laplacian(quotient, f))
         edges = list(wilson_sample(g, rng=data.draw(st.integers(0, 99))).edges)
-        copies = [(b, slot) for b, (_, _, m) in enumerate(g.bundles) for slot in range(m)]
+        copies = edge_copies(g)
         for _ in range(data.draw(st.integers(0, 3)) if edges else 0):
             edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(copies))
         tree = SpanningTree(graph=g, root=0, edges=tuple(edges))
@@ -589,11 +598,14 @@ class TestLiftMarginals:
         window = _window_edges(f, radius)
         for qi, (q, table) in enumerate(zip(quotients, tables)):
             graph = QuotientMultigraph(build_laplacian(q, f))
+            bundles, _ = multigraph_tables(graph)
+            bundle_index = {(u, v): b for b, (u, v, _) in enumerate(bundles)}
+            symbols = symbol_decode(graph)
             ends, copies = [], []
             for (g, s, j), _ in window:
                 u, v = q.coset_of(g), q.act(q.coset_of(g), s)
-                b = graph.bundle_index[(min(u, v), max(u, v))]
-                copies.append((b, graph.slot_of(b, s if u < v else s.inverse(), j)))
+                b = bundle_index[(min(u, v), max(u, v))]
+                copies.append((b, symbols[b].index((s if u < v else s.inverse(), j))))
                 ends.append((u, v))
             assert any(0 in uv for uv in ends)  # copies at the root are counted too
             trees = [
@@ -603,6 +615,26 @@ class TestLiftMarginals:
             assert [row.count for row in table.rows] == [
                 sum(c in t for t in trees) for c in copies
             ]
+
+    @settings(max_examples=60)
+    @given(quotient_cases())
+    def test_window_bundles_decode_to_one_word(self, case):
+        # lift_marginals reads copy j of a window edge as slot j of its bundle
+        quotient, f = case
+        graph = QuotientMultigraph(build_laplacian(quotient, f))
+        bundles, _ = multigraph_tables(graph)
+        bundle_index = {(u, v): b for b, (u, v, _) in enumerate(bundles)}
+        symbols = symbol_decode(graph)
+        gens = [w for w, c in f.items() if c < 0 and not w.is_identity()]
+        # every radius whose window lift_marginals admits
+        for radius in range(injectivity_radius(quotient, generators=gens)):
+            for (g, s, j), _ in _window_edges(f, radius):
+                u = quotient.coset_of(g)
+                v = quotient.act(u, s)
+                word = s if u < v else s.inverse()
+                decode = symbols[bundle_index[(min(u, v), max(u, v))]]
+                assert {w for w, _ in decode} == {word}
+                assert decode[j] == (word, j)
 
     def test_window_needs_injectivity_margin(self):
         f = laplacian_element(Z)

@@ -43,7 +43,7 @@ CONFIGS = {
         "sample-ust", "--family", "free-abelian:2", "--moduli", "3,3",
         "--samples", "2", "--seed", "1",
     ],
-    # multiplicity-2 bundles (moduli 2) and a 256-vertex incidence order
+    # multiplicity-2 bundles (moduli 2) and the row order of 256 vertices
     "sample-ust-multiplicity": [
         "sample-ust", "--family", "free-abelian:2", "--moduli", "2,2;2,3;16,16",
         "--samples", "3", "--seed", "1",
@@ -58,12 +58,12 @@ CONFIGS = {
         "--f", "e 6;a -2;A -2;b -1;B -1", "--moduli", "6,6;8,8",
         "--samples", "200", "--seed", "3",
     ],
-    # non-abelian quotients: pins the incidence order the walk draws from
+    # non-abelian quotients: pins the row order the walk draws from
     "wsf-marginals-heisenberg": [
         "wsf-marginals", "--family", "heisenberg", "--moduli", "5;7",
         "--samples", "200", "--seed", "3",
     ],
-    # free-ball quotients: the irregular Wilson walk and the slot_of decode
+    # free-ball quotients: the irregular Wilson walk and the window's slots
     "wsf-marginals-free-ball": [
         "wsf-marginals", "--family", "free:2", "--ball-radius", "2", "--ball-radius", "3",
         "--samples", "300",
@@ -106,6 +106,11 @@ def test_report_matches_golden(name, tmp_path):
 
 def test_every_operation_is_pinned():
     assert {argv[0] for argv in CONFIGS.values()} == set(OPERATIONS)
+
+
+def test_every_golden_file_has_a_config():
+    # a file without a CONFIGS entry would be checked by nothing
+    assert {path.stem for path in GOLDEN_DIR.glob("*.csv")} == set(CONFIGS)
 
 
 def test_regeneration_writes_only_missing_files(tmp_path, monkeypatch, capsys):

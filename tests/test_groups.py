@@ -19,6 +19,7 @@ from groupforests.groups import (
     free_ball_quotient,
     injectivity_radius,
     parse_word,
+    word_ball,
 )
 
 Z1 = GroupFamily.free_abelian(1)
@@ -338,6 +339,20 @@ def test_injectivity_radius_with_support_generators():
     r_support = injectivity_radius(q, generators=gens)
     assert r_letters == 5
     assert r_support < r_letters
+
+
+def test_ball_and_injectivity_share_the_generator_closure():
+    # identity skipped, inverses added, another family's word refused alike
+    q = FiniteQuotient.from_moduli(Z1, [12])
+    gens = [parse_word(Z1, "aa"), parse_word(Z1, "aaa")]
+    with_identity = [GroupWord.identity(Z1), *gens]
+    assert word_ball(Z1, 2, generators=with_identity) == word_ball(Z1, 2, generators=gens)
+    assert injectivity_radius(q, generators=with_identity) == injectivity_radius(q, generators=gens)
+    stranger = [parse_word(Z2, "a")]
+    with pytest.raises(FamilyMismatchError, match="^generator family does not match$"):
+        word_ball(Z1, 2, generators=stranger)
+    with pytest.raises(FamilyMismatchError, match="^generator family does not match$"):
+        injectivity_radius(q, generators=stranger)
 
 
 def test_free_ball_quotient_radii():

@@ -106,6 +106,48 @@ def multigraph_oracle(matrix, quotient=None, f=None):
     return tuple(bundles), tuple(tuple(inc) for inc in incidence), symbols
 
 
+def multigraph_tables(graph):
+    """The bundle and incidence tables, rebuilt from a multigraph's arrays.
+
+    bundles[b] = (lower, upper, multiplicity), the multiplicity counted from
+    the copies, and incidence[x] lists (neighbour, bundle, slot) for every
+    copy in row x, the neighbour read from the bundle's endpoints.
+    """
+    mult = np.bincount(graph.copy_bundle, minlength=len(graph.lower)) // 2
+    bundles = tuple(zip(graph.lower.tolist(), graph.upper.tolist(), mult.tolist()))
+    ends = graph.offsets.tolist()
+    copies = list(zip(graph.copy_bundle.tolist(), graph.copy_slot.tolist()))
+    incidence = []
+    for x, (start, stop) in enumerate(zip(ends, ends[1:])):
+        row = []
+        for b, slot in copies[start:stop]:
+            u, v, _ = bundles[b]
+            assert x in (u, v)
+            row.append((v if u == x else u, b, slot))
+        incidence.append(tuple(row))
+    return bundles, tuple(incidence)
+
+
+def symbol_decode(graph):
+    """Each bundle's slots as (word, copy) symbols read from its lower end.
+
+    A slot of bundle (u, v) decodes to (w, j) with u * w = v, in the order
+    of f's support and then copy j; every bundle must decode to exactly its
+    multiplicity of symbols.
+    """
+    lap = graph.laplacian
+    bundles, _ = multigraph_tables(graph)
+    slots = [[] for _ in bundles]
+    for w, c in lap.source.items():
+        if c >= 0 or w.is_identity():
+            continue
+        hits = np.flatnonzero(lap.quotient.word_permutation(w)[graph.lower] == graph.upper)
+        for b in hits.tolist():
+            slots[b].extend((w, j) for j in range(int(-c)))
+    assert [len(s) for s in slots] == [m for _, _, m in bundles]
+    return tuple(tuple(s) for s in slots)
+
+
 class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -667,11 +709,11 @@ class TestSparseOperator:
         bundles, incidence, symbols = multigraph_oracle(
             operator_matrix_oracle(quotient, f), quotient, f
         )
-        assert graph.bundles == bundles
-        assert graph.incidence == incidence
+        assert multigraph_tables(graph) == (bundles, incidence)
         assert graph.neighbours == tuple(tuple(x for x, _, _ in inc) for inc in incidence)
-        assert graph.symbols == symbols
-        assert graph.degrees == tuple(len(inc) for inc in incidence)
+        assert symbol_decode(graph) == symbols
+        degrees = {len(inc) for inc in incidence}
+        assert graph.regular_degree == (degrees.pop() if len(degrees) == 1 else None)
         assert L._dense is None
 
     def test_hand_built_matrix_round_trips(self):
@@ -682,7 +724,7 @@ class TestSparseOperator:
         assert L.diagonal.tolist() == [3, 2, 1]
         assert np.array_equal(L.matrix, M)
         graph = QuotientMultigraph(L)
-        assert (graph.bundles, graph.incidence, graph.symbols) == multigraph_oracle(M.tolist())
+        assert multigraph_tables(graph) + (None,) == multigraph_oracle(M.tolist())
 
     def test_component_count_on_disconnected_matrix(self):
         # an edge, a double edge and an isolated vertex: three components
