@@ -1,12 +1,14 @@
 """Exact integer matrix kernels: determinants and Smith normal form.
 
-`modular_determinant` is the determinant every exact report uses: det mod p
-for a deterministic list of word-size primes, each from a float64 LDL^T
-factorization whose O(n^3) work is `np.matmul` over a stack of primes, then
-combined by the Chinese remainder theorem past twice the Hadamard bound,
+`modular_determinant` is the determinant of every reduced Laplacian: det
+mod p for a deterministic list of word-size primes, each from a float64
+LDL^T factorization whose O(n^3) work is `np.matmul` over a stack of primes,
+then combined by the Chinese remainder theorem past twice a determinant
+bound (Hadamard's, or the diagonal product on a diagonally dominant input),
 which proves the result exact.  `bareiss_determinant` (fraction-free
 elimination in Python integers) is the independent route it is tested
-against.
+against, and the kernel of the small norm matrices of the torus tree count
+in `linalg`.
 
 Everything else here works on plain Python integers (arbitrary precision).
 Both Smith functions run one elimination, `_smith` (balanced remainders,
@@ -190,12 +192,12 @@ def modular_determinant(rows) -> int:
     minor must be nonzero; reduced Laplacians of connected graphs, which are
     positive definite, qualify.  The primes lie below sqrt(2**52 / n), so
     every product the factorization forms is an exact float64 integer.
-    Residues are combined until the modulus M satisfies M > 2 H, with H the
-    Hadamard bound (product of the row norms), and the balanced residue mod M
-    is then the determinant.
+    Residues are combined until the modulus M satisfies M > 2 B, with B a
+    bound on |det| and on every leading principal minor (`_bound_squared`),
+    and the balanced residue mod M is then the determinant.
 
     A prime whose first zero pivot sits at index k divides the (k+1)-th
-    leading minor.  Once the product of such primes for one k exceeds H,
+    leading minor.  Once the product of such primes for one k exceeds B,
     that minor is 0 over the integers, and the input is refused.
 
     Raises:
@@ -213,12 +215,10 @@ def modular_determinant(rows) -> int:
         raise ValueError(f"determinant needs a square matrix, not shape {a.shape}")
     if not np.array_equal(a, a.T):
         raise ValueError("modular determinant needs a symmetric matrix")
-    n = len(a)
-    top = max(int(a.max()), -int(a.min()))
-    exact = a if n * top**2 < 2**63 else a.astype(object)
-    h2 = math.prod(np.einsum("ij,ij->i", exact, exact).tolist())  # H**2, H the Hadamard bound
+    h2 = _bound_squared(a)
     if h2 == 0:
         raise ValueError("a leading principal minor is 0: the matrix has a zero row")
+    n = len(a)
     bound = prime_bound(n)
     primes = primes_below(bound)
     batch = max(1, min(_MAX_BATCH, _STACK_BYTES // (8 * n * n)))
@@ -249,6 +249,26 @@ def modular_determinant(rows) -> int:
                 residue += modulus * ((det - residue) * pow(modulus, -1, q) % q)
                 modulus *= q
     return residue - modulus if 2 * residue > modulus else residue
+
+
+def _bound_squared(a: np.ndarray) -> int:
+    """B**2 for a bound B on |det a| and on each leading principal minor.
+
+    B is the Hadamard bound H, the product of the row norms (a leading
+    block's rows are no longer, and each is >= 1 unless it is 0).  If the
+    diagonal is positive and a_ii >= sum_(j != i) |a_ij|, as in a reduced
+    Laplacian, B = min(H, prod a_ii): each leading block keeps both
+    properties, so by Gershgorin it is positive semidefinite, and by
+    Hadamard-Fischer its determinant is at most its diagonal product, which
+    is at most prod a_ii since every a_ii >= 1.
+    """
+    top = max(int(a.max()), -int(a.min()))
+    exact = a if len(a) * top**2 < 2**63 else a.astype(object)
+    h2 = math.prod(np.einsum("ij,ij->i", exact, exact).tolist())
+    diag = np.diagonal(exact)
+    if diag.min() > 0 and (2 * diag >= np.abs(exact).sum(axis=1)).all():
+        h2 = min(h2, math.prod(diag.tolist()) ** 2)
+    return h2
 
 
 def _balanced_quotient(q: int, p: int) -> int:

@@ -5,9 +5,12 @@ convolution operator; this module builds that operator as a sparse Laplacian
 in O(N |S|) from the quotient's permutation of each support word, and
 computes, exactly where the theory is exact:
 
-- the spanning-tree count of the quotient Cayley multigraph (the exact
-  determinant of the reduced Laplacian, by CRT over word-size primes with a
-  float64 LDL^T per prime: `intmat.modular_determinant`),
+- the spanning-tree count of the quotient Cayley multigraph.  On a
+  nearest-neighbour torus of rank 1 or 2 it is a character norm: an integer
+  determinant of size (n1 - 1) // 2, n1 the smaller modulus
+  (`_torus_tree_count`).  Elsewhere it is the exact determinant of the
+  reduced Laplacian, by CRT over word-size primes with a float64 LDL^T per
+  prime (`intmat.modular_determinant`),
 - the component group of harmonic-mod-1 points (Smith normal form of the
   reduced Laplacian; its order equals the tree count).  When a support word
   b with coefficient -1 cycles m >= 3 layers of K vertices that the other
@@ -20,7 +23,9 @@ computes, exactly where the theory is exact:
   the tree form (1/N) log tau.
 
 Only the exact kernels and the dense eigensolve build the N x N matrix;
-the sweep reads the sparse entries.
+the sweep reads the sparse entries, and the torus norm reads none.  On a
+torus the tree count and the group order thus come from routes that share
+no matrix.
 """
 
 from __future__ import annotations
@@ -36,9 +41,8 @@ from .errors import (
 )
 from .errors import NotWellBalancedError
 from .groups import FiniteQuotient, GroupWord, component_labels
-# bareiss_determinant stays bound here, beside the kernel it checks
-from .intmat import bareiss_determinant, modular_determinant, smith_normal_form  # noqa: F401
-from .walks import GroupRingElement, is_well_balanced
+from .intmat import bareiss_determinant, modular_determinant, smith_normal_form
+from .walks import GroupRingElement, is_well_balanced, laplacian_element
 
 
 class QuotientLaplacian:
@@ -55,12 +59,14 @@ class QuotientLaplacian:
     a fourth array.  `matrix` is a dense N x N view built on first use and
     cached; only the exact kernels (through `reduced`) and the dense
     eigensolve read it.  A hand-built `QuotientLaplacian(None, None, M)`
-    converts M to the sparse form once.
+    converts M to the sparse form once, and its tree count reads M even when
+    given a quotient and source (`spanning_tree_count` trusts only those of
+    `build_laplacian`).
     """
 
     __slots__ = (
         "quotient", "source", "size", "rows", "cols", "values", "diagonal",
-        "_dense", "_components",
+        "_dense", "_components", "_assembled",
     )
 
     def __init__(self, quotient: FiniteQuotient, source: GroupRingElement, matrix):
@@ -74,6 +80,7 @@ class QuotientLaplacian:
     def _from_sparse(cls, quotient, source, size, rows, cols, values, diagonal):
         lap = cls.__new__(cls)
         lap._init(quotient, source, size, rows, cols, values, diagonal)
+        lap._assembled = True  # the entries are source's on quotient by construction
         return lap
 
     def _init(self, quotient, source, size, rows, cols, values, diagonal):
@@ -85,6 +92,7 @@ class QuotientLaplacian:
         )
         self._dense = None
         self._components = None
+        self._assembled = False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -187,16 +195,88 @@ def _require_connected(L: QuotientLaplacian) -> None:
 def spanning_tree_count(L: QuotientLaplacian) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
-    The count is the determinant of the reduced Laplacian (vertex 0 struck;
-    by the matrix-tree theorem every vertex gives the same count).  That
-    matrix is positive definite on a connected graph, which is what
-    `modular_determinant` needs: residues mod word-size primes from a
-    float64 LDL^T, lifted by CRT past twice the Hadamard bound.
+    On a nearest-neighbour torus (a moduli quotient of Z or Z^2, with f the
+    default Laplacian and L assembled by `build_laplacian`) the count is a
+    character norm in Python integers (`_torus_tree_count`), and no matrix
+    is formed.  Otherwise it is the determinant of the reduced Laplacian
+    (vertex 0 struck; by the matrix-tree theorem every vertex gives the same
+    count).  That matrix is positive definite on a connected graph, which is
+    what `modular_determinant` needs: residues mod word-size primes from a
+    float64 LDL^T, lifted by CRT past twice a determinant bound.
     """
     _require_connected(L)
     if L.size == 1:
         return 1
+    q = L.quotient
+    if (
+        L._assembled
+        and q.moduli is not None
+        and q.family.kind == "free-abelian"
+        and q.family.rank <= 2
+        and L.source == laplacian_element(q.family)
+    ):
+        return _torus_tree_count(q.moduli)
     return modular_determinant(L.reduced())
+
+
+def _torus_tree_count(moduli) -> int:
+    """Spanning trees of the nearest-neighbour torus Z^2 / (n1 Z x n2 Z).
+
+    A cycle of length n is the torus 1 x n.  Put n1 <= n2.  The Laplacian's
+    eigenvalues are 4 - y_j - z_k with y_j = 2 cos(2 pi j / n1) and z_k
+    likewise mod n2, so by the matrix-tree theorem N tau is their product
+    over (j, k) != (0, 0).  With Q_n(y) = prod_k (y - 2 cos(2 pi k / n)) =
+    2 T_n(y / 2) - 2, monic in Z[y], the product over k is Q_n2(4 - y_j), and
+    at j = 0 the factors k != 0 give n2^2.  So N tau = n2^2 prod_{j != 0}
+    g(y_j) with g(y) = Q_n2(4 - y).  Now Q_n1 = (y - 2) (y + 2)^[n1 even] S^2,
+    where S is monic of degree (n1 - 1) // 2 with the roots y_j,
+    0 < j < n1 / 2.  Hence prod_{j != 0} g(y_j) = g(-2)^[n1 even] Res(S, g)^2.
+    With y = t + 1/t, Q_n = (t^(n/2) - t^(-n/2))^2, which gives S =
+    U_(k-1) + [n1 odd] U_k for k = n1 // 2, where U_(j+1) = y U_j - U_(j-1),
+    U_(-1) = 0 and U_0 = 1.
+
+    Raises:
+        ArithmeticError: if the product is not a multiple of N.
+    """
+    n1, n2 = sorted(moduli) if len(moduli) == 2 else (1, moduli[0])
+    prev, cur = [0], [1]  # U_(j-1), U_j in Z[y], low degree first
+    for _ in range(n1 // 2):
+        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
+    s = prev if n1 % 2 == 0 else [a + b for a, b in zip(prev + [0], cur)]
+    product = n2**2 * _resultant(s, n2) ** 2
+    if n1 % 2 == 0:
+        product *= _resultant([2, 1], n2)  # Z[y]/(y + 2): g(-2)
+    tau, rest = divmod(product, n1 * n2)
+    if rest:
+        raise ArithmeticError(
+            f"character norm {product} of the {n1}x{n2} torus is not a multiple of N"
+        )
+    return tau
+
+
+def _resultant(s: list, n: int) -> int:
+    """Res(s, g) for g(y) = Q_n(4 - y) and a monic s in Z[y], low degree first.
+
+    That is the determinant of multiplication by g on Z[y]/(s), whose basis
+    is 1, y, ..., y^(d-1).  g = V_n(4 - y) - 2 comes from the recurrence
+    V_(j+1) = (4 - y) V_j - V_(j-1), V_0 = 2, V_1 = 4 - y, taken mod s.
+    """
+    d = len(s) - 1
+    if d == 0:
+        return 1
+
+    def times_y(p):  # y^d = -(s_0 + ... + s_(d-1) y^(d-1))
+        return [-p[-1] * s[0]] + [a - p[-1] * b for a, b in zip(p, s[1:d])]
+
+    one = [1] + [0] * (d - 1)
+    prev, cur = [2 * a for a in one], [4 * a - b for a, b in zip(one, times_y(one))]
+    for _ in range(n - 1):
+        prev, cur = cur, [4 * a - b - c for a, b, c in zip(cur, times_y(cur), prev)]
+    cur[0] -= 2
+    rows = [cur]
+    for _ in range(d - 1):
+        rows.append(times_y(rows[-1]))
+    return bareiss_determinant(rows)
 
 
 @dataclass(frozen=True)
@@ -225,20 +305,18 @@ def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -
     (N - 1)-square reduced Laplacian.
 
     modulus, when given, must be a nonzero multiple of the reduced
-    determinant, e.g. the tree count a caller already holds; otherwise the
-    determinant is computed here.
+    determinant, e.g. the tree count a caller already holds; otherwise it is
+    `spanning_tree_count(L)`.
     """
     _require_connected(L)
     n = L.size
     if n == 1:
         return ComponentGroup(invariant_factors=(), order=1)
+    if modulus is None:
+        modulus = spanning_tree_count(L)
     relations = _layer_sweep(L)
     if relations is None:
         relations = L.reduced()
-        if modulus is None:
-            modulus = modular_determinant(relations)
-    elif modulus is None:
-        modulus = modular_determinant(L.reduced())
     # determinant-modulus entry reduction: sound because det(A) Z^k is
     # contained in A Z^k, so it never changes the cokernel.  Without it,
     # intermediate entries can reach thousands of digits even on small

@@ -21,6 +21,7 @@ import groupforests
 from groupforests import (
     FiniteQuotient,
     GroupFamily,
+    IdentityMismatchError,
     QuotientLaplacian,
     cli,
     intmat,
@@ -154,7 +155,8 @@ class TestIdentitySuite:
 
     def test_one_determinant_per_quotient(self, monkeypatch):
         # tau doubles as the Smith modulus, so the modular determinant runs
-        # once per quotient, and Bareiss (the test oracle) never runs
+        # at most once per quotient: once on a Heisenberg quotient, and never
+        # on a nearest-neighbour torus, whose tau is a character norm
         calls = []
         real = linalg.modular_determinant
 
@@ -166,14 +168,73 @@ class TestIdentitySuite:
         code, out = run_cli(["identity", "--family", "free-abelian:2", "--moduli", "3,3;4,4"])
         assert code == 0
         assert column(out, "tau") == column(out, "component_order") == ["11664", "42467328"]
-        assert calls == [8, 15]
+        assert calls == []
+        code, out = run_cli(["identity", "--family", "heisenberg", "--moduli", "3;5"])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order")
+        assert calls == [26, 124]
+
+    @pytest.mark.parametrize("wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1])
+    def test_wrong_torus_tau_is_a_mismatch(self, monkeypatch, wrong):
+        real = linalg._torus_tree_count
+        monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli: wrong(real(moduli)))
+        cfg = resolve_config("identity", family="free-abelian:2", moduli="4,4;3,5")
+        with pytest.raises(IdentityMismatchError, match="component order"):
+            runner.run_identity_suite(cfg)
+
+    @pytest.mark.parametrize("operation", ["identity", "fk-det"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--family", "free-abelian:2", "--moduli", "4,4;3,5"], ["--family", "free-abelian:1", "--moduli", "3;8"]],
+        ids=["torus", "cycle"],
+    )
+    def test_torus_reports_form_no_matrix(self, monkeypatch, operation, argv):
+        # tau is a character norm and the group a layer sweep on the sparse
+        # entries, so no N x N matrix is formed, and the bytes are the same
+        expected = run_cli([operation, *argv])
+        assert expected[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("matrix kernel on a nearest-neighbour torus")
+
+        monkeypatch.setattr(QuotientLaplacian, "matrix", property(refuse))
+        monkeypatch.setattr(linalg, "modular_determinant", refuse)
+        assert run_cli([operation, *argv]) == expected
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["--family", "free-abelian:2", "--moduli", "4,4", "--f", "e 6; a -2; A -2; b -1; B -1"], [15]),
+            (["--family", "free-abelian:3", "--moduli", "2,2,3"], [11]),
+            (["--family", "free:2", "--ball-radius", "2"], [16]),
+            ("text", [15]),
+        ],
+        ids=["other-f", "rank-3", "free-ball", "text-quotient"],
+    )
+    def test_other_quotients_reach_the_modular_determinant(self, monkeypatch, tmp_path, argv, sizes):
+        if argv == "text":
+            q_file = tmp_path / "t44.quot"
+            q_file.write_text(FiniteQuotient.from_moduli(GroupFamily.free_abelian(2), (4, 4)).to_text())
+            argv = ["--family", "free-abelian:2", "--quotient-file", str(q_file)]
+        calls = []
+        real = linalg.modular_determinant
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "modular_determinant", counted)
+        code, out = run_cli(["identity", *argv])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order")
+        assert calls == sizes
 
     @pytest.mark.parametrize(
         "argv, smith_rows, reduced_calls",
         [
-            (["--family", "free-abelian:2", "--moduli", "8,8"], [15], 1),
+            (["--family", "free-abelian:2", "--moduli", "8,8"], [15], 0),
             # b is the generator of order 5, then 9: K is the shorter side
-            (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [5, 11], 2),
+            (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [5, 11], 0),
             (["--family", "heisenberg", "--moduli", "3"], [17], 1),
             (["--family", "free:2", "--ball-radius", "3"], [52], 2),
         ],
@@ -181,7 +242,8 @@ class TestIdentitySuite:
     )
     def test_component_group_route(self, monkeypatch, argv, smith_rows, reduced_calls):
         # tori and Heisenberg quotients take the layer sweep's (2K-1)-square
-        # matrix and read the reduced Laplacian only for tau; a free ball
+        # matrix; a Heisenberg quotient reads the reduced Laplacian only for
+        # tau, and a torus not at all (tau is a character norm); a free ball
         # has no layers and reads it again for the (N-1)-square Smith form
         rows, reads = [], []
         real_smith, real_reduced = linalg.smith_normal_form, QuotientLaplacian.reduced
@@ -204,6 +266,9 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
     def test_exact_reports_never_run_bareiss(self, monkeypatch, operation):
+        # no Bareiss elimination runs on a reduced Laplacian; Bareiss is the
+        # kernel of the torus tree count's small norm matrices only, and a
+        # Heisenberg quotient has none
         def refused(rows):
             raise AssertionError("Bareiss elimination on the CLI path")
 

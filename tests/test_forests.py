@@ -617,7 +617,7 @@ class TestLiftMarginals:
             ]
 
     @settings(max_examples=60)
-    @given(quotient_cases())
+    @given(quotient_cases(window=True))
     def test_window_bundles_decode_to_one_word(self, case):
         # lift_marginals reads copy j of a window edge as slot j of its bundle
         quotient, f = case

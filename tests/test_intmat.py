@@ -434,6 +434,22 @@ def connected_laplacians(draw):
     return np.delete(np.delete(lap, base, axis=0), base, axis=1).tolist()
 
 
+@st.composite
+def dominant_matrices(draw):
+    """Symmetric integer matrices with a positive, weakly dominant diagonal.
+
+    Off-diagonal entries take either sign, and a_ii = sum_(j != i) |a_ij|
+    plus a slack of 0 to 3, so singular inputs (slack 0 throughout) occur.
+    """
+    n = draw(st.integers(1, 12))
+    a = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a[i][j] = a[j][i] = draw(st.integers(-99, 99))
+    for i in range(n):
+        a[i][i] = max(1, sum(abs(x) for x in a[i]) + draw(st.integers(0, 3)))
+    return a
+
+
 def first_prime(n):
     return next(primes_below(prime_bound(n)))
 
@@ -538,7 +554,8 @@ class TestModularDeterminant:
 
     def test_singular_laplacian_stops_at_the_hadamard_bound(self, monkeypatch):
         # every prime sees the zero pivot; the search stops once the dropped
-        # primes multiply past H = 20**13.5 (58 bits): 3 primes, or one batch
+        # primes multiply past the bound, here the diagonal product 4**27
+        # (54 bits) under H = 20**13.5 (58 bits): 3 primes, or one batch
         drawn = []
 
         def counted(bound):
@@ -552,6 +569,33 @@ class TestModularDeterminant:
         with pytest.raises(ValueError, match="leading principal minor 27 is 0"):
             modular_determinant(lap)
         assert 3 <= len(drawn) <= 8
+
+    @settings(max_examples=150)
+    @given(dominant_matrices())
+    def test_dominant_input_under_the_diagonal_bound(self, rows):
+        # every leading minor is at most the diagonal product, so it bounds
+        # the CRT: the result is exact, or refused on a zero leading minor
+        diagonal = math.prod(rows[i][i] for i in range(len(rows)))
+        assert intmat._bound_squared(np.array(rows)) == diagonal**2
+        minors = [bareiss_determinant([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+        assert all(0 <= m <= diagonal for m in minors)
+        if all(minors):
+            assert modular_determinant(rows) == minors[-1]
+        else:
+            with pytest.raises(ValueError, match="leading principal minor"):
+                modular_determinant(rows)
+
+    @pytest.mark.parametrize(
+        "rows, h2",
+        [
+            ([[1, 2], [2, 1]], 25),  # |det| = 3 > 1 * 1: the diagonal is no bound
+            ([[-2, 1], [1, -2]], 25),  # dominant, but the diagonal is negative
+            ([[3, -1, -1], [-1, 1, -1], [-1, -1, 4]], 11 * 3 * 18),  # row 1 is not dominant
+        ],
+    )
+    def test_other_input_keeps_the_hadamard_bound(self, rows, h2):
+        assert intmat._bound_squared(np.array(rows)) == h2
+        assert modular_determinant(rows) == bareiss_determinant(rows)
 
     def test_refusal_survives_optimized_python(self):
         code = (

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupforests import (
@@ -38,7 +38,7 @@ from groupforests import (
 )
 from groupforests import linalg
 from groupforests.groups import GroupWord
-from groupforests.intmat import bareiss_determinant, smith_normal_form
+from groupforests.intmat import bareiss_determinant, modular_determinant, smith_normal_form
 
 Z = GroupFamily.free_abelian(1)
 Z2 = GroupFamily.free_abelian(2)
@@ -339,6 +339,39 @@ class TestSpanningTreeCount:
         L = QuotientLaplacian(None, None, M)
         with pytest.raises(DisconnectedGraphError):
             spanning_tree_count(L)
+
+
+class TestTorusTreeCount:
+    """The character norm on nearest-neighbour tori against the matrix kernels."""
+
+    @settings(max_examples=15)
+    @given(st.lists(st.integers(1, 24), min_size=1, max_size=2))
+    @example([23, 21])
+    def test_norm_matches_the_determinants(self, moduli):
+        # the modular kernel reaches N = 600, past what Bareiss does in test time
+        assume(math.prod(moduli) <= 600)
+        family = GroupFamily.free_abelian(len(moduli))
+        L = build_laplacian(FiniteQuotient.from_moduli(family, tuple(moduli)), laplacian_element(family))
+        tau = linalg._torus_tree_count(tuple(moduli))
+        rows = L.reduced()
+        assert spanning_tree_count(L) == tau == modular_determinant(rows)
+        if L.size <= 64:
+            assert tau == bareiss_determinant(rows)
+
+    def test_inexact_norm_raises(self, monkeypatch):
+        # a resultant off by one leaves N tau indivisible by N = 12
+        real = linalg.bareiss_determinant
+        monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: real(rows) + 1)
+        with pytest.raises(ArithmeticError, match="3x4 torus is not a multiple of N"):
+            linalg._torus_tree_count((4, 3))
+
+    def test_hand_built_laplacian_is_read_as_a_matrix(self):
+        # quotient and f name the 5 x 5 torus (2**8 * 5**14 trees), but M is
+        # twice its Laplacian, whose 24-square reduced minor gains 2**24
+        q = torus_quotient(5)
+        M = build_laplacian(q, parse_group_ring(Z2, "e 8\na -2\nA -2\nb -2\nB -2")).matrix
+        L = QuotientLaplacian(q, laplacian_element(Z2), M)
+        assert spanning_tree_count(L) == bareiss_determinant(L.reduced()) == 2**32 * 5**14
 
 
 # --- harmonic component groups ---
@@ -657,25 +690,32 @@ class TestDeterminantEstimates:
 
 
 @st.composite
-def quotient_cases(draw):
+def quotient_cases(draw, window=False):
     """A quotient and a well-balanced f on it.
 
     Free-abelian moduli include 1 (every letter a loop) and 2 (a and A
     collapse into multiplicity-2 bundles); f is either the default
     Laplacian or carries a second word with coefficient -2.
+
+    With window set, moduli and ball radii are drawn larger, so that most
+    cases have injectivity radius >= 1 under the support metric and hence a
+    window to check.
     """
     kind = draw(st.sampled_from(["free-abelian", "heisenberg", "free"]))
     if kind == "free-abelian":
         family = GroupFamily.free_abelian(draw(st.integers(1, 3)))
-        top = {1: 9, 2: 5, 3: 3}[family.rank]
-        moduli = draw(st.lists(st.integers(1, top), min_size=family.rank, max_size=family.rank))
+        ranges = {1: (5, 16), 2: (5, 9), 3: (5, 7)} if window else {1: (1, 9), 2: (1, 5), 3: (1, 3)}
+        low, top = ranges[family.rank]
+        moduli = draw(st.lists(st.integers(low, top), min_size=family.rank, max_size=family.rank))
         quotient = FiniteQuotient.from_moduli(family, tuple(moduli))
     elif kind == "heisenberg":
         family = H
-        quotient = FiniteQuotient.from_moduli(H, (draw(st.integers(1, 4)),))
+        m = draw(st.integers(3, 6) if window else st.integers(1, 4))
+        quotient = FiniteQuotient.from_moduli(H, (m,))
     else:
         family = F2
-        quotient = free_ball_quotient(F2, draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)))
+        radius = draw(st.integers(2, 3) if window else st.integers(1, 2))
+        quotient = free_ball_quotient(F2, radius, seed=draw(st.integers(0, 3)))
     f = laplacian_element(family)
     if draw(st.booleans()):
         letters = "abc"[: family.rank]
