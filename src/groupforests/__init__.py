@@ -23,7 +23,6 @@ from .groups import (
     FiniteQuotient,
     GroupFamily,
     GroupWord,
-    QuotientChain,
     format_word,
     free_ball_quotient,
     injectivity_radius,
@@ -60,7 +59,6 @@ from .walks import (
     SpectralRadiusProbe,
     TreeEntropyResult,
     WellBalancedReport,
-    convolve,
     formal_inverse_residual,
     format_group_ring,
     green_truncation,

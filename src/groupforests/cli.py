@@ -29,24 +29,25 @@ _DESCRIPTIONS = {
     "window-density": "covering radius of harmonic component projections",
 }
 
-# flags whose values flow straight into resolve_config keyword params
-_PARAM_KEYS = (
-    "K",
-    "kappa",
-    "samples",
-    "radius",
-    "k_max",
-    "tol",
-    "root",
-    "seed",
-    "engine",
-    "out",
-    "max_support",
-    "max_grid_cells",
-    "max_dense",
-    "max_enumerate",
-    "max_steps",
-    "probes",
+# (name, type, help) of the flags whose values flow straight into
+# resolve_config keyword params; the flag is --name with '-' for '_'
+_PARAMS = (
+    ("K", int, "truncation order of the walk series"),
+    ("kappa", float, "spectral cutoff for determinant estimates"),
+    ("samples", int, "Monte Carlo sample count"),
+    ("radius", int, "window radius in the support word metric"),
+    ("k_max", int, "largest even walk length probed"),
+    ("tol", float, "amenability decision margin"),
+    ("root", int, "root vertex for tree sampling"),
+    ("seed", int, "base seed of the counter-based streams"),
+    ("engine", str, "walk engine: auto, direct, grid, tree"),
+    ("out", str, "output CSV path (default stdout)"),
+    ("max_support", int, "walk support cap"),
+    ("max_grid_cells", int, "grid cell cap"),
+    ("max_dense", int, "dense eigensolve cap"),
+    ("max_enumerate", int, "component enumeration cap"),
+    ("max_steps", int, "random walk step cap"),
+    ("probes", int, "covering-radius probe count"),
 )
 
 
@@ -78,24 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="truncated-ball quotient of this radius; repeat for a chain",
         )
-        p.add_argument("--K", type=int, help="truncation order of the walk series")
-        p.add_argument("--kappa", type=float, help="spectral cutoff for determinant estimates")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        p.add_argument("--radius", type=int, help="window radius in the support word metric")
-        p.add_argument("--k-max", dest="k_max", type=int, help="largest even walk length probed")
-        p.add_argument("--tol", type=float, help="amenability decision margin")
-        p.add_argument("--root", type=int, help="root vertex for tree sampling")
-        p.add_argument("--seed", type=int, help="base seed of the counter-based streams")
-        p.add_argument("--engine", help="walk engine: auto, direct, grid, tree")
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--max-support", dest="max_support", type=int, help="walk support cap")
-        p.add_argument("--max-grid-cells", dest="max_grid_cells", type=int, help="grid cell cap")
-        p.add_argument("--max-dense", dest="max_dense", type=int, help="dense eigensolve cap")
-        p.add_argument(
-            "--max-enumerate", dest="max_enumerate", type=int, help="component enumeration cap"
-        )
-        p.add_argument("--max-steps", dest="max_steps", type=int, help="random walk step cap")
-        p.add_argument("--probes", type=int, help="covering-radius probe count")
+        for name, kind, text in _PARAMS:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
     return parser
 
 
@@ -127,7 +112,7 @@ def _merge(args: argparse.Namespace) -> dict:
         merged["quotient_files"] = list(args.quotient_file)
     if args.ball_radius:
         merged["ball_radii"] = list(args.ball_radius)
-    for key in _PARAM_KEYS:
+    for key, _, _ in _PARAMS:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value

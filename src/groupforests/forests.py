@@ -222,12 +222,6 @@ class MarginalTable:
     samples: int
     rows: tuple
 
-    def frequency(self, label: str) -> float:
-        for row in self.rows:
-            if row.label == label:
-                return row.frequency
-        raise KeyError(label)
-
 
 def _window_edges(f: GroupRingElement, radius: int):
     """Canonical window of group edges: (g, word, copy) with g in the ball.
@@ -276,12 +270,12 @@ def lift_marginals(
 ) -> list:
     """Estimate forest edge marginals on the group through a quotient chain.
 
-    quotients is any sequence of quotients of f's family, a QuotientChain
-    included; max_steps caps each random walk as in wilson_sample.  For each
-    quotient, the window of group edges within the given radius is
-    pulled back to multigraph edge copies (injectivity radius at least
-    radius + 1 makes this well defined and injective), and the empirical
-    inclusion frequency over uniform spanning tree samples is tabulated.
+    quotients is a sequence of quotients of f's family; max_steps caps each
+    random walk as in wilson_sample.  For each quotient, the window of
+    group edges within the given radius is pulled back to multigraph edge
+    copies (injectivity radius at least radius + 1 makes this well defined
+    and injective), and the empirical inclusion frequency over uniform
+    spanning tree samples is tabulated.
     Rows are aligned across quotients for convergence display.  A sample
     counts a window copy when the copy is the walk's exit at one of its
     endpoints, so no SpanningTree is built per sample.

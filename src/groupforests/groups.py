@@ -160,10 +160,6 @@ class GroupWord:
     def from_normal(cls, family: GroupFamily, normal: tuple) -> "GroupWord":
         return cls(family, family.letters_of_normal(normal), tuple(normal))
 
-    @classmethod
-    def identity(cls, family: GroupFamily) -> "GroupWord":
-        return cls.from_normal(family, family.identity_normal())
-
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.family != other.family:
             raise FamilyMismatchError("cannot multiply words from different families")
@@ -186,9 +182,6 @@ class GroupWord:
             and self.family == other.family
             and self.normal == other.normal
         )
-
-    def __str__(self):
-        return format_word(self)
 
 
 def parse_word(family: GroupFamily, text: str) -> GroupWord:
@@ -429,10 +422,6 @@ class FiniteQuotient:
         """Image of a group element under the quotient map (its coset index)."""
         return self.act(0, word)
 
-    def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<FiniteQuotient N={self.size} family={self.family.kind}({self.family.rank}){tag}>"
-
 
 def _closure(family: GroupFamily, generators) -> list:
     """The generators and their inverses, identity skipped; the letters if None."""
@@ -512,33 +501,14 @@ def word_ball(family: GroupFamily, radius: int, generators=None) -> list:
     return [GroupWord.from_normal(family, nf) for nf in out]
 
 
-class QuotientChain:
-    """An ordered family of quotients with non-decreasing injectivity radius."""
-
-    def __init__(self, quotients):
-        self.quotients = list(quotients)
-        if not self.quotients:
-            raise ValueError("a chain needs at least one quotient")
-        fam = self.quotients[0].family
-        for q in self.quotients:
-            if q.family != fam:
-                raise FamilyMismatchError("all quotients in a chain share one family")
-        self.family = fam
-        self.radii = [injectivity_radius(q) for q in self.quotients]
-        for a, b in zip(self.radii, self.radii[1:]):
-            if b < a:
-                raise ValueError(
-                    f"injectivity radii must be non-decreasing along the chain, got {self.radii}"
-                )
-
-    def __len__(self):
-        return len(self.quotients)
-
-    def __iter__(self):
-        return iter(self.quotients)
-
-    def __getitem__(self, i):
-        return self.quotients[i]
+def chain_radii(quotients) -> list:
+    """Injectivity radii of a chain of quotients, which must not decrease."""
+    radii = [injectivity_radius(q) for q in quotients]
+    if any(b < a for a, b in zip(radii, radii[1:])):
+        raise ValueError(
+            f"injectivity radii must be non-decreasing along the chain, got {radii}"
+        )
+    return radii
 
 
 def free_ball_quotient(family: GroupFamily, radius: int, seed: int = 0) -> FiniteQuotient:

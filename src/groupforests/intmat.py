@@ -209,7 +209,7 @@ def modular_determinant(rows) -> int:
         a = np.array(rows, dtype=np.int64)
     except (ValueError, TypeError, OverflowError) as err:
         raise ValueError(f"determinant needs a square int64 matrix: {err}") from None
-    if a.shape == (0,):
+    if a.shape in ((0,), (0, 0)):
         return 1
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"determinant needs a square matrix, not shape {a.shape}")

@@ -38,11 +38,11 @@ import numpy as np
 from .errors import (
     DisconnectedGraphError,
     FamilyMismatchError,
+    NotWellBalancedError,
 )
-from .errors import NotWellBalancedError
 from .groups import FiniteQuotient, GroupWord, component_labels
 from .intmat import bareiss_determinant, modular_determinant, smith_normal_form
-from .walks import GroupRingElement, is_well_balanced, laplacian_element
+from .walks import NOT_SELF_ADJOINT, GroupRingElement, is_well_balanced, laplacian_element
 
 
 class QuotientLaplacian:
@@ -58,29 +58,28 @@ class QuotientLaplacian:
     row < col list the upper triangle in row-major order; the diagonal is
     a fourth array.  `matrix` is a dense N x N view built on first use and
     cached; only the exact kernels (through `reduced`) and the dense
-    eigensolve read it.  A hand-built `QuotientLaplacian(None, None, M)`
-    converts M to the sparse form once, and its tree count reads M even when
-    given a quotient and source (`spanning_tree_count` trusts only those of
-    `build_laplacian`).
+    eigensolve read it.  `build_laplacian` attaches the quotient and the
+    source f; a hand-built `QuotientLaplacian(M)` converts M to the sparse
+    form once and has neither (`quotient = source = None`).
     """
 
     __slots__ = (
         "quotient", "source", "size", "rows", "cols", "values", "diagonal",
-        "_dense", "_components", "_assembled",
+        "_dense", "_components",
     )
 
-    def __init__(self, quotient: FiniteQuotient, source: GroupRingElement, matrix):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=np.int64)
         off = m.copy()
         np.fill_diagonal(off, 0)
         rows, cols = np.nonzero(off)  # row-major, hence sorted by (row, col)
-        self._init(quotient, source, m.shape[0], rows, cols, off[rows, cols], np.diag(m))
+        self._init(None, None, m.shape[0], rows, cols, off[rows, cols], np.diag(m))
 
     @classmethod
     def _from_sparse(cls, quotient, source, size, rows, cols, values, diagonal):
+        # the entries must be source's on quotient: the tree count trusts both
         lap = cls.__new__(cls)
         lap._init(quotient, source, size, rows, cols, values, diagonal)
-        lap._assembled = True  # the entries are source's on quotient by construction
         return lap
 
     def _init(self, quotient, source, size, rows, cols, values, diagonal):
@@ -92,7 +91,6 @@ class QuotientLaplacian:
         )
         self._dense = None
         self._components = None
-        self._assembled = False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -106,9 +104,9 @@ class QuotientLaplacian:
             self._dense = m
         return self._dense
 
-    def reduced(self) -> list:
-        """The matrix with vertex 0's row and column deleted, as int rows."""
-        return self.matrix[1:, 1:].tolist()
+    def reduced(self) -> np.ndarray:
+        """The read-only int64 matrix with vertex 0's row and column deleted."""
+        return self.matrix[1:, 1:]
 
     def component_count(self) -> int:
         """Number of connected components of the quotient multigraph."""
@@ -119,9 +117,6 @@ class QuotientLaplacian:
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
-
-    def __repr__(self):
-        return f"<QuotientLaplacian N={self.size} over {self.quotient!r}>"
 
 
 def _frozen(a) -> np.ndarray:
@@ -139,14 +134,17 @@ def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLa
     Self-adjointness is accepted at the quotient level: an f that is not
     symmetric in the group ring still builds whenever its image on the
     quotient is (e.g. a power of a generator meeting its inverse mod N).
-    The other three clauses are required of f itself.
+    The other three clauses are required of f itself, and f_e below 2**63:
+    no entry or row sum is larger in magnitude, so all fit in int64.
     """
     if f.family != quotient.family:
         raise FamilyMismatchError("element and quotient families differ")
-    report = is_well_balanced(f)
-    hard = [v for v in report.violations if "self-adjoint" not in v]
-    if hard:
-        raise NotWellBalancedError("; ".join(hard))
+    _require_balanced_up_to_adjoint(f)
+    fe = f.identity_coefficient
+    if fe >= 1 << 63:
+        raise ValueError(
+            f"identity coefficient {fe} is 2**63 or more; Laplacian entries are int64"
+        )
     n = quotient.size
     ident = f.family.identity_normal()
     cosets = np.arange(n, dtype=np.int64)
@@ -184,6 +182,13 @@ def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLa
     return QuotientLaplacian._from_sparse(quotient, f, n, rows, cols, values, -row_sums)
 
 
+def _require_balanced_up_to_adjoint(f: GroupRingElement) -> None:
+    """The well-balanced clauses but self-adjointness, which is checked on a quotient."""
+    hard = [v for v in is_well_balanced(f).violations if v != NOT_SELF_ADJOINT]
+    if hard:
+        raise NotWellBalancedError("; ".join(hard))
+
+
 def _require_connected(L: QuotientLaplacian) -> None:
     if not L.is_connected():
         raise DisconnectedGraphError(
@@ -196,7 +201,7 @@ def spanning_tree_count(L: QuotientLaplacian) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
     On a nearest-neighbour torus (a moduli quotient of Z or Z^2, with f the
-    default Laplacian and L assembled by `build_laplacian`) the count is a
+    default Laplacian and L built by `build_laplacian`) the count is a
     character norm in Python integers (`_torus_tree_count`), and no matrix
     is formed.  Otherwise it is the determinant of the reduced Laplacian
     (vertex 0 struck; by the matrix-tree theorem every vertex gives the same
@@ -209,7 +214,7 @@ def spanning_tree_count(L: QuotientLaplacian) -> int:
         return 1
     q = L.quotient
     if (
-        L._assembled
+        q is not None
         and q.moduli is not None
         and q.family.kind == "free-abelian"
         and q.family.rank <= 2
@@ -291,10 +296,6 @@ class ComponentGroup:
     invariant_factors: tuple
     order: int
 
-    def __str__(self):
-        facs = " ".join(str(d) for d in self.invariant_factors)
-        return f"{facs} | {self.order}" if facs else f"| {self.order}"
-
 
 def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -> ComponentGroup:
     """Smith normal form of the reduced Laplacian as a ComponentGroup.
@@ -316,7 +317,7 @@ def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -
         modulus = spanning_tree_count(L)
     relations = _layer_sweep(L)
     if relations is None:
-        relations = L.reduced()
+        relations = L.reduced().tolist()
     # determinant-modulus entry reduction: sound because det(A) Z^k is
     # contained in A Z^k, so it never changes the cokernel.  Without it,
     # intermediate entries can reach thousands of digits even on small
@@ -471,10 +472,7 @@ def free_abelian_spectrum(quotient: FiniteQuotient, f: GroupRingElement) -> Spec
         raise FamilyMismatchError("closed-form spectrum needs a matching free-abelian quotient")
     if quotient.moduli is None:
         raise ValueError("quotient was not built from moduli; use spectrum()")
-    report = is_well_balanced(f)
-    hard = [v for v in report.violations if "self-adjoint" not in v]
-    if hard:
-        raise NotWellBalancedError("; ".join(hard))
+    _require_balanced_up_to_adjoint(f)
     shape = tuple(quotient.moduli)
     d = f.family.rank
     lam = np.zeros(shape)

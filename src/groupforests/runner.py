@@ -30,7 +30,7 @@ from .forests import QuotientMultigraph, lift_marginals, rng_stream, wilson_samp
 from .groups import (
     FiniteQuotient,
     GroupFamily,
-    QuotientChain,
+    chain_radii,
     format_word,
     free_ball_quotient,
     injectivity_radius,
@@ -318,18 +318,14 @@ def resolve_config(
     for r in _config_list("ball_radii", ball_radii):
         radius = _config_number("ball_radii", r, whole=True)
         quotients.append(free_ball_quotient(fam, radius, seed=seed))
-    radii = ()
-    if quotients:
-        chain = QuotientChain(quotients)
-        radii = tuple(chain.radii)
-    elif operation in CHAIN_OPERATIONS:
+    if not quotients and operation in CHAIN_OPERATIONS:
         raise ValueError(f"operation {operation!r} needs at least one quotient")
     return ExperimentConfig(
         operation=operation,
         family=fam,
         f=elem,
         quotients=tuple(quotients),
-        injectivity_radii=radii,
+        injectivity_radii=tuple(chain_radii(quotients)),
         h=h_elem,
         caps=caps,
         **fields,
@@ -585,10 +581,9 @@ def _component_window_values(cfg: ExperimentConfig, lap, window_vertices, stream
     n = lap.size
     if n == 1:
         return np.zeros((1, len(window_vertices))), "enumerated", 1
-    reduced = lap.reduced()
     # tree-count modulus keeps the transform's entries bounded; without it
     # the plain reduction can blow up on matrices of any size
-    factors, V = smith_with_transform(reduced, modulus=spanning_tree_count(lap))
+    factors, V = smith_with_transform(lap.reduced().tolist(), modulus=spanning_tree_count(lap))
     order = 1
     for d in factors:
         order *= d

@@ -1,4 +1,4 @@
-"""Group-ring arithmetic and random-walk analysis on the built-in families.
+"""Group-ring elements and random-walk analysis on the built-in families.
 
 The central object is an integer (or rational) group-ring element f.  When f
 is well balanced (zero coefficient sum, non-positive off the identity,
@@ -63,8 +63,6 @@ def _coerce_coeff(c):
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, float):
-        return Fraction(str(c)) if c != int(c) else int(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -82,9 +80,9 @@ def _word_key(family: GroupFamily, w) -> tuple:
 class GroupRingElement:
     """Finitely supported int- or rational-valued function on a group family.
 
-    Immutable by convention: the coefficient table is private and all
-    operations return new elements.  Keys are normal forms; the public API
-    speaks GroupWords or generator-letter strings.
+    Immutable by convention: the coefficient table is private.  Keys are
+    normal forms; the public API speaks GroupWords or generator-letter
+    strings.
     """
 
     __slots__ = ("family", "_coeffs")
@@ -122,12 +120,6 @@ class GroupRingElement:
     def is_integer(self) -> bool:
         return all(isinstance(c, int) for c in self._coeffs.values())
 
-    def __len__(self):
-        return len(self._coeffs)
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
@@ -135,45 +127,6 @@ class GroupRingElement:
 
     def __hash__(self):
         return hash((self.family, tuple(self._coeffs.items())))
-
-    # ----- arithmetic ---------------------------------------------------
-
-    def _check_family(self, other):
-        if self.family != other.family:
-            raise FamilyMismatchError("group-ring elements over different families")
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check_family(other)
-        acc = dict(self._coeffs)
-        for nf, c in other._coeffs.items():
-            acc[nf] = acc.get(nf, 0) + c
-        return GroupRingElement(self.family, acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return GroupRingElement(self.family, {nf: -c for nf, c in self._coeffs.items()})
-
-    def scale(self, s):
-        s = _coerce_coeff(s) if s else 0
-        return GroupRingElement(self.family, {nf: s * c for nf, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            return convolve(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def adjoint(self) -> "GroupRingElement":
         """The element with coefficient at s equal to this one's at s^{-1}."""
@@ -185,23 +138,9 @@ class GroupRingElement:
     def is_self_adjoint(self) -> bool:
         return self._coeffs == self.adjoint()._coeffs
 
-    def __str__(self):
-        return format_group_ring(self)
-
-    def __repr__(self):
-        inner = ", ".join(f"{format_word(w)}: {c}" for w, c in self.items())
-        return f"<GroupRingElement {self.family.kind}({self.family.rank}) {{{inner}}}>"
-
-
-def convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Group-ring product: (ab)_w = sum over s of a_s * b_{s^{-1} w}."""
-    if a.family != b.family:
-        raise FamilyMismatchError("convolution needs a single family")
-    return GroupRingElement(a.family, _dict_step(a.family, a._coeffs, b._coeffs, 0))
-
 
 def _dict_step(fam: GroupFamily, cur: dict, step: dict, zero) -> dict:
-    """Dictionary convolution over normal forms, the kernel of every dict product."""
+    """One step of the dictionary walk: convolution over normal forms."""
     nxt: dict = {}
     for nf1, c1 in cur.items():
         for nf2, c2 in step.items():
@@ -261,18 +200,14 @@ def laplacian_element(family: GroupFamily) -> GroupRingElement:
 # ----- well-balancedness ---------------------------------------------------
 
 
+# the self-adjointness violation; a Laplacian checks that clause on its quotient
+NOT_SELF_ADJOINT = "not self-adjoint: coefficients at s and s^{-1} differ somewhere"
+
+
 @dataclass(frozen=True)
 class WellBalancedReport:
     ok: bool
     violations: tuple
-    integer_ok: bool = True
-    sum_ok: bool = True
-    sign_ok: bool = True
-    adjoint_ok: bool = True
-    generation_ok: bool = True
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
@@ -286,45 +221,29 @@ def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
     """
     fam = f.family
     violations = []
-    integer_ok = f.is_integer()
-    if not integer_ok:
+    if not f.is_integer():
         violations.append("coefficients must be integers")
     total = sum(f._coeffs.values())
-    sum_ok = total == 0
-    if not sum_ok:
+    if total != 0:
         violations.append(f"coefficient sum is {total}, expected 0")
     ident = fam.identity_normal()
-    sign_ok = True
     for nf, c in f._coeffs.items():
         if nf != ident and c > 0:
-            sign_ok = False
             w = format_word(GroupWord.from_normal(fam, nf))
             violations.append(f"positive coefficient {c} at {w} (must be <= 0 off identity)")
-    adjoint_ok = f.is_self_adjoint()
-    if not adjoint_ok:
-        violations.append("not self-adjoint: coefficients at s and s^{-1} differ somewhere")
+    if not f.is_self_adjoint():
+        violations.append(NOT_SELF_ADJOINT)
     support = [nf for nf in f._coeffs if nf != ident]
-    generation_ok = True
     if fam.kind == "free-abelian":
         if not support or not lattice_spans_z_d(support, fam.rank):
-            generation_ok = False
             violations.append(f"support does not span Z^{fam.rank} as a lattice")
     else:
         for i in range(1, fam.rank + 1):
             pos = fam._letter_normal(i)
             neg = fam._letter_normal(-i)
             if pos not in f._coeffs and neg not in f._coeffs:
-                generation_ok = False
                 violations.append(f"support misses generator {i} and its inverse")
-    return WellBalancedReport(
-        ok=not violations,
-        violations=tuple(violations),
-        integer_ok=integer_ok,
-        sum_ok=sum_ok,
-        sign_ok=sign_ok,
-        adjoint_ok=adjoint_ok,
-        generation_ok=generation_ok,
-    )
+    return WellBalancedReport(ok=not violations, violations=tuple(violations))
 
 
 def require_well_balanced(f: GroupRingElement) -> None:
@@ -704,9 +623,6 @@ class TreeEntropyResult:
     def partials(self) -> np.ndarray:
         return self.log_fe - np.cumsum(self.terms)
 
-    def __float__(self):
-        return self.value
-
 
 def _last_even_terms(values: np.ndarray, K: int):
     """(k2, values[k2 - 2], values[k2]) for the largest even k2 <= K; None for K < 6.
@@ -796,12 +712,6 @@ class GreenTruncation:
     engine: str
     tail_estimate: float
     warnings: tuple = ()
-
-    def value(self, w) -> float:
-        key = _word_key(self.family, w)
-        if key not in self.values:
-            raise WindowError(f"word outside the computed ball: {key}")
-        return self.values[key]
 
     @property
     def at_identity(self) -> float:
@@ -905,25 +815,21 @@ class HomoclinicResult:
 
     family: GroupFamily
     values: dict
-    window: tuple
     residual_max: float
     residuals: dict
     K: int
     notes: tuple = ()
 
-    def value(self, w) -> float:
-        return self.values[_word_key(self.family, w)]
-
 
 def homoclinic_point(
-    h: GroupRingElement, green: GreenTruncation, window_radius: int | None = None
+    h: GroupRingElement, green: GreenTruncation, window_radius: int
 ) -> HomoclinicResult:
     """Evaluate x = (h * omega) mod 1 and report how harmonic it is.
 
-    h must have integer coefficients.  The window is the word ball (support
-    metric of the Green source f) on which every shifted lookup s^{-1} w
-    stays inside the Green ball; pass window_radius to restrict it further.
-    A family whose walk is recurrent raises UnsupportedFamilyError.
+    h must have integer coefficients.  The window is the word ball of
+    window_radius (support metric of the Green source f); every shifted
+    lookup s^{-1} w must stay inside the Green ball, or WindowError is
+    raised.  A family whose walk is recurrent raises UnsupportedFamilyError.
     """
     fam = green.family
     f = green.source
@@ -932,37 +838,17 @@ def homoclinic_point(
     if not h.is_integer():
         raise ValueError("homoclinic construction needs integer coefficients in h")
     require_transient(fam)
-    gens = support_words(f)
-    if window_radius is None:
-        candidates = [GroupWord.from_normal(fam, nf) for nf in green.values]
-    else:
-        if window_radius > green.radius:
-            raise WindowError(
-                f"window radius {window_radius} exceeds the Green ball radius {green.radius}"
-            )
-        candidates = word_ball(fam, window_radius, generators=gens)
-    h_items = list(h._coeffs.items())
     values = {}
-    for w in candidates:
+    for w in word_ball(fam, window_radius, generators=support_words(f)):
         total = 0.0
-        ok = True
-        for nf_s, cs in h_items:
-            key = fam.multiply_normals(fam.invert_normal(nf_s), w.normal)
-            v = green.values.get(key)
+        for nf_s, cs in h._coeffs.items():
+            v = green.values.get(fam.multiply_normals(fam.invert_normal(nf_s), w.normal))
             if v is None:
-                ok = False
-                break
+                raise WindowError(
+                    f"window radius {window_radius} plus the support of h exceeds the Green ball"
+                )
             total += cs * v
-        if ok:
-            values[w.normal] = total % 1.0
-    if not values:
-        raise WindowError("window is empty: h reaches outside the Green ball everywhere")
-    if window_radius is not None and any(
-        w.normal not in values for w in candidates
-    ):
-        raise WindowError(
-            f"window radius {window_radius} plus the support of h exceeds the Green ball"
-        )
+        values[w.normal] = total % 1.0
     lift = {nf: ((x + 0.5) % 1.0) - 0.5 for nf, x in values.items()}
     residuals = {}
     for nf_t in values:
@@ -974,7 +860,6 @@ def homoclinic_point(
     return HomoclinicResult(
         family=fam,
         values=values,
-        window=tuple(values.keys()),
         residual_max=residual_max,
         residuals=residuals,
         K=green.K,

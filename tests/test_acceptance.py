@@ -19,7 +19,6 @@ from groupforests import (
     FiniteQuotient,
     GroupFamily,
     MarginalTable,
-    QuotientChain,
     QuotientMultigraph,
     build_laplacian,
     fk_estimate_eigen,
@@ -218,12 +217,12 @@ def test_criterion_5_wilson_uniformity():
 
 def test_criterion_6_degrees_and_cycle_marginal():
     m, samples = 8, 100000
-    chain = QuotientChain([FiniteQuotient.from_moduli(Z1, (m,))])
+    chain = [FiniteQuotient.from_moduli(Z1, (m,))]
     f = laplacian_element(Z1)
     (table,) = lift_marginals(chain, f, radius=0, samples=samples, seed=77)
     marg_dev = max(abs(row.frequency - (m - 1) / m) for row in table.rows)
 
-    graph = QuotientMultigraph(build_laplacian(chain.quotients[0], f))
+    graph = QuotientMultigraph(build_laplacian(chain[0], f))
     expected = Fraction(2 * (m - 1), m)
 
     def mean_degree(tree):
@@ -297,7 +296,7 @@ def test_criterion_9_property_suite_invariants():
     a = rng_stream(5, 2, 11).random(8)
     b = rng_stream(5, 2, 11).random(8)
     checks.append(bool(np.all(a == b)))
-    chain = QuotientChain([FiniteQuotient.from_moduli(Z1, (6,))])
+    chain = [FiniteQuotient.from_moduli(Z1, (6,))]
     t1 = lift_marginals(chain, laplacian_element(Z1), 0, 200, seed=4)
     t2 = lift_marginals(chain, laplacian_element(Z1), 0, 200, seed=4)
     checks.append(t1 == t2)

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "MarginalRow",
     "MarginalTable",
     "NotWellBalancedError",
-    "QuotientChain",
     "QuotientLaplacian",
     "QuotientMultigraph",
     "Report",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "WellBalancedReport",
     "WindowError",
     "build_laplacian",
-    "convolve",
     "fk_estimate_eigen",
     "fk_estimate_tree",
     "formal_inverse_residual",

@@ -117,7 +117,7 @@ class TestConfigParsing:
 
     def test_param_keys_are_config_fields_or_caps(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for key in cli._PARAM_KEYS:
+        for key, _, _ in cli._PARAMS:
             assert key in names or key in runner.DEFAULT_CAPS, key
 
 
@@ -823,6 +823,33 @@ class TestRuntimeChecks:
 class TestLargeIntegers:
     BIG = 10**5000 + 7
     BIG_TEXT = "1" + "0" * 4999 + "7"
+
+    @pytest.mark.parametrize(
+        "family, moduli, fe, rest",
+        [
+            # printed the same wrong 151-digit tau in both columns and exited 0
+            ("free-abelian:2", "3,3", 2**63 + 4, "; ".join(f"{w} -{2**61 + 1}" for w in "aAbB")),
+            # an OverflowError traceback while filling the int64 arrays
+            ("free-abelian:1", "3", 2**65, f"a -{2**64}; A -{2**64}"),
+            # a and A both join the 2-cycle's vertices: their sum wrapped positive
+            ("free-abelian:1", "2", 2**63 + 2, f"a -{2**62 + 1}; A -{2**62 + 1}"),
+        ],
+        ids=["wrapped-tau", "overflow", "wrapped-entry"],
+    )
+    def test_refuses_identity_coefficient_past_int64(self, capsys, family, moduli, fe, rest):
+        argv = ["identity", "--family", family, "--moduli", moduli, "--f", f"e {fe}; {rest}"]
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: identity coefficient {fe} is 2**63 or more; Laplacian entries are int64\n"
+        )
+
+    def test_largest_identity_coefficient_builds(self):
+        # f_e = 2**63 - 2 on the 2-cycle: its one entry -(2**63 - 2) still fits
+        w = 2**62 - 1
+        f = f"e {2 * w}; a -{w}; A -{w}"
+        code, out = run_cli(["identity", "--family", "free-abelian:1", "--moduli", "2;3", "--f", f])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order") == [str(2 * w), str(3 * w * w)]
 
     def test_int_text_past_the_digit_limit(self):
         assert _int_text(self.BIG) == self.BIG_TEXT

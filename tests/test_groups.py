@@ -13,7 +13,7 @@ from groupforests.groups import (
     FiniteQuotient,
     GroupFamily,
     GroupWord,
-    QuotientChain,
+    chain_radii,
     component_labels,
     format_word,
     free_ball_quotient,
@@ -119,7 +119,7 @@ def test_letter_out_of_range():
 
 def test_format_word():
     assert format_word(parse_word(F2, "aB")) == "aB"
-    assert format_word(GroupWord.identity(H)) == "e"
+    assert format_word(parse_word(H, "e")) == "e"
     assert format_word(GroupWord.from_normal(Z2, (-2, 1))) == "AAb"
 
 
@@ -135,7 +135,7 @@ def test_cyclic_quotient_action():
 
 def test_identity_word_acts_trivially():
     q = FiniteQuotient.from_moduli(Z2, [3, 4])
-    e = GroupWord.identity(Z2)
+    e = parse_word(Z2, "e")
     for c in range(q.size):
         assert q.act(c, e) == c
 
@@ -345,7 +345,7 @@ def test_ball_and_injectivity_share_the_generator_closure():
     # identity skipped, inverses added, another family's word refused alike
     q = FiniteQuotient.from_moduli(Z1, [12])
     gens = [parse_word(Z1, "aa"), parse_word(Z1, "aaa")]
-    with_identity = [GroupWord.identity(Z1), *gens]
+    with_identity = [parse_word(Z1, "e"), *gens]
     assert word_ball(Z1, 2, generators=with_identity) == word_ball(Z1, 2, generators=gens)
     assert injectivity_radius(q, generators=with_identity) == injectivity_radius(q, generators=gens)
     stranger = [parse_word(Z2, "a")]
@@ -363,16 +363,6 @@ def test_free_ball_quotient_radii():
 
 
 def test_chain_radius_monotonicity():
-    chain = QuotientChain([FiniteQuotient.from_moduli(Z1, [m]) for m in (4, 8, 16)])
-    assert chain.radii == sorted(chain.radii)
-    with pytest.raises(ValueError):
-        QuotientChain(
-            [FiniteQuotient.from_moduli(Z1, [16]), FiniteQuotient.from_moduli(Z1, [4])]
-        )
-
-
-def test_chain_family_consistency():
-    with pytest.raises(FamilyMismatchError):
-        QuotientChain(
-            [FiniteQuotient.from_moduli(Z1, [4]), FiniteQuotient.from_moduli(Z2, [4, 4])]
-        )
+    assert chain_radii([FiniteQuotient.from_moduli(Z1, [m]) for m in (4, 8, 16)]) == [1, 3, 7]
+    with pytest.raises(ValueError, match=r"non-decreasing along the chain, got \[7, 1\]"):
+        chain_radii([FiniteQuotient.from_moduli(Z1, [16]), FiniteQuotient.from_moduli(Z1, [4])])

@@ -508,6 +508,8 @@ class TestModularDeterminant:
 
     def test_empty_and_one_by_one(self):
         assert modular_determinant([]) == 1
+        # the reduced Laplacian of a one-vertex quotient
+        assert modular_determinant(np.zeros((0, 0), np.int64)) == 1
         assert modular_determinant([[7]]) == 7
         assert modular_determinant(np.array([[2, -1], [-1, 2]])) == 3
 
