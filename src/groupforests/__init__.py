@@ -31,7 +31,6 @@ from .groups import (
 )
 from .forests import (
     MarginalRow,
-    MarginalTable,
     QuotientMultigraph,
     SpanningTree,
     lift_marginals,

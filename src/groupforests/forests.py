@@ -1,12 +1,13 @@
 """Uniform spanning trees on quotient multigraphs and lifted edge statistics.
 
-The multigraph is a view of the quotient Laplacian: its bundles are the
-Laplacian's upper-triangle entries and each vertex's edge copies one CSR
-row.  The sampler is Wilson's algorithm: loop-erased random walks from each
-unvisited vertex into the growing tree, which yields the exact uniform law
-on spanning trees with parallel edges handled by weighting steps
-proportionally to multiplicity.  Lifting tree indicators through a chain
-of quotients estimates forest edge marginals on the group itself.
+The multigraph is a view of the quotient Laplacian: each vertex's edge
+copies are its Laplacian row with every neighbour repeated by its
+multiplicity, and an edge copy is one (u, v, slot) triple.  The sampler is
+Wilson's algorithm: loop-erased random walks from each unvisited vertex
+into the growing tree, which yields the exact uniform law on spanning trees
+with parallel edges handled by weighting steps proportionally to
+multiplicity.  Lifting tree indicators through a chain of quotients
+estimates forest edge marginals on the group itself.
 
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
@@ -50,15 +51,15 @@ def rng_stream(seed: int, quotient_index: int = 0, sample_index: int = 0) -> np.
 
 
 class QuotientMultigraph:
-    """Walk view of a quotient Laplacian's sorted off-diagonal triples.
+    """Walk view of a quotient Laplacian: each entry repeated by its multiplicity.
 
-    Bundle b is the b-th upper-triangle entry of the Laplacian: the pair
-    lower[b] < upper[b] with multiplicity -M[u][v], in (u, v) order; loops
-    never appear (the Laplacian folds them away).  An edge copy is addressed
-    as (bundle, slot).  Row x lists every copy at x, by neighbour and then
-    slot, as the CSR slice offsets[x]:offsets[x + 1] of copy_bundle and
-    copy_slot; neighbours[x] is the same row reduced to its neighbours, all
-    that a random walk reads.  regular_degree is the common length of the
+    Row x is the Laplacian's row x with neighbour v repeated -M[x][v] times,
+    the CSR slice offsets[x]:offsets[x + 1] of copy_neighbour, and
+    copy_slot numbers the repeats of each neighbour from 0.  An edge copy
+    is addressed as (u, v, slot) with u < v: the slot-th repeat of v in row
+    u, which is also the slot-th repeat of u in row v.  Loops never appear
+    (the Laplacian folds them away).  neighbours[x] is row x as a tuple, all
+    that a random walk reads; regular_degree is the common length of the
     rows, or None when they differ (fixed points of the action fold into
     loops).  Everything is built with array operations in O(N |S|); no
     N x N matrix is formed.
@@ -67,61 +68,55 @@ class QuotientMultigraph:
     def __init__(self, laplacian: QuotientLaplacian):
         n = self.n = laplacian.size
         self.laplacian = laplacian
-        upper = laplacian.rows < laplacian.cols
-        self.lower, self.upper = laplacian.rows[upper], laplacian.cols[upper]
-        copies = np.maximum(-laplacian.values[upper], 0)
-        bundle = np.repeat(np.arange(len(copies)), copies)
-        slot = np.arange(len(bundle)) - np.repeat(np.cumsum(copies) - copies, copies)
-        # both ends of every copy, in (vertex, bundle, slot) order
-        vertex = np.concatenate([self.lower[bundle], self.upper[bundle]])
-        neighbour = np.concatenate([self.upper[bundle], self.lower[bundle]])
-        bundle, slot = np.tile(bundle, 2), np.tile(slot, 2)
-        order = np.lexsort((slot, bundle, vertex))
-        self.copy_bundle, self.copy_slot = bundle[order], slot[order]
-        degrees = np.bincount(vertex, minlength=n)
-        self.offsets = np.concatenate([[0], np.cumsum(degrees)])
+        copies = -laplacian.values
+        self.copy_neighbour = np.repeat(laplacian.cols, copies)
+        run_end = np.cumsum(copies)
+        self.copy_slot = np.arange(len(self.copy_neighbour)) - np.repeat(run_end - copies, copies)
+        # row x starts at the first copy of its first entry
+        row_start = np.searchsorted(laplacian.rows, np.arange(n + 1))
+        self.offsets = np.concatenate([[0], run_end])[row_start]
+        degrees = np.diff(self.offsets)
         regular = n > 0 and degrees.min() == degrees.max()
         self.regular_degree = int(degrees[0]) if regular else None
-        neighbour, ends = neighbour[order].tolist(), self.offsets.tolist()
+        neighbour, ends = self.copy_neighbour.tolist(), self.offsets.tolist()
         self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """N-1 edge copies forming a spanning tree, plus the sampling root."""
+    """N-1 edge copies (u, v, slot), u < v, forming a spanning tree, plus the root."""
 
     graph: QuotientMultigraph
     root: int
     edges: tuple
 
-    def _copies(self):
-        """The edges as two arrays, bundles and slots."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2).T
-
     def validate(self) -> None:
         """Raise AssertionError unless the edges are N-1 distinct copies.
 
-        N-1 copies that connect every vertex have no cycle; connectivity is
-        one `component_labels` pass over the copies' endpoints.
+        A copy (u, v, slot) needs u < v, a Laplacian entry at (u, v) and
+        slot < -M[u][v].  N-1 copies that connect every vertex have no
+        cycle; connectivity is one `component_labels` pass over their ends.
         """
         n = self.graph.n
         if len(self.edges) != n - 1:
             raise AssertionError(f"expected {n - 1} edges, got {len(self.edges)}")
-        bundle, slot = self._copies()
-        order = np.lexsort((slot, bundle))
-        b, s = bundle[order], slot[order]
-        if np.any((b[1:] == b[:-1]) & (s[1:] == s[:-1])):
+        flat = itertools.chain.from_iterable(self.edges)
+        u, v, slot = np.fromiter(flat, np.int64, 3 * len(self.edges)).reshape(-1, 3).T
+        lap = self.graph.laplacian
+        # entry keys u * n + v ascend, as the entries are sorted; n * n closes
+        # them with multiplicity 0 and stands for every pair out of range
+        keys = np.append(lap.rows * n + lap.cols, n * n)
+        mult = np.append(-lap.values, 0)
+        pair = np.where((0 <= u) & (u < v) & (v < n), u * n + v, n * n)
+        at = np.searchsorted(keys, pair)
+        copy = (keys[at] == pair) & (0 <= slot) & (slot < mult[at])
+        if not copy.all():
+            raise AssertionError(f"edge {self.edges[np.argmin(copy)]} is not a copy")
+        if len(set(self.edges)) < len(self.edges):
             raise AssertionError("repeated edge copy")
         # a nonzero label is a vertex outside vertex 0's component
-        if component_labels(n, self.graph.lower[bundle], self.graph.upper[bundle]).any():
+        if component_labels(n, u, v).any():
             raise AssertionError("edge set contains a cycle")
-
-    def as_edge_list(self) -> list:
-        """(u, v, slot) triples, u < v, sorted; slots distinguish parallel copies."""
-        bundle, slot = self._copies()
-        u, v = self.graph.lower[bundle].tolist(), self.graph.upper[bundle].tolist()
-        return sorted(zip(u, v, slot.tolist()))
 
 
 def _wilson_exits(graph: QuotientMultigraph, root: int, gen, max_steps) -> list:
@@ -189,7 +184,7 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     rng may be an integer seed (expanded through the stream contract) or a
     ready Generator, which advances by whole blocks of 256 doubles.  Each
     step takes the next double x and leaves v by copy int(x * degree) of its
-    row, which weights parallel bundles by multiplicity; a vertex's
+    row, which weights each neighbour by its multiplicity; a vertex's
     tree edge is its last such exit before the walk meets the tree.  On a
     regular graph the indices of a block are computed together, with the
     same float product, so the tree does not depend on the path taken.
@@ -198,7 +193,9 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     gen = rng if isinstance(rng, np.random.Generator) else rng_stream(rng)
     exits = _wilson_exits(graph, root, gen, max_steps)
     at = np.delete(graph.offsets[:-1] + np.array(exits, dtype=np.int64), root)
-    edges = sorted(zip(graph.copy_bundle[at].tolist(), graph.copy_slot[at].tolist()))
+    x, y = np.delete(np.arange(graph.n), root), graph.copy_neighbour[at]
+    u, v = np.minimum(x, y).tolist(), np.maximum(x, y).tolist()
+    edges = sorted(zip(u, v, graph.copy_slot[at].tolist()))
     return SpanningTree(graph=graph, root=root, edges=tuple(edges))
 
 
@@ -211,16 +208,6 @@ class MarginalRow:
     count: int
     frequency: float
     halfwidth: float
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    """Window edge marginals for one quotient of a chain."""
-
-    quotient_index: int
-    radius: int
-    samples: int
-    rows: tuple
 
 
 def _window_edges(f: GroupRingElement, radius: int):
@@ -275,8 +262,8 @@ def lift_marginals(
     group edges within the given radius is pulled back to multigraph edge
     copies (injectivity radius at least radius + 1 makes this well defined
     and injective), and the empirical inclusion frequency over uniform
-    spanning tree samples is tabulated.
-    Rows are aligned across quotients for convergence display.  A sample
+    spanning tree samples is tabulated: one tuple of MarginalRow per
+    quotient, aligned across quotients for convergence display.  A sample
     counts a window copy when the copy is the walk's exit at one of its
     endpoints, so no SpanningTree is built per sample.
     """
@@ -301,10 +288,11 @@ def lift_marginals(
         nbr = graph.neighbours
         # Each window copy as (u, its exit index at u, v, its exit index at
         # v); it is a tree edge iff it is an endpoint's exit (the root's is
-        # -1).  Copy j is slot j, as the bundle {u, v} holds s's copies alone:
-        # a support word w != s with u.w = v would put g.w and g.s on one coset
-        # inside B(radius + 1), where the map was just checked injective; from
-        # v, v.w' = u means u.w'^-1 = v, the same case as f is self-adjoint.
+        # -1).  Copy j is slot j, as the repeats of v in row u are s's copies
+        # alone: a support word w != s with u.w = v would put g.w and g.s on
+        # one coset inside B(radius + 1), where the map was just checked
+        # injective; from v, v.w' = u means u.w'^-1 = v, the same case as f
+        # is self-adjoint.
         ends = []
         for (g, s, j), _ in window:
             u = quotient.coset_of(g)
@@ -323,9 +311,5 @@ def lift_marginals(
             p = count / samples
             halfwidth = 1.96 * math.sqrt(p * (1.0 - p) / samples)
             rows.append(MarginalRow((g.normal, s.normal, j), label, count, p, halfwidth))
-        tables.append(
-            MarginalTable(
-                quotient_index=qi, radius=radius, samples=samples, rows=tuple(rows)
-            )
-        )
+        tables.append(tuple(rows))
     return tables

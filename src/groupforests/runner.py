@@ -311,6 +311,9 @@ def resolve_config(
     # no probe would report a covering radius of 0, a perfect density
     if caps.get("probes", 1) < 1:
         raise ValueError("probes must be >= 1")
+    # sampling 0 components leaves no representative to measure
+    if caps.get("max_enumerate", 1) < 1:
+        raise ValueError("max_enumerate must be >= 1")
     seed = fields.get("seed", 0)
     # the Philox key holds the seed as one 64-bit word
     if not 0 <= seed < 1 << 64:
@@ -504,7 +507,7 @@ def run_sample_ust(cfg: ExperimentConfig) -> Report:
                 graph, root=cfg.root, rng=rng_stream(cfg.seed, i, s), max_steps=max_steps
             )
             tree.validate()
-            for u, v, slot in tree.as_edge_list():
+            for u, v, slot in tree.edges:
                 out.append((str(i), str(s), str(u), str(v), str(slot)))
         return out
 
@@ -536,7 +539,7 @@ def run_forest_suite(cfg: ExperimentConfig) -> Report:
     prev = None
     for i, (q, table) in enumerate(zip(cfg.quotients, tables)):
         mean = str(_mean_tree_degree(q.size))
-        for row in table.rows:
+        for row in table:
             drift = ""
             if prev is not None and row.label in prev:
                 drift = format(abs(row.frequency - prev[row.label]), ".6f")
@@ -553,7 +556,7 @@ def run_forest_suite(cfg: ExperimentConfig) -> Report:
                     mean,
                 )
             )
-        prev = {r.label: r.frequency for r in table.rows}
+        prev = {r.label: r.frequency for r in table}
     columns = (
         "n",
         "N",

@@ -18,7 +18,6 @@ import pytest
 from groupforests import (
     FiniteQuotient,
     GroupFamily,
-    MarginalTable,
     QuotientMultigraph,
     build_laplacian,
     fk_estimate_eigen,
@@ -220,13 +219,13 @@ def test_criterion_6_degrees_and_cycle_marginal():
     chain = [FiniteQuotient.from_moduli(Z1, (m,))]
     f = laplacian_element(Z1)
     (table,) = lift_marginals(chain, f, radius=0, samples=samples, seed=77)
-    marg_dev = max(abs(row.frequency - (m - 1) / m) for row in table.rows)
+    marg_dev = max(abs(row.frequency - (m - 1) / m) for row in table)
 
     graph = QuotientMultigraph(build_laplacian(chain[0], f))
     expected = Fraction(2 * (m - 1), m)
 
     def mean_degree(tree):
-        degrees = Counter(x for u, v, _ in tree.as_edge_list() for x in (u, v))
+        degrees = Counter(x for u, v, _ in tree.edges for x in (u, v))
         return Fraction(sum(degrees.values()), graph.n)
 
     degrees_ok = all(

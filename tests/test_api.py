@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "HomoclinicResult",
     "IdentityMismatchError",
     "MarginalRow",
-    "MarginalTable",
     "NotWellBalancedError",
     "QuotientLaplacian",
     "QuotientMultigraph",

@@ -700,6 +700,15 @@ class TestOutputContract:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == "error: probes must be >= 1\n"
 
+    def test_zero_max_enumerate_is_refused(self, capsys):
+        # a cap of 0 sampled 0 components and ended in a NumPy reduction error
+        argv = ["window-density", "--family", "free-abelian:2", "--moduli", "4,4"]
+        code, out = run_cli([*argv, "--max-enumerate", "0"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: max_enumerate must be >= 1\n"
+        code, out = run_cli([*argv, "--max-enumerate", "1"])
+        assert code == 0 and "sampled(1)" in out
+
     def test_config_file_integral_values_keep_working(self, tmp_path):
         # YAML reads 1e-3 as text; 3.0 samples and seed 2.0 are whole numbers
         cfg_file = tmp_path / "run.yml"
@@ -775,16 +784,22 @@ class TestRuntimeChecks:
 
     @staticmethod
     def cyclic_edges(tree):
-        # two copies of one doubled bundle close a cycle on its endpoints
-        return dataclasses.replace(tree, edges=((0, 0), (0, 1)))
+        # two copies of one doubled pair close a cycle on its endpoints
+        return dataclasses.replace(tree, edges=((0, 1, 0), (0, 1, 1)))
+
+    @staticmethod
+    def forged_copy(tree):
+        # the pair (0, 1) has two copies, slots 0 and 1
+        return dataclasses.replace(tree, edges=((0, 1, 0), (0, 1, 2)))
 
     @pytest.mark.parametrize(
         "corrupt, f, message",
         [
             ("repeated_edge", None, "repeated edge copy"),
             ("cyclic_edges", "e 4\na -2\nA -2", "edge set contains a cycle"),
+            ("forged_copy", "e 4\na -2\nA -2", r"edge \(0, 1, 2\) is not a copy"),
         ],
-        ids=["repeated", "cycle"],
+        ids=["repeated", "cycle", "forged"],
     )
     def test_invalid_tree_raises(self, monkeypatch, corrupt, f, message):
         real = runner.wilson_sample

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import multigraph_tables, quotient_cases, symbol_decode
+from test_linalg import multigraph_oracle, quotient_cases, symbol_decode
 
 import groupforests
 from groupforests import (
@@ -43,7 +43,7 @@ from groupforests import (
     spanning_tree_count,
     wilson_sample,
 )
-from groupforests.forests import _window_edges
+from groupforests.forests import _wilson_exits, _window_edges
 
 Z = GroupFamily.free_abelian(1)
 Z2 = GroupFamily.free_abelian(2)
@@ -85,8 +85,8 @@ def is_spanning_tree(graph, edges):
             x = parent[x]
         return x
 
-    for b, _ in edges:
-        ru, rv = find(int(graph.lower[b])), find(int(graph.upper[b]))
+    for u, v, _ in edges:
+        ru, rv = find(u), find(v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -103,21 +103,21 @@ def all_spanning_trees(graph):
 
 
 def edge_copies(graph):
-    """Every (bundle, slot) copy, from the rebuilt bundle table."""
-    bundles, _ = multigraph_tables(graph)
-    return [(b, slot) for b, (_, _, m) in enumerate(bundles) for slot in range(m)]
+    """Every (u, v, slot) copy, from the pair scan of the dense Laplacian."""
+    bundles, _, _ = multigraph_oracle(graph.laplacian.matrix)
+    return [(u, v, slot) for u, v, m in bundles for slot in range(m)]
 
 
 def wilson_oracle(graph, root, gen):
     """Wilson's walk one step at a time, as the sampler was first written.
 
     Each step takes the next double of a 64-double block, leaves v by
-    incidence[v][int(x * degree)] and records that copy; erasing the loop
-    keeps each vertex's last record.  Returns the sorted (bundle, slot)
-    tree edges and the number of steps.
+    incidence[v][int(x * degree)] of the pair scan and records that copy;
+    erasing the loop keeps each vertex's last record.  Returns the sorted
+    (u, v, slot) tree edges and the number of steps.
     """
     n = graph.n
-    _, incidence = multigraph_tables(graph)
+    _, incidence, _ = multigraph_oracle(graph.laplacian.matrix)
     in_tree = bytearray(n)
     in_tree[root] = 1
     nxt = [None] * n
@@ -136,7 +136,8 @@ def wilson_oracle(graph, root, gen):
         while not in_tree[v]:
             in_tree[v] = 1
             v = nxt[v][0]
-    return tuple(sorted(nxt[v][1:] for v in range(n) if v != root)), steps
+    exits = ((v, nxt[v][0], nxt[v][2]) for v in range(n) if v != root)
+    return tuple(sorted((min(v, x), max(v, x), slot) for v, x, slot in exits)), steps
 
 
 class ScriptedGenerator(np.random.Generator):
@@ -176,33 +177,31 @@ def connected_multigraphs(draw):
 class TestMultigraph:
     def test_bundles_match_laplacian(self):
         g = k4_graph()
-        bundles, _ = multigraph_tables(g)
         assert g.n == 4
-        assert len(bundles) == 6
-        assert all(m == 1 for _, _, m in bundles)
+        assert g.neighbours == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+        assert not g.copy_slot.any()
         assert np.diff(g.offsets).tolist() == [3, 3, 3, 3]
         assert g.regular_degree == 3
 
     def test_parallel_copies(self):
         g = cycle_graph(2)
-        assert multigraph_tables(g)[0] == ((0, 1, 2),)
+        assert g.neighbours == ((1, 1), (0, 0))
+        assert g.copy_slot.tolist() == [0, 1, 0, 1]
         assert np.diff(g.offsets).tolist() == [2, 2]
 
     def test_symbol_decode(self):
         g = cycle_graph(5)
-        q = g.laplacian.quotient
-        symbols = symbol_decode(g)
-        for b, (u, v, mult) in enumerate(multigraph_tables(g)[0]):
-            assert len(symbols[b]) == mult
-            for word, j in symbols[b]:
+        q, M = g.laplacian.quotient, g.laplacian.matrix
+        for (u, v), symbols in symbol_decode(g.laplacian).items():
+            assert len(symbols) == -M[u][v]
+            for word, j in symbols:
                 assert q.act(u, word) == v
 
     def test_hand_graph_rows(self):
-        # a double bundle {0, 1} and a single {0, 2}: rows by neighbour, then slot
+        # a double edge {0, 1} and a single {0, 2}: rows by neighbour, then slot
         g = hand_graph([[3, -2, -1], [-2, 2, 0], [-1, 0, 1]])
-        assert (g.lower.tolist(), g.upper.tolist()) == ([0, 0], [1, 2])
         assert g.offsets.tolist() == [0, 3, 5, 6]
-        assert g.copy_bundle.tolist() == [0, 0, 1, 0, 0, 1]
+        assert g.copy_neighbour.tolist() == [1, 1, 2, 0, 0, 0]
         assert g.copy_slot.tolist() == [0, 1, 0, 0, 1, 0]
         assert g.neighbours == ((1, 1, 2), (0, 0), (0,))
         assert g.regular_degree is None
@@ -229,10 +228,9 @@ class TestLargeQuotient:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert graph.n == 16384
-        bundles, incidence = multigraph_tables(graph)
-        assert len(bundles) == sum(m for _, _, m in bundles) == 2 * 16384
         assert graph.regular_degree == 4 and graph.offsets[-1] == 4 * 16384
-        assert incidence[0] == ((1, 0, 0), (127, 1, 0), (128, 2, 0), (16256, 3, 0))
+        assert not graph.copy_slot.any()  # 2 * 16384 edges, none parallel
+        assert graph.neighbours[0] == (1, 127, 128, 16256)
         tree = wilson_sample(graph, rng=rng_stream(0))
         tree.validate()
 
@@ -320,9 +318,9 @@ class TestWilson:
     def test_edge_list_export(self):
         g = cycle_graph(5)
         t = wilson_sample(g, rng=8)
-        listing = t.as_edge_list()
+        listing = t.edges
         assert len(listing) == 4
-        assert listing == sorted(listing)
+        assert listing == tuple(sorted(listing))
         for u, v, slot in listing:
             assert 0 <= u < v < 5
             assert slot == 0
@@ -396,7 +394,7 @@ class TestWilsonKernel:
 def tree_degrees(tree):
     """Degree of each vertex in the tree, counted from its edge list."""
     degrees = [0] * tree.graph.n
-    for u, v, _ in tree.as_edge_list():
+    for u, v, _ in tree.edges:
         degrees[u] += 1
         degrees[v] += 1
     return degrees
@@ -465,15 +463,51 @@ class TestValidate:
             with pytest.raises(AssertionError, match=message):
                 tree.validate()
 
+    @settings(max_examples=60)
+    @given(quotient_cases(), st.integers(0, 2**32))
+    def test_triples_are_oracle_rows_at_exits(self, case, seed):
+        # vertex x's tree edge is entry exits[x] of the pair scan's row x; a
+        # triple with a slot past its multiplicity, reversed ends or no
+        # Laplacian entry is not a copy
+        quotient, f = case
+        g = QuotientMultigraph(build_laplacian(quotient, f))
+        bundles, incidence, _ = multigraph_oracle(g.laplacian.matrix)
+        exits = _wilson_exits(g, 0, rng_stream(seed), None)
+        expected = []
+        for x, i in enumerate(exits):
+            if x != 0:
+                y, _, slot = incidence[x][i]
+                expected.append((min(x, y), max(x, y), slot))
+        tree = wilson_sample(g, rng=rng_stream(seed))
+        assert tree.edges == tuple(sorted(expected))
+        tree.validate()
+        if not tree.edges:
+            return
+        multiplicity = {(u, v): m for u, v, m in bundles}
+        u, v, _ = tree.edges[0]
+        forged = [(u, v, multiplicity[u, v]), (v, u, 0)]
+        pairs = itertools.combinations(range(g.n), 2)
+        forged += [(a, b, 0) for a, b in pairs if (a, b) not in multiplicity][:1]
+        for edge in forged:
+            tree = SpanningTree(graph=g, root=0, edges=(edge,) + tree.edges[1:])
+            with pytest.raises(AssertionError, match=re.escape(f"edge {edge} is not a copy")):
+                tree.validate()
+
     def test_count_repeat_and_cycle(self):
         g = cycle_graph(4, "e 4\na -2\nA -2")
+        # pairs (0, 1), (0, 3), (1, 2) and (2, 3), two copies each
         cases = [
-            (((0, 0), (1, 0)), "expected 3 edges, got 2"),
-            (((0, 0), (0, 0), (1, 0)), "repeated edge copy"),
-            (((0, 0), (0, 1), (1, 0)), "edge set contains a cycle"),
+            (((0, 1, 0), (0, 3, 0)), "expected 3 edges, got 2"),
+            (((0, 1, 0), (0, 1, 0), (0, 3, 0)), "repeated edge copy"),
+            (((0, 1, 0), (0, 1, 1), (0, 3, 0)), "edge set contains a cycle"),
+            (((0, 1, 0), (0, 2, 0), (0, 3, 0)), "edge (0, 2, 0) is not a copy"),
+            (((0, 1, 2), (1, 2, 0), (0, 3, 0)), "edge (0, 1, 2) is not a copy"),
+            (((1, 0, 0), (1, 2, 0), (0, 3, 0)), "edge (1, 0, 0) is not a copy"),
+            (((0, 1, -1), (1, 2, 0), (0, 3, 0)), "edge (0, 1, -1) is not a copy"),
+            (((0, 1, 0), (1, 2, 0), (3, 4, 0)), "edge (3, 4, 0) is not a copy"),
         ]
         for edges, message in cases:
-            with pytest.raises(AssertionError, match=message):
+            with pytest.raises(AssertionError, match=re.escape(message)):
                 SpanningTree(graph=g, root=0, edges=edges).validate()
 
     def test_survives_optimized_mode(self):
@@ -482,7 +516,8 @@ class TestValidate:
             "Z = GroupFamily.free_abelian(1)\n"
             "f = parse_group_ring(Z, 'e 4\\na -2\\nA -2')\n"
             "g = QuotientMultigraph(build_laplacian(FiniteQuotient.from_moduli(Z, (4,)), f))\n"
-            "for edges in [((0, 0), (1, 0)), ((0, 0), (0, 0), (1, 0)), ((0, 0), (0, 1), (1, 0))]:\n"
+            "for edges in [((0, 1, 0), (0, 3, 0)), ((0, 1, 0), (0, 1, 0), (0, 3, 0)),\n"
+            "              ((0, 1, 0), (0, 1, 1), (0, 3, 0)), ((0, 1, 2), (1, 2, 0), (0, 3, 0))]:\n"
             "    try:\n"
             "        SpanningTree(graph=g, root=0, edges=edges).validate()\n"
             "    except AssertionError as err:\n"
@@ -500,6 +535,7 @@ class TestValidate:
             "raised: expected 3 edges, got 2",
             "raised: repeated edge copy",
             "raised: edge set contains a cycle",
+            "raised: edge (0, 1, 2) is not a copy",
         ]
 
 
@@ -531,21 +567,21 @@ class TestLiftMarginals:
         chain = [FiniteQuotient.from_moduli(Z, (m,)) for m in (6, 8, 16)]
         tables = lift_marginals(chain, f, radius=1, samples=4000, seed=11)
         for m, table in zip((6, 8, 16), tables):
-            for row in table.rows:
+            for row in table:
                 assert abs(row.frequency - (m - 1) / m) < 0.025
 
     def test_rows_aligned_across_quotients(self):
         f = laplacian_element(Z)
         chain = [FiniteQuotient.from_moduli(Z, (m,)) for m in (6, 12)]
         tables = lift_marginals(chain, f, radius=1, samples=50, seed=0)
-        assert [r.label for r in tables[0].rows] == [r.label for r in tables[1].rows]
-        assert [r.key for r in tables[0].rows] == [r.key for r in tables[1].rows]
+        assert [r.label for r in tables[0]] == [r.label for r in tables[1]]
+        assert [r.key for r in tables[0]] == [r.key for r in tables[1]]
 
     def test_parallel_copies_agree(self):
         f = parse_group_ring(Z, "e 4\na -2\nA -2")
         chain = [FiniteQuotient.from_moduli(Z, (8,))]
         (table,) = lift_marginals(chain, f, radius=0, samples=5000, seed=5)
-        by_label = {r.label: r.frequency for r in table.rows}
+        by_label = {r.label: r.frequency for r in table}
         assert abs(by_label["e:a#0"] - by_label["e:a#1"]) < 0.04
         # doubled cycle: a copy is present iff its gap is spanned (7/8) and
         # it beats its twin (1/2)
@@ -556,7 +592,7 @@ class TestLiftMarginals:
         f = laplacian_element(Z2)
         chain = [FiniteQuotient.from_moduli(Z2, (m, m)) for m in (3, 9)]
         tables = lift_marginals(chain, f, radius=0, samples=1500, seed=9)
-        first, last = ({r.label: r.frequency for r in t.rows}["e:a"] for t in tables)
+        first, last = ({r.label: r.frequency for r in t}["e:a"] for t in tables)
         assert abs(last - 0.5) < abs(first - 0.5) + 0.02
         assert abs(last - 0.5) < 0.05
 
@@ -566,8 +602,8 @@ class TestLiftMarginals:
 
         chain = [free_ball_quotient(F2, 2, seed=0)]
         (table,) = lift_marginals(chain, f, radius=1, samples=400, seed=2)
-        assert len(table.rows) == 16
-        for row in table.rows:
+        assert len(table) == 16
+        for row in table:
             assert 0.0 <= row.frequency <= 1.0
             assert row.halfwidth < 0.06
 
@@ -594,33 +630,28 @@ class TestLiftMarginals:
         window = _window_edges(f, radius)
         for qi, (q, table) in enumerate(zip(quotients, tables)):
             graph = QuotientMultigraph(build_laplacian(q, f))
-            bundles, _ = multigraph_tables(graph)
-            bundle_index = {(u, v): b for b, (u, v, _) in enumerate(bundles)}
-            symbols = symbol_decode(graph)
+            symbols = symbol_decode(graph.laplacian)
             ends, copies = [], []
             for (g, s, j), _ in window:
                 u, v = q.coset_of(g), q.act(q.coset_of(g), s)
-                b = bundle_index[(min(u, v), max(u, v))]
-                copies.append((b, symbols[b].index((s if u < v else s.inverse(), j))))
+                pair = (min(u, v), max(u, v))
+                copies.append(pair + (symbols[pair].index((s if u < v else s.inverse(), j)),))
                 ends.append((u, v))
             assert any(0 in uv for uv in ends)  # copies at the root are counted too
             trees = [
                 set(wilson_sample(graph, root=0, rng=rng_stream(4, qi, i)).edges)
                 for i in range(samples)
             ]
-            assert [row.count for row in table.rows] == [
+            assert [row.count for row in table] == [
                 sum(c in t for t in trees) for c in copies
             ]
 
     @settings(max_examples=60)
     @given(quotient_cases(window=True))
     def test_window_bundles_decode_to_one_word(self, case):
-        # lift_marginals reads copy j of a window edge as slot j of its bundle
+        # lift_marginals reads copy j of a window edge as slot j of its pair
         quotient, f = case
-        graph = QuotientMultigraph(build_laplacian(quotient, f))
-        bundles, _ = multigraph_tables(graph)
-        bundle_index = {(u, v): b for b, (u, v, _) in enumerate(bundles)}
-        symbols = symbol_decode(graph)
+        symbols = symbol_decode(build_laplacian(quotient, f))
         gens = [w for w, c in f.items() if c < 0 and not w.is_identity()]
         # every radius whose window lift_marginals admits
         for radius in range(injectivity_radius(quotient, generators=gens)):
@@ -628,7 +659,7 @@ class TestLiftMarginals:
                 u = quotient.coset_of(g)
                 v = quotient.act(u, s)
                 word = s if u < v else s.inverse()
-                decode = symbols[bundle_index[(min(u, v), max(u, v))]]
+                decode = symbols[min(u, v), max(u, v)]
                 assert {w for w, _ in decode} == {word}
                 assert decode[j] == (word, j)
 

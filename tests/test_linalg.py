@@ -105,46 +105,37 @@ def multigraph_oracle(matrix, quotient=None, f=None):
     return tuple(bundles), tuple(tuple(inc) for inc in incidence), symbols
 
 
-def multigraph_tables(graph):
-    """The bundle and incidence tables, rebuilt from a multigraph's arrays.
-
-    bundles[b] = (lower, upper, multiplicity), the multiplicity counted from
-    the copies, and incidence[x] lists (neighbour, bundle, slot) for every
-    copy in row x, the neighbour read from the bundle's endpoints.
-    """
-    mult = np.bincount(graph.copy_bundle, minlength=len(graph.lower)) // 2
-    bundles = tuple(zip(graph.lower.tolist(), graph.upper.tolist(), mult.tolist()))
+def multigraph_rows(graph):
+    """Each row of a multigraph as its (neighbour, slot) copies, read from
+    the CSR arrays offsets, copy_neighbour and copy_slot."""
     ends = graph.offsets.tolist()
-    copies = list(zip(graph.copy_bundle.tolist(), graph.copy_slot.tolist()))
-    incidence = []
-    for x, (start, stop) in enumerate(zip(ends, ends[1:])):
-        row = []
-        for b, slot in copies[start:stop]:
-            u, v, _ = bundles[b]
-            assert x in (u, v)
-            row.append((v if u == x else u, b, slot))
-        incidence.append(tuple(row))
-    return bundles, tuple(incidence)
+    copies = list(zip(graph.copy_neighbour.tolist(), graph.copy_slot.tolist()))
+    return tuple(tuple(copies[a:b]) for a, b in zip(ends, ends[1:]))
 
 
-def symbol_decode(graph):
-    """Each bundle's slots as (word, copy) symbols read from its lower end.
+def oracle_rows(incidence):
+    """The pair scan's incidence reduced to (neighbour, slot) copies."""
+    return tuple(tuple((x, slot) for x, _, slot in inc) for inc in incidence)
 
-    A slot of bundle (u, v) decodes to (w, j) with u * w = v, in the order
-    of f's support and then copy j; every bundle must decode to exactly its
-    multiplicity of symbols.
+
+def symbol_decode(laplacian):
+    """Each pair u < v's copies as (word, copy) symbols read from u.
+
+    Slot k of the pair (u, v) decodes to the k-th (w, j) with u * w = v, in
+    the order of f's support and then copy j; every pair must decode to
+    exactly its multiplicity of symbols.
     """
-    lap = graph.laplacian
-    bundles, _ = multigraph_tables(graph)
-    slots = [[] for _ in bundles]
-    for w, c in lap.source.items():
+    upper = laplacian.rows < laplacian.cols
+    u, v = laplacian.rows[upper], laplacian.cols[upper]
+    slots = {pair: [] for pair in zip(u.tolist(), v.tolist())}
+    for w, c in laplacian.source.items():
         if c >= 0 or w.is_identity():
             continue
-        hits = np.flatnonzero(lap.quotient.word_permutation(w)[graph.lower] == graph.upper)
+        hits = np.flatnonzero(laplacian.quotient.word_permutation(w)[u] == v)
         for b in hits.tolist():
-            slots[b].extend((w, j) for j in range(int(-c)))
-    assert [len(s) for s in slots] == [m for _, _, m in bundles]
-    return tuple(tuple(s) for s in slots)
+            slots[int(u[b]), int(v[b])].extend((w, j) for j in range(int(-c)))
+    assert [len(s) for s in slots.values()] == (-laplacian.values[upper]).tolist()
+    return {pair: tuple(s) for pair, s in slots.items()}
 
 
 class UnionFind:
@@ -747,9 +738,9 @@ class TestSparseOperator:
         bundles, incidence, symbols = multigraph_oracle(
             operator_matrix_oracle(quotient, f), quotient, f
         )
-        assert multigraph_tables(graph) == (bundles, incidence)
+        assert multigraph_rows(graph) == oracle_rows(incidence)
         assert graph.neighbours == tuple(tuple(x for x, _, _ in inc) for inc in incidence)
-        assert symbol_decode(graph) == symbols
+        assert symbol_decode(L) == {(u, v): s for (u, v, _), s in zip(bundles, symbols)}
         degrees = {len(inc) for inc in incidence}
         assert graph.regular_degree == (degrees.pop() if len(degrees) == 1 else None)
         assert L._dense is None
@@ -762,7 +753,7 @@ class TestSparseOperator:
         assert L.diagonal.tolist() == [3, 2, 1]
         assert np.array_equal(L.matrix, M)
         graph = QuotientMultigraph(L)
-        assert multigraph_tables(graph) + (None,) == multigraph_oracle(M.tolist())
+        assert multigraph_rows(graph) == oracle_rows(multigraph_oracle(M.tolist())[1])
 
     def test_component_count_on_disconnected_matrix(self):
         # an edge, a double edge and an isolated vertex: three components
