@@ -57,12 +57,10 @@ from .walks import (
     ReturnSeries,
     SpectralRadiusProbe,
     TreeEntropyResult,
-    WellBalancedReport,
     formal_inverse_residual,
     format_group_ring,
     green_truncation,
     homoclinic_point,
-    is_well_balanced,
     laplacian_element,
     parse_group_ring,
     require_well_balanced,

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the per-quotient error prefix."""
 
 
 class GroupForestsError(Exception):
@@ -31,3 +31,11 @@ class UnsupportedFamilyError(GroupForestsError):
 
 class IdentityMismatchError(GroupForestsError):
     """The spanning-tree count and the component-group order disagreed."""
+
+
+def at_quotient(i: int, label: str, fn):
+    """fn(), with 'quotient i (label): ' put before any library error it raises."""
+    try:
+        return fn()
+    except GroupForestsError as err:
+        raise type(err)(f"quotient {i} ({label}): {err}") from err

@@ -32,6 +32,7 @@ from .errors import (
     FamilyMismatchError,
     ResourceLimitError,
     WindowError,
+    at_quotient,
 )
 from .groups import component_labels, format_word, injectivity_radius, word_ball
 from .linalg import QuotientLaplacian, build_laplacian
@@ -276,13 +277,12 @@ def lift_marginals(
         raise ValueError("window radius must be >= 0")
     window = _window_edges(f, radius)
     gens = [w for w, c in f.items() if c < 0 and not w.is_identity()]
-    tables = []
-    for qi, quotient in enumerate(quotients):
+
+    def table(qi, quotient):
         inj = injectivity_radius(quotient, r_max=radius + 1, generators=gens)
         if inj < radius + 1:
             raise WindowError(
-                f"quotient {qi} has injectivity radius {inj}; the window "
-                f"needs at least {radius + 1}"
+                f"injectivity radius {inj}; the window needs at least {radius + 1}"
             )
         graph = QuotientMultigraph(build_laplacian(quotient, f))
         nbr = graph.neighbours
@@ -311,5 +311,9 @@ def lift_marginals(
             p = count / samples
             halfwidth = 1.96 * math.sqrt(p * (1.0 - p) / samples)
             rows.append(MarginalRow((g.normal, s.normal, j), label, count, p, halfwidth))
-        tables.append(tuple(rows))
-    return tables
+        return tuple(rows)
+
+    return [
+        at_quotient(qi, q.label, lambda qi=qi, q=q: table(qi, q))
+        for qi, q in enumerate(quotients)
+    ]

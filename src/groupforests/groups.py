@@ -273,6 +273,7 @@ class FiniteQuotient:
                     )
         if not self._is_transitive():
             raise ValueError("the generator permutations do not act transitively")
+        self._check_relations()
         self.moduli = None  # set by from_moduli for congruence quotients
 
     def _check_permutation(self, p: np.ndarray):
@@ -322,7 +323,6 @@ class FiniteQuotient:
                 perms[i + 1] = np.ravel_multi_index(tuple(shifted), shape)
             label = "Z^%d mod %s" % (family.rank, "x".join(map(str, moduli)))
             q = cls(family, perms, label=label)
-            q._validate_relations()
             q.moduli = tuple(moduli)
             return q
         # Heisenberg: entries mod m, multiplication (a,b,c)(a',b',c')=(a+a',b+b',c+c'+ab')
@@ -338,12 +338,19 @@ class FiniteQuotient:
             2: np.ravel_multi_index((a, (b + 1) % m, (c + a) % m), (m, m, m)),
         }
         q = cls(family, perms, label=f"H mod {m}")
-        q._validate_relations()
+        # not a relation of H: the m-th power of the commutator is trivial mod m
+        z_m = q.word_permutation(GroupWord.from_normal(family, (0, 0, m)))
+        if not np.array_equal(z_m, np.arange(n)):
+            raise GroupForestsError("central element has wrong order")
         q.moduli = (m,)
         return q
 
-    def _validate_relations(self):
-        """Defining relations of built-in families must hold as permutation identities."""
+    def _check_relations(self):
+        """The family's defining relations must hold as permutation identities.
+
+        Free-abelian generators commute; the Heisenberg commutator is
+        central.  Free families have no relations.
+        """
         if self.family.kind == "free-abelian":
             for i in range(1, self.family.rank + 1):
                 for j in range(i + 1, self.family.rank + 1):
@@ -357,12 +364,6 @@ class FiniteQuotient:
             for g in (x, y):
                 if not np.array_equal(z[g], g[z]):
                     raise GroupForestsError("commutator is not central in the quotient")
-            m = round(self.size ** (1 / 3))
-            cur = np.arange(self.size)
-            for _ in range(m):
-                cur = z[cur]
-            if not np.array_equal(cur, np.arange(self.size)):
-                raise GroupForestsError("central element has wrong order")
 
     @classmethod
     def from_text(cls, family: GroupFamily, text: str, label: str = "") -> "FiniteQuotient":

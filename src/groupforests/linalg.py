@@ -35,14 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraphError,
-    FamilyMismatchError,
-    NotWellBalancedError,
-)
+from .errors import DisconnectedGraphError, FamilyMismatchError
 from .groups import FiniteQuotient, GroupWord, component_labels
 from .intmat import bareiss_determinant, modular_determinant, smith_normal_form
-from .walks import NOT_SELF_ADJOINT, GroupRingElement, is_well_balanced, laplacian_element
+from .walks import GroupRingElement, laplacian_element, require_well_balanced
 
 
 class QuotientLaplacian:
@@ -129,17 +125,15 @@ def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLa
     """Assemble the convolution Laplacian of a well-balanced f on a quotient.
 
     O(N |S|) for a support S: each support word contributes the pairs
-    (u, u*s) it moves, and equal pairs are summed exactly in int64.
-
-    Self-adjointness is accepted at the quotient level: an f that is not
-    symmetric in the group ring still builds whenever its image on the
-    quotient is (e.g. a power of a generator meeting its inverse mod N).
-    The other three clauses are required of f itself, and f_e below 2**63:
-    no entry or row sum is larger in magnitude, so all fit in int64.
+    (u, u*s) it moves, and equal pairs are summed exactly in int64.  As f
+    is self-adjoint and the quotient is an action, s^-1 contributes the
+    pair (u*s, u) with the same coefficient, so the matrix is symmetric.
+    f_e must be below 2**63: no entry or row sum is larger in magnitude, so
+    all fit in int64.
     """
     if f.family != quotient.family:
         raise FamilyMismatchError("element and quotient families differ")
-    _require_balanced_up_to_adjoint(f)
+    require_well_balanced(f)
     fe = f.identity_coefficient
     if fe >= 1 << 63:
         raise ValueError(
@@ -166,27 +160,9 @@ def build_laplacian(quotient: FiniteQuotient, f: GroupRingElement) -> QuotientLa
     values = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
     keys = keys[starts]
     rows, cols = keys // n, keys % n
-    transposed = np.argsort(cols * n + rows)
-    if not (
-        np.array_equal(cols[transposed] * n + rows[transposed], keys)
-        and np.array_equal(values[transposed], values)
-    ):
-        raise NotWellBalancedError(
-            "the image of f on this quotient is not self-adjoint; "
-            "the Laplacian would not be symmetric"
-        )
-    if values.max(initial=0) > 0:
-        raise AssertionError("positive off-diagonal entry; sign constraint violated")
     row_sums = np.zeros(n, dtype=np.int64)
     np.add.at(row_sums, rows, values)
     return QuotientLaplacian._from_sparse(quotient, f, n, rows, cols, values, -row_sums)
-
-
-def _require_balanced_up_to_adjoint(f: GroupRingElement) -> None:
-    """The well-balanced clauses but self-adjointness, which is checked on a quotient."""
-    hard = [v for v in is_well_balanced(f).violations if v != NOT_SELF_ADJOINT]
-    if hard:
-        raise NotWellBalancedError("; ".join(hard))
 
 
 def _require_connected(L: QuotientLaplacian) -> None:
@@ -465,18 +441,18 @@ def free_abelian_spectrum(quotient: FiniteQuotient, f: GroupRingElement) -> Spec
     """Closed-form spectrum on a congruence quotient of a free-abelian family.
 
     The Laplacian diagonalizes in characters: for each residue vector j the
-    eigenvalue is the sum of f_s * cos(2 pi <j, s> / moduli) over the support.
+    eigenvalue is the sum of f_s * cos(2 pi <j, s> / moduli) over the support,
+    real because f is self-adjoint.
     Only valid for quotients built from moduli; use spectrum() otherwise.
     """
     if quotient.family != f.family or f.family.kind != "free-abelian":
         raise FamilyMismatchError("closed-form spectrum needs a matching free-abelian quotient")
     if quotient.moduli is None:
         raise ValueError("quotient was not built from moduli; use spectrum()")
-    _require_balanced_up_to_adjoint(f)
+    require_well_balanced(f)
     shape = tuple(quotient.moduli)
     d = f.family.rank
     lam = np.zeros(shape)
-    sin_part = np.zeros(shape)
     grids = np.meshgrid(
         *[2.0 * np.pi * np.arange(m) / m for m in shape], indexing="ij", sparse=True
     )
@@ -486,12 +462,6 @@ def free_abelian_spectrum(quotient: FiniteQuotient, f: GroupRingElement) -> Spec
             if nf[i]:
                 phase = phase + nf[i] * grids[i]
         lam += int(c) * np.cos(phase)
-        sin_part += int(c) * np.sin(phase)
-    if np.abs(sin_part).max() > 1e-9 * max(1.0, float(f.one_norm())):
-        raise NotWellBalancedError(
-            "the image of f on this quotient is not self-adjoint; "
-            "its character multiplier is not real"
-        )
     vals = np.sort(lam.ravel())
     # characters are exact: clamp the single structural zero's rounding dust
     vals[np.abs(vals) < 1e-12 * max(1.0, float(f.one_norm()))] = 0.0

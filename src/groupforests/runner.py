@@ -20,11 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    GroupForestsError,
     IdentityMismatchError,
     ResourceLimitError,
     UnsupportedFamilyError,
     WindowError,
+    at_quotient,
 )
 from .forests import QuotientMultigraph, lift_marginals, rng_stream, wilson_sample
 from .groups import (
@@ -354,18 +354,10 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-def _at_quotient(i: int, label: str, fn):
-    """Attach the quotient index to any library error escaping fn."""
-    try:
-        return fn()
-    except GroupForestsError as err:
-        raise type(err)(f"quotient {i} ({label}): {err}") from err
-
-
 def _per_quotient(cfg: ExperimentConfig, fn) -> list:
     """fn(i, q, laplacian) for each quotient in chain order."""
     return [
-        _at_quotient(i, q.label, lambda i=i, q=q: fn(i, q, build_laplacian(q, cfg.f)))
+        at_quotient(i, q.label, lambda i=i, q=q: fn(i, q, build_laplacian(q, cfg.f)))
         for i, q in enumerate(cfg.quotients)
     ]
 
@@ -390,7 +382,7 @@ def _check_dense(cfg: ExperimentConfig, n: int, what: str) -> None:
 def _check_exact_sizes(cfg: ExperimentConfig) -> None:
     """Fail before any work if a quotient is too large for the dense exact kernels."""
     for i, q in enumerate(cfg.quotients):
-        _at_quotient(i, q.label, lambda q=q: _check_dense(cfg, q.size, "dense exact kernel"))
+        at_quotient(i, q.label, lambda q=q: _check_dense(cfg, q.size, "dense exact kernel"))
 
 
 def _walk_caps(cfg: ExperimentConfig) -> dict:

@@ -1,9 +1,9 @@
 """Group-ring elements and random-walk analysis on the built-in families.
 
-The central object is an integer (or rational) group-ring element f.  When f
-is well balanced (zero coefficient sum, non-positive off the identity,
-self-adjoint, generating support) it is the Laplacian of a Cayley multigraph,
-and mu = -(f - f_e)/f_e is the step distribution of a symmetric random walk
+The central object is an integer group-ring element f.  When f is well
+balanced (zero coefficient sum, non-positive off the identity, self-adjoint,
+generating support) it is the Laplacian of a Cayley multigraph, and
+mu = -(f - f_e)/f_e is the step distribution of a symmetric random walk
 with no standing-still mass.  This module computes return-probability series
 for that walk by three interchangeable engines, and builds on them: tree
 entropy (log f_e minus the weighted return series), truncated Green's
@@ -19,10 +19,10 @@ so the Green tail estimate reads the series of its own walk.  The engines:
   is a shift in (x, y) and a shear in z: exact int64 walk counts while
   f_e^k < 2^63 (each value then equals the exact rational's float), float64
   probabilities after.  Other families use dictionary convolution over
-  normal forms, exact rationals up to a support size and floats after (for
-  Green's sums, floats from the second step on).  Both
-  stop at the same step with the same error once the support exceeds
-  max_support.
+  normal forms: exact integer walk counts f_e^k mu^k up to a support size,
+  divided as ints, and float probabilities after (for Green's sums, from the
+  second step on).  Both stop at the same step with the same error once the
+  support exceeds max_support.
 - "grid": for free-abelian families, evaluates the Fourier multiplier of mu
   on an m^d grid; the grid average of its k-th power equals (mu^k) at the
   origin exactly as long as k * reach < m (no wrap-around), and is an upper
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,33 +55,11 @@ DEFAULT_MAX_GRID_CELLS = 1 << 22
 DEFAULT_MAX_TREE_ORDER = 4000
 
 
-def _coerce_coeff(c):
-    if isinstance(c, bool):
-        raise TypeError("boolean coefficient")
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _word_key(family: GroupFamily, w) -> tuple:
-    """Normal form of a GroupWord, generator-letter text or normal-form tuple."""
-    if isinstance(w, GroupWord):
-        if w.family != family:
-            raise FamilyMismatchError("word family does not match element family")
-        return w.normal
-    if isinstance(w, str):
-        return parse_word(family, w).normal
-    return tuple(w)
-
-
 class GroupRingElement:
-    """Finitely supported int- or rational-valued function on a group family.
+    """Finitely supported int-valued function on a group family.
 
     Immutable by convention: the coefficient table is private.  Keys are
-    normal forms; the public API speaks GroupWords or generator-letter
-    strings.
+    normal forms; the public API speaks GroupWords.
     """
 
     __slots__ = ("family", "_coeffs")
@@ -90,7 +67,8 @@ class GroupRingElement:
     def __init__(self, family: GroupFamily, coeffs):
         clean = {}
         for nf, c in coeffs.items():
-            c = _coerce_coeff(c)
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
             if c:
                 clean[tuple(nf)] = c
         self.family = family
@@ -98,8 +76,10 @@ class GroupRingElement:
 
     # ----- inspection ---------------------------------------------------
 
-    def coefficient(self, w):
-        return self._coeffs.get(_word_key(self.family, w), 0)
+    def coefficient(self, w: GroupWord) -> int:
+        if w.family != self.family:
+            raise FamilyMismatchError("word family does not match element family")
+        return self._coeffs.get(w.normal, 0)
 
     @property
     def identity_coefficient(self):
@@ -116,9 +96,6 @@ class GroupRingElement:
 
     def one_norm(self):
         return sum(abs(c) for c in self._coeffs.values())
-
-    def is_integer(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -139,13 +116,13 @@ class GroupRingElement:
         return self._coeffs == self.adjoint()._coeffs
 
 
-def _dict_step(fam: GroupFamily, cur: dict, step: dict, zero) -> dict:
+def _dict_step(fam: GroupFamily, cur: dict, step: dict) -> dict:
     """One step of the dictionary walk: convolution over normal forms."""
     nxt: dict = {}
     for nf1, c1 in cur.items():
         for nf2, c2 in step.items():
             nf = fam.multiply_normals(nf1, nf2)
-            nxt[nf] = nxt.get(nf, zero) + c1 * c2
+            nxt[nf] = nxt.get(nf, 0) + c1 * c2
     return nxt
 
 
@@ -159,9 +136,9 @@ def parse_group_ring(family: GroupFamily, text: str) -> GroupRingElement:
 
     The word is spelled in generator letters (lowercase = generator,
     uppercase = inverse, `e` = identity) and may be split across tokens;
-    the final token on each line is the coefficient (integer, p/q, or
-    decimal).  Blank lines and '#' comments are skipped.  Repeated words
-    accumulate.
+    the final token on each line is the integer coefficient; any other
+    token there raises ValueError naming the line.  Blank lines and '#'
+    comments are skipped.  Repeated words accumulate.
     """
     acc: dict = {}
     for raw in text.splitlines():
@@ -171,7 +148,10 @@ def parse_group_ring(family: GroupFamily, text: str) -> GroupRingElement:
         tokens = line.split()
         if len(tokens) < 2:
             raise ValueError(f"line needs a word and a coefficient: {raw!r}")
-        coeff = _coerce_coeff(Fraction(tokens[-1]))
+        try:
+            coeff = int(tokens[-1])
+        except ValueError:
+            raise ValueError(f"coefficient must be an integer: {raw!r}") from None
         word = parse_word(family, "".join(tokens[:-1]))
         acc[word.normal] = acc.get(word.normal, 0) + coeff
     return GroupRingElement(family, acc)
@@ -200,20 +180,10 @@ def laplacian_element(family: GroupFamily) -> GroupRingElement:
 # ----- well-balancedness ---------------------------------------------------
 
 
-# the self-adjointness violation; a Laplacian checks that clause on its quotient
-NOT_SELF_ADJOINT = "not self-adjoint: coefficients at s and s^{-1} differ somewhere"
+def require_well_balanced(f: GroupRingElement) -> None:
+    """Raise NotWellBalancedError naming every defining clause f violates.
 
-
-@dataclass(frozen=True)
-class WellBalancedReport:
-    ok: bool
-    violations: tuple
-
-
-def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
-    """Check the four defining clauses of a well-balanced element.
-
-    Clauses: integer coefficients summing to zero; off-identity coefficients
+    Clauses: coefficients summing to zero; off-identity coefficients
     non-positive; self-adjoint; support generates the family.  The generation
     clause is decided per family: for free-abelian the support exponent
     vectors must span Z^d as a lattice; for free and heisenberg families the
@@ -221,8 +191,6 @@ def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
     """
     fam = f.family
     violations = []
-    if not f.is_integer():
-        violations.append("coefficients must be integers")
     total = sum(f._coeffs.values())
     if total != 0:
         violations.append(f"coefficient sum is {total}, expected 0")
@@ -232,7 +200,7 @@ def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
             w = format_word(GroupWord.from_normal(fam, nf))
             violations.append(f"positive coefficient {c} at {w} (must be <= 0 off identity)")
     if not f.is_self_adjoint():
-        violations.append(NOT_SELF_ADJOINT)
+        violations.append("not self-adjoint: coefficients at s and s^{-1} differ somewhere")
     support = [nf for nf in f._coeffs if nf != ident]
     if fam.kind == "free-abelian":
         if not support or not lattice_spans_z_d(support, fam.rank):
@@ -243,13 +211,8 @@ def is_well_balanced(f: GroupRingElement) -> WellBalancedReport:
             neg = fam._letter_normal(-i)
             if pos not in f._coeffs and neg not in f._coeffs:
                 violations.append(f"support misses generator {i} and its inverse")
-    return WellBalancedReport(ok=not violations, violations=tuple(violations))
-
-
-def require_well_balanced(f: GroupRingElement) -> None:
-    report = is_well_balanced(f)
-    if not report.ok:
-        raise NotWellBalancedError("; ".join(report.violations))
+    if violations:
+        raise NotWellBalancedError("; ".join(violations))
 
 
 # ----- return-probability series engines ------------------------------------
@@ -295,26 +258,28 @@ def _auto_engine(f: GroupRingElement) -> str:
 def _dict_powers(f, K, max_support, max_exact_support):
     """Yield (k, value_at) for mu^k, k = 1..K, by dictionary convolution.
 
-    Exact rationals while the support holds at most max_exact_support
-    words, floats after; value_at(nf) is (mu^k) at nf as a float.
+    While the support holds at most max_exact_support words, the dictionary
+    holds the exact walk counts f_e^k mu^k as ints and value_at divides them
+    as Python ints, which rounds correctly: the same float an exact rational
+    gives.  From the first larger support on it holds float probabilities.
+    value_at(nf) is (mu^k) at nf as a float.
     """
     fam = f.family
     ident = fam.identity_normal()
     fe = f.identity_coefficient
-    mu_exact = {nf: Fraction(-c, fe) for nf, c in f._coeffs.items() if nf != ident}
-    mu_float = {nf: float(c) for nf, c in mu_exact.items()}
-    cur: dict = {ident: Fraction(1)}
-    exact = True
+    counts = {nf: -c for nf, c in f._coeffs.items() if nf != ident}
+    mu = _mu_float(f)
+    cur: dict = {ident: 1}
+    scale = 1  # exact phase: (mu^k) = cur / scale with scale = f_e^k; 0 after
     for k in range(1, K + 1):
-        if exact:
-            cur = _dict_step(fam, cur, mu_exact, Fraction(0))
-        else:
-            cur = _dict_step(fam, cur, mu_float, 0.0)
+        cur = _dict_step(fam, cur, counts if scale else mu)
         _check_support(len(cur), max_support, k)
-        if exact and len(cur) > max_exact_support:
-            cur = {nf: float(c) for nf, c in cur.items()}
-            exact = False
-        yield k, lambda nf, cur=cur: float(cur.get(nf, 0))
+        if scale:
+            scale *= fe
+            if len(cur) > max_exact_support:
+                cur = {nf: c / scale for nf, c in cur.items()}
+                scale = 0
+        yield k, lambda nf, cur=cur, scale=scale: cur.get(nf, 0) / (scale or 1)
 
 
 def _box_step(cur: np.ndarray, lo: tuple, words: list):
@@ -739,7 +704,7 @@ def green_truncation(
         )
         warn.append(msg)
         _warnings.warn(msg, stacklevel=2)
-    # Green sums floats: dictionary walks leave exact rationals after step 1
+    # Green sums floats: dictionary walks leave exact counts after step 1
     engine, series, sums, m = _walk_pass(f, K, engine, radius, max_support, 0, max_grid_cells)
     if m is not None and K * _grid_reach(f) + radius >= m:
         warn.append(f"grid size {m} wraps at order {K}; values are upper bounds")
@@ -826,17 +791,15 @@ def homoclinic_point(
 ) -> HomoclinicResult:
     """Evaluate x = (h * omega) mod 1 and report how harmonic it is.
 
-    h must have integer coefficients.  The window is the word ball of
-    window_radius (support metric of the Green source f); every shifted
-    lookup s^{-1} w must stay inside the Green ball, or WindowError is
-    raised.  A family whose walk is recurrent raises UnsupportedFamilyError.
+    The window is the word ball of window_radius (support metric of the
+    Green source f); every shifted lookup s^{-1} w must stay inside the
+    Green ball, or WindowError is raised.  A family whose walk is recurrent
+    raises UnsupportedFamilyError.
     """
     fam = green.family
     f = green.source
     if h.family != fam:
         raise FamilyMismatchError("h and the Green truncation use different families")
-    if not h.is_integer():
-        raise ValueError("homoclinic construction needs integer coefficients in h")
     require_transient(fam)
     values = {}
     for w in word_ball(fam, window_radius, generators=support_words(f)):

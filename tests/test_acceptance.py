@@ -18,6 +18,7 @@ import pytest
 from groupforests import (
     FiniteQuotient,
     GroupFamily,
+    QuotientLaplacian,
     QuotientMultigraph,
     build_laplacian,
     fk_estimate_eigen,
@@ -196,8 +197,9 @@ def test_criterion_4_rank_one_entropy_vanishes():
 
 def test_criterion_5_wilson_uniformity():
     samples = 100000
-    f4 = parse_group_ring(Z1, "e 3\na -1\na a -1\na a a -1")
-    k4 = QuotientMultigraph(build_laplacian(FiniteQuotient.from_moduli(Z1, (4,)), f4))
+    # K4 = 4I - J, hand-built: a 2-cycle of a Cayley graph has multiplicity
+    # f_s + f_{s^-1}, so no self-adjoint f gives K4's matching edges singly
+    k4 = QuotientMultigraph(QuotientLaplacian(4 * np.eye(4, dtype=np.int64) - 1))
     seen = Counter(wilson_sample(k4, rng=rng_stream(101, 0, i)).edges for i in range(samples))
     k4_dev = max(abs(c / samples - 1 / 16) for c in seen.values())
     k4_ok = len(seen) == 16 and k4_dev < 0.005

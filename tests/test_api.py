@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "SpectrumSummary",
     "TreeEntropyResult",
     "UnsupportedFamilyError",
-    "WellBalancedReport",
     "WindowError",
     "build_laplacian",
     "fk_estimate_eigen",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "harmonic_component_group",
     "homoclinic_point",
     "injectivity_radius",
-    "is_well_balanced",
     "laplacian_element",
     "lift_marginals",
     "parse_group_ring",

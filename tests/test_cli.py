@@ -350,7 +350,8 @@ class TestForestSuite:
         base = ["--family", "free-abelian:2", "--moduli", "8,8", "--samples", "3"]
         code, _ = run_cli(["wsf-marginals", *base, "--max-steps", "1"])
         assert code == 1
-        assert "random walk exceeded 1 steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: quotient 0 (Z^2 mod 8x8): random walk exceeded 1 steps")
 
 
 class TestWalkReports:
@@ -766,6 +767,21 @@ class TestOutputContract:
         assert code == 0
         assert column(out, "tau") == ["5"]
         assert str(q_file) in out
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("free-abelian:2", "generators 1,2 do not commute"),
+            ("heisenberg", "commutator is not central in the quotient"),
+        ],
+    )
+    def test_quotient_file_must_satisfy_the_relations(self, tmp_path, capsys, family, message):
+        # S3 is a quotient of F2 but of neither Z^2 nor H
+        q_file = tmp_path / "s3.quot"
+        q_file.write_text("3 2\n1 2 0\n1 0 2\n")
+        code, out = run_cli(["identity", "--family", family, "--quotient-file", str(q_file)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_error_exit_paths(self, capsys):
         assert run_cli(["identity", "--family", "free-abelian:1"])[0] == 1

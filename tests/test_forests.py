@@ -58,9 +58,9 @@ def cycle_graph(m, f_text=None):
 
 
 def k4_graph():
-    f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")
-    q = FiniteQuotient.from_moduli(Z, (4,))
-    return QuotientMultigraph(build_laplacian(q, f))
+    # hand-built: no self-adjoint f gives K4's matching edges singly, as a
+    # 2-cycle of a Cayley graph has multiplicity f_s + f_{s^-1}
+    return hand_graph(4 * np.eye(4, dtype=np.int64) - 1)
 
 
 def torus_graph(m):
@@ -428,12 +428,12 @@ class TestValidate:
     """validate accepts exactly the spanning trees, by exhaustive enumeration."""
 
     @pytest.mark.parametrize(
-        "f_text",
-        [None, "e 3\na -1\na a -1\na a a -1", "e 4\na -2\nA -2"],
+        "make_graph",
+        [lambda: cycle_graph(5), k4_graph, lambda: cycle_graph(4, "e 4\na -2\nA -2")],
         ids=["cycle", "complete", "doubled"],
     )
-    def test_accepts_exactly_the_trees(self, f_text):
-        g = cycle_graph(5 if f_text is None else 4, f_text)
+    def test_accepts_exactly_the_trees(self, make_graph):
+        g = make_graph()
         trees = set(all_spanning_trees(g))
         for subset in itertools.combinations(edge_copies(g), g.n - 1):
             tree = SpanningTree(graph=g, root=0, edges=subset)
@@ -665,8 +665,10 @@ class TestLiftMarginals:
 
     def test_window_needs_injectivity_margin(self):
         f = laplacian_element(Z)
-        chain = [FiniteQuotient.from_moduli(Z, (4,))]
-        with pytest.raises(WindowError):
+        chain = [FiniteQuotient.from_moduli(Z, (8,)), FiniteQuotient.from_moduli(Z, (4,))]
+        # the prefix names the quotient once, as on the other chain reports
+        message = "quotient 1 (Z^1 mod 4): injectivity radius 1; the window needs at least 2"
+        with pytest.raises(WindowError, match=re.escape(message) + "$"):
             lift_marginals(chain, f, radius=1, samples=10, seed=0)
 
     def test_rejects_unbalanced_or_mismatched(self):

@@ -251,6 +251,20 @@ def test_heisenberg_quotient_relations_and_size():
     assert np.array_equal(z[x], x[z])
 
 
+# S3 on three cosets: a is a 3-cycle, b the transposition (0 1)
+S3_TEXT = "3 2\n1 2 0\n1 0 2\n"
+
+
+def test_s3_action_is_refused_by_the_relations():
+    # a and b do not commute, and their commutator, a 3-cycle, is not central
+    with pytest.raises(GroupForestsError, match="generators 1,2 do not commute"):
+        FiniteQuotient.from_text(Z2, S3_TEXT)
+    with pytest.raises(GroupForestsError, match="commutator is not central"):
+        FiniteQuotient.from_text(H, S3_TEXT)
+    # the free group has no relations: S3 is one of its quotients
+    assert FiniteQuotient.from_text(F2, S3_TEXT).size == 3
+
+
 def test_word_permutation_matches_act():
     q = FiniteQuotient.from_moduli(H, [2])
     rng = random.Random(5)

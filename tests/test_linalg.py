@@ -50,6 +50,18 @@ def minor(L, base):
     return np.delete(np.delete(L.matrix, base, axis=0), base, axis=1).tolist()
 
 
+# K4 = 4I - J: its matching edges are 2-cycles of a Cayley graph of Z/4, and a
+# 2-cycle has multiplicity f_s + f_{s^-1}, even for a self-adjoint f
+K4 = 4 * np.eye(4, dtype=np.int64) - 1
+
+# self-adjoint closures of two one-sided elements, written as the one-sided
+# terms, then the inverse words and the identity mass they need:
+# 6 - a - A - 2a^3 - 2A^3, and 6 - (a + a^2 + a^3 + inverses), which is K4
+# with every edge doubled on Z/4
+CUBE_F = "e 4\na -1\nA -1\na a a -2\nA A A -2\ne 2"
+DOUBLE_K4_F = "e 3\na -1\na a -1\na a a -1\nA -1\nA A -1\nA A A -1\ne 3"
+
+
 def cycle_quotient(m):
     return FiniteQuotient.from_moduli(Z, (m,))
 
@@ -220,11 +232,11 @@ class TestBuildLaplacian:
         "quotient,f_text",
         [
             (cycle_quotient(7), "e 2\na -1\nA -1"),
-            (cycle_quotient(6), "e 4\na -1\nA -1\na a a -2"),
+            (cycle_quotient(6), CUBE_F),
             (torus_quotient(4), "e 4\na -1\nA -1\nb -1\nB -1"),
             (FiniteQuotient.from_moduli(H, (2,)), "e 4\na -1\nA -1\nb -1\nB -1"),
             (free_ball_quotient(F2, 2), "e 4\na -1\nA -1\nb -1\nB -1"),
-            (cycle_quotient(4), "e 3\na -1\na a -1\na a a -1"),
+            (cycle_quotient(4), DOUBLE_K4_F),
         ],
     )
     def test_matches_operator_oracle(self, quotient, f_text):
@@ -237,8 +249,8 @@ class TestBuildLaplacian:
         assert L.matrix.tolist() == [[2, -2], [-2, 2]]
 
     def test_loops_fold_away(self):
-        # on Z/2 the a^2 term is a loop at every vertex and must vanish
-        f = parse_group_ring(Z, "e 4\na -1\nA -1\na a -2")
+        # on Z/2 the a^2 and A^2 terms are loops at every vertex and must vanish
+        f = parse_group_ring(Z, "e 6\na -1\nA -1\na a -2\nA A -2")
         L = build_laplacian(cycle_quotient(2), f)
         assert L.matrix.tolist() == [[2, -2], [-2, 2]]
 
@@ -260,11 +272,10 @@ class TestBuildLaplacian:
             build_laplacian(cycle_quotient(3), parse_group_ring(Z, "e -2\na 1\nA 1"))
 
     def test_rejects_asymmetric_image(self):
-        # 3 - a - a^2 - a^3 has a symmetric image mod 4 but not mod 5
+        # 3 - a - a^2 - a^3 is not self-adjoint, though its image mod 4 (K4) is
         f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")
-        build_laplacian(cycle_quotient(4), f)
-        with pytest.raises(NotWellBalancedError):
-            build_laplacian(cycle_quotient(5), f)
+        with pytest.raises(NotWellBalancedError, match="not self-adjoint"):
+            build_laplacian(cycle_quotient(4), f)
 
     def test_matrix_is_read_only(self):
         L = build_laplacian(cycle_quotient(3), laplacian_element(Z))
@@ -291,10 +302,9 @@ class TestSpanningTreeCount:
             assert spanning_tree_count(L) == m
 
     def test_complete_graph_from_residues(self):
-        # 3 - a - a^2 - a^3 on Z/4 is K4; Cayley's formula gives 4^2
-        f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")
-        L = build_laplacian(cycle_quotient(4), f)
-        assert spanning_tree_count(L) == 16
+        # K4, whose matching edges no self-adjoint f gives singly; Cayley's
+        # formula gives 4^2
+        assert spanning_tree_count(QuotientLaplacian(K4)) == 16
 
     def test_double_edge_has_two_trees(self):
         L = build_laplacian(cycle_quotient(2), laplacian_element(Z))
@@ -304,8 +314,8 @@ class TestSpanningTreeCount:
         "quotient,f_text",
         [
             (cycle_quotient(5), "e 2\na -1\nA -1"),
-            (cycle_quotient(4), "e 3\na -1\na a -1\na a a -1"),
-            (cycle_quotient(6), "e 4\na -1\nA -1\na a a -2"),
+            (cycle_quotient(4), DOUBLE_K4_F),
+            (cycle_quotient(6), CUBE_F),
             (torus_quotient(3), "e 4\na -1\nA -1\nb -1\nB -1"),
             (FiniteQuotient.from_moduli(H, (2,)), "e 4\na -1\nA -1\nb -1\nB -1"),
         ],
@@ -378,9 +388,7 @@ class TestComponentGroup:
         assert g.order == 3
 
     def test_complete_graph(self):
-        f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")
-        L = build_laplacian(cycle_quotient(4), f)
-        g = harmonic_component_group(L)
+        g = harmonic_component_group(QuotientLaplacian(K4))
         assert g.invariant_factors == (1, 4, 4)
         assert g.order == 16
 
@@ -394,9 +402,9 @@ class TestComponentGroup:
         "quotient,f_text",
         [
             (cycle_quotient(3), "e 2\na -1\nA -1"),
-            (cycle_quotient(4), "e 3\na -1\na a -1\na a a -1"),
+            (cycle_quotient(4), DOUBLE_K4_F),
             (cycle_quotient(5), "e 2\na -1\nA -1"),
-            (cycle_quotient(6), "e 4\na -1\nA -1\na a a -2"),
+            (cycle_quotient(6), CUBE_F),
             (torus_quotient(2), "e 4\na -1\nA -1\nb -1\nB -1"),
         ],
     )
@@ -440,7 +448,7 @@ class TestComponentGroup:
         assert harmonic_component_group(L).order == tau
 
     def test_base_independence(self):
-        f = parse_group_ring(Z, "e 4\na -1\nA -1\na a a -2")
+        f = parse_group_ring(Z, CUBE_F)
         L = build_laplacian(cycle_quotient(6), f)
         tau = spanning_tree_count(L)
         groups = {tuple(smith_normal_form(minor(L, base), modulus=tau)) for base in range(6)}
@@ -581,7 +589,7 @@ class TestSpectrum:
         [
             (torus_quotient(4), "e 4\na -1\nA -1\nb -1\nB -1"),
             (cycle_quotient(8), "e 6\na -1\nA -1\na a -2\nA A -2"),
-            (cycle_quotient(4), "e 3\na -1\na a -1\na a a -1"),
+            (cycle_quotient(4), DOUBLE_K4_F),
             (FiniteQuotient.from_moduli(Z2, (2, 6)), "e 4\na -1\nA -1\nb -1\nB -1"),
         ],
     )
@@ -594,8 +602,8 @@ class TestSpectrum:
 
     def test_multiplier_route_rejects_asymmetric_image(self):
         f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")
-        with pytest.raises(NotWellBalancedError):
-            free_abelian_spectrum(cycle_quotient(5), f)
+        with pytest.raises(NotWellBalancedError, match="not self-adjoint"):
+            free_abelian_spectrum(cycle_quotient(4), f)
 
     def test_multiplier_route_needs_moduli(self):
         q = FiniteQuotient.from_text(Z, cycle_quotient(3).to_text())
@@ -785,7 +793,7 @@ class TestSparseOperator:
         for quotient, f in [
             (torus_quotient(4), laplacian_element(Z2)),
             (FiniteQuotient.from_moduli(H, (3,)), laplacian_element(H)),
-            (cycle_quotient(6), parse_group_ring(Z, "e 4\na -1\nA -1\na a a -2")),
+            (cycle_quotient(6), parse_group_ring(Z, CUBE_F)),
         ]:
             L = build_laplacian(quotient, f)
             tau = spanning_tree_count(L)
