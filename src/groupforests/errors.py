@@ -33,9 +33,9 @@ class IdentityMismatchError(GroupForestsError):
     """The spanning-tree count and the component-group order disagreed."""
 
 
-def at_quotient(i: int, label: str, fn):
-    """fn(), with 'quotient i (label): ' put before any library error it raises."""
+def at_quotient(i: int, label: str, fn, errors=GroupForestsError):
+    """fn(), with 'quotient i (label): ' put before any of the errors it raises."""
     try:
         return fn()
-    except GroupForestsError as err:
+    except errors as err:
         raise type(err)(f"quotient {i} ({label}): {err}") from err

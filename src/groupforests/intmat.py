@@ -3,9 +3,10 @@
 `modular_determinant` is the determinant of every reduced Laplacian: det
 mod p for a deterministic list of word-size primes, each from a float64
 LDL^T factorization whose O(n^3) work is `np.matmul` over a stack of primes,
-then combined by the Chinese remainder theorem past twice a determinant
-bound (Hadamard's, or the diagonal product on a diagonally dominant input),
-which proves the result exact.  `bareiss_determinant` (fraction-free
+then combined by the Chinese remainder theorem (`crt`, which the
+Heisenberg tree count in `linalg` shares) past twice a determinant bound
+(Hadamard's, or the diagonal product on a diagonally dominant input), which
+proves the result exact.  `bareiss_determinant` (fraction-free
 elimination in Python integers) is the independent route it is tested
 against, and the kernel of the small norm matrices of the torus tree count
 in `linalg`.
@@ -246,9 +247,20 @@ def modular_determinant(rows) -> int:
                     break
                 det = det * int(x) % q
             else:
-                residue += modulus * ((det - residue) * pow(modulus, -1, q) % q)
-                modulus *= q
+                residue, modulus = crt([det], [q], residue, modulus)
     return residue - modulus if 2 * residue > modulus else residue
+
+
+def crt(residues, primes, residue: int = 0, modulus: int = 1) -> tuple[int, int]:
+    """Fold x = r mod q for each (r, q) into x = residue mod modulus.
+
+    The primes must be coprime to modulus and to each other.  Returns the
+    new (residue, modulus), with 0 <= residue < modulus.
+    """
+    for r, q in zip(residues, primes):
+        residue += modulus * ((r - residue) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return residue, modulus
 
 
 def _bound_squared(a: np.ndarray) -> int:

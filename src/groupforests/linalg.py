@@ -8,9 +8,12 @@ computes, exactly where the theory is exact:
 - the spanning-tree count of the quotient Cayley multigraph.  On a
   nearest-neighbour torus of rank 1 or 2 it is a character norm: an integer
   determinant of size (n1 - 1) // 2, n1 the smaller modulus
-  (`_torus_tree_count`).  Elsewhere it is the exact determinant of the
-  reduced Laplacian, by CRT over word-size primes with a float64 LDL^T per
-  prime (`intmat.modular_determinant`),
+  (`_torus_tree_count`).  On a nearest-neighbour Heisenberg quotient H mod
+  m it is that norm for the m x m torus times a product over the nontrivial
+  central characters of traces of 2 x 2 transfer matrices, taken mod primes
+  p = 1 (mod m) and lifted by CRT (`_heisenberg_tree_count`).  Elsewhere it
+  is the exact determinant of the reduced Laplacian, by CRT over word-size
+  primes with a float64 LDL^T per prime (`intmat.modular_determinant`),
 - the component group of harmonic-mod-1 points (Smith normal form of the
   reduced Laplacian; its order equals the tree count).  When a support word
   b with coefficient -1 cycles m >= 3 layers of K vertices that the other
@@ -23,9 +26,9 @@ computes, exactly where the theory is exact:
   the tree form (1/N) log tau.
 
 Only the exact kernels and the dense eigensolve build the N x N matrix;
-the sweep reads the sparse entries, and the torus norm reads none.  On a
-torus the tree count and the group order thus come from routes that share
-no matrix.
+the sweep reads the sparse entries, and the torus norm and the Heisenberg
+character product read none.  On a torus and on H mod m the tree count and
+the group order thus come from routes that share no matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, FamilyMismatchError
 from .groups import FiniteQuotient, GroupWord, component_labels
-from .intmat import bareiss_determinant, modular_determinant, smith_normal_form
+from .intmat import bareiss_determinant, crt, modular_determinant, primes_below, smith_normal_form
 from .walks import GroupRingElement, laplacian_element, require_well_balanced
 
 
@@ -176,12 +179,13 @@ def _require_connected(L: QuotientLaplacian) -> None:
 def spanning_tree_count(L: QuotientLaplacian) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
-    On a nearest-neighbour torus (a moduli quotient of Z or Z^2, with f the
-    default Laplacian and L built by `build_laplacian`) the count is a
-    character norm in Python integers (`_torus_tree_count`), and no matrix
-    is formed.  Otherwise it is the determinant of the reduced Laplacian
-    (vertex 0 struck; by the matrix-tree theorem every vertex gives the same
-    count).  That matrix is positive definite on a connected graph, which is
+    On a moduli quotient with f the default Laplacian and L built by
+    `build_laplacian`, no matrix is formed: on a torus (Z or Z^2) the count
+    is a character norm in Python integers (`_torus_tree_count`), and on H
+    mod m a product over characters taken mod primes
+    (`_heisenberg_tree_count`).  Otherwise it is the determinant of the
+    reduced Laplacian (vertex 0 struck; by the matrix-tree theorem every
+    vertex gives the same count).  That matrix is positive definite on a connected graph, which is
     what `modular_determinant` needs: residues mod word-size primes from a
     float64 LDL^T, lifted by CRT past twice a determinant bound.
     """
@@ -189,14 +193,11 @@ def spanning_tree_count(L: QuotientLaplacian) -> int:
     if L.size == 1:
         return 1
     q = L.quotient
-    if (
-        q is not None
-        and q.moduli is not None
-        and q.family.kind == "free-abelian"
-        and q.family.rank <= 2
-        and L.source == laplacian_element(q.family)
-    ):
-        return _torus_tree_count(q.moduli)
+    if q is not None and q.moduli is not None and L.source == laplacian_element(q.family):
+        if q.family.kind == "free-abelian" and q.family.rank <= 2:
+            return _torus_tree_count(q.moduli)
+        if q.family.kind == "heisenberg":
+            return _heisenberg_tree_count(q.moduli[0])
     return modular_determinant(L.reduced())
 
 
@@ -258,6 +259,89 @@ def _resultant(s: list, n: int) -> int:
     for _ in range(d - 1):
         rows.append(times_y(rows[-1]))
     return bareiss_determinant(rows)
+
+
+# Primes below 2**26 keep every product of two residues below 2**52, inside
+# int64, and their sieve needs only the primes below 2**13.  A batch of
+# primes holds about _CHAR_ENTRIES residues per array.
+_CHAR_PRIME_BOUND = 2**26
+_CHAR_ENTRIES = 2**16
+
+
+def _heisenberg_tree_count(m: int) -> int:
+    """Spanning trees of the nearest-neighbour Cayley graph of H mod m, m >= 2.
+
+    Right multiplication by the centre shifts c in (a, b, c) and commutes
+    with L, and in the central character k and then the character l of b,
+    L acts on functions of a as the periodic Jacobi matrix J_kl with
+    diagonal d_a = 4 - w^(ka + l) - w^-(ka + l), w = exp(2 pi i / m), and
+    -1 between a and a +- 1 mod m.  The blocks k = 0 make up the m x m
+    torus, whose nonzero eigenvalues multiply to m^2 tau_torus, so N tau =
+    m^2 tau_torus P with P = prod_(k != 0, l) det J_kl, a positive integer,
+    and tau = tau_torus P / m.  P is found mod primes p = 1 (mod m), where
+    w is a primitive m-th root of unity (`_character_product`), and lifted
+    by CRT past twice the bound P <= m tau <= m 4^(N - 1) (tau is at most
+    the product of the N - 1 non-root degrees).  No matrix is formed.
+
+    Raises:
+        ArithmeticError: if tau_torus P is not a multiple of m.
+    """
+    bound = m << 2 * (m**3 - 1)
+    primes, modulus = [], 1
+    for p in primes_below(_CHAR_PRIME_BOUND):
+        if p % m == 1:
+            primes.append(p)
+            modulus *= p
+            if modulus > 2 * bound:
+                break
+    else:
+        raise ValueError("ran out of primes below the exactness bound")
+    batch = max(1, _CHAR_ENTRIES // m**2)
+    residues = []
+    for i in range(0, len(primes), batch):
+        residues += _character_product(primes[i : i + batch], m)
+    product = crt(residues, primes)[0]
+    tau, rest = divmod(_torus_tree_count((m, m)) * product, m)
+    if rest:
+        raise ArithmeticError(f"character product {product} of H mod {m} is not a multiple of m")
+    return tau
+
+
+def _character_product(primes: list, m: int) -> list:
+    """prod_(0 < k < m, l < m) det J_kl mod p, for each prime p = 1 (mod m).
+
+    det J = tr(T_(m-1) ... T_0) - 2 with T_a = [[d_a, -1], [1, 0]] (at m = 2
+    the two -1 of J merge into -2, and the trace still gives d_0 d_1 - 4).
+    The product is carried on the columns e_0 and e_1 as (top, bottom)
+    pairs, one T_a at a time, over every (p, k, l) at once; no step divides.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    powers = np.array([_root_powers(q, m) for q in primes], dtype=np.int64)
+    k = np.arange(1, m)[:, None]
+    l = np.arange(m)
+    top = np.zeros((len(primes), m - 1, m, 2), dtype=np.int64)
+    bottom = np.zeros_like(top)
+    top[..., 0] = bottom[..., 1] = 1
+    for a in range(m):
+        e = (k * a + l) % m
+        d = (4 - powers[:, e] - powers[:, -e % m]) % p
+        top, bottom = (d[..., None] * top - bottom) % p[..., None], top
+    det = (top[..., 0] + bottom[..., 1] - 2) % p
+    product = np.ones(len(primes), dtype=np.int64)
+    for column in det.reshape(len(primes), -1).T:
+        product = product * column % p[:, 0, 0]
+    return product.tolist()
+
+
+def _root_powers(p: int, m: int) -> list:
+    """[w^j mod p for j < m] for a primitive m-th root of unity w mod p."""
+    for g in range(2, p):
+        w = pow(g, (p - 1) // m, p)  # w^m = 1; primitive unless some w^j = 1
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * w % p)
+        if 1 not in powers[1:]:
+            return powers
 
 
 @dataclass(frozen=True)

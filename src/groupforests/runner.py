@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    GroupForestsError,
     IdentityMismatchError,
     ResourceLimitError,
     UnsupportedFamilyError,
@@ -290,7 +291,15 @@ def resolve_config(
         if not isinstance(path, str):
             raise ValueError(f"quotient_files must be a list of paths, got {path!r}")
         with open(path) as fh:
-            quotients.append(FiniteQuotient.from_text(fam, fh.read(), label=str(path)))
+            text = fh.read()
+        quotients.append(
+            at_quotient(
+                len(quotients),
+                str(path),
+                lambda: FiniteQuotient.from_text(fam, text, label=str(path)),
+                (GroupForestsError, ValueError),
+            )
+        )
     fields = dict(OP_DEFAULTS.get(operation, {}))
     caps = {}
     for key, value in params.items():

@@ -155,8 +155,8 @@ class TestIdentitySuite:
 
     def test_one_determinant_per_quotient(self, monkeypatch):
         # tau doubles as the Smith modulus, so the modular determinant runs
-        # at most once per quotient: once on a Heisenberg quotient, and never
-        # on a nearest-neighbour torus, whose tau is a character norm
+        # at most once per quotient, and never on a nearest-neighbour torus
+        # or Heisenberg quotient, whose tau is a character norm or product
         calls = []
         real = linalg.modular_determinant
 
@@ -172,13 +172,22 @@ class TestIdentitySuite:
         code, out = run_cli(["identity", "--family", "heisenberg", "--moduli", "3;5"])
         assert code == 0
         assert column(out, "tau") == column(out, "component_order")
-        assert calls == [26, 124]
+        assert calls == []
 
     @pytest.mark.parametrize("wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1])
     def test_wrong_torus_tau_is_a_mismatch(self, monkeypatch, wrong):
         real = linalg._torus_tree_count
         monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli: wrong(real(moduli)))
         cfg = resolve_config("identity", family="free-abelian:2", moduli="4,4;3,5")
+        with pytest.raises(IdentityMismatchError, match="component order"):
+            runner.run_identity_suite(cfg)
+
+    @pytest.mark.parametrize("wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1])
+    def test_wrong_heisenberg_tau_is_a_mismatch(self, monkeypatch, wrong):
+        # the Smith form of the sweep still certifies the character product
+        real = linalg._heisenberg_tree_count
+        monkeypatch.setattr(linalg, "_heisenberg_tree_count", lambda m: wrong(real(m)))
+        cfg = resolve_config("identity", family="heisenberg", moduli="3;5")
         with pytest.raises(IdentityMismatchError, match="component order"):
             runner.run_identity_suite(cfg)
 
@@ -207,15 +216,19 @@ class TestIdentitySuite:
             (["--family", "free-abelian:2", "--moduli", "4,4", "--f", "e 6; a -2; A -2; b -1; B -1"], [15]),
             (["--family", "free-abelian:3", "--moduli", "2,2,3"], [11]),
             (["--family", "free:2", "--ball-radius", "2"], [16]),
-            ("text", [15]),
+            (("text", "free-abelian:2", (4, 4)), [15]),
+            (["--family", "heisenberg", "--moduli", "5", "--f", "e 6; a -2; A -2; b -1; B -1"], [124]),
+            (("text", "heisenberg", 3), [26]),
         ],
-        ids=["other-f", "rank-3", "free-ball", "text-quotient"],
+        ids=["other-f", "rank-3", "free-ball", "text-quotient", "heisenberg-other-f", "heisenberg-text"],
     )
     def test_other_quotients_reach_the_modular_determinant(self, monkeypatch, tmp_path, argv, sizes):
-        if argv == "text":
-            q_file = tmp_path / "t44.quot"
-            q_file.write_text(FiniteQuotient.from_moduli(GroupFamily.free_abelian(2), (4, 4)).to_text())
-            argv = ["--family", "free-abelian:2", "--quotient-file", str(q_file)]
+        if argv[0] == "text":
+            # the same quotient as from_moduli builds, but read from a file
+            _, family, moduli = argv
+            q_file = tmp_path / "q.quot"
+            q_file.write_text(FiniteQuotient.from_moduli(parse_family(family), moduli).to_text())
+            argv = ["--family", family, "--quotient-file", str(q_file)]
         calls = []
         real = linalg.modular_determinant
 
@@ -235,16 +248,16 @@ class TestIdentitySuite:
             (["--family", "free-abelian:2", "--moduli", "8,8"], [15], 0),
             # b is the generator of order 5, then 9: K is the shorter side
             (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [5, 11], 0),
-            (["--family", "heisenberg", "--moduli", "3"], [17], 1),
+            (["--family", "heisenberg", "--moduli", "3"], [17], 0),
             (["--family", "free:2", "--ball-radius", "3"], [52], 2),
         ],
         ids=["torus", "torus-rect", "heisenberg", "free-ball"],
     )
     def test_component_group_route(self, monkeypatch, argv, smith_rows, reduced_calls):
         # tori and Heisenberg quotients take the layer sweep's (2K-1)-square
-        # matrix; a Heisenberg quotient reads the reduced Laplacian only for
-        # tau, and a torus not at all (tau is a character norm); a free ball
-        # has no layers and reads it again for the (N-1)-square Smith form
+        # matrix and never read the reduced Laplacian (tau is a character
+        # norm or product); a free ball has no layers and reads it for tau
+        # and again for the (N-1)-square Smith form
         rows, reads = [], []
         real_smith, real_reduced = linalg.smith_normal_form, QuotientLaplacian.reduced
 
@@ -267,15 +280,23 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
     def test_exact_reports_never_run_bareiss(self, monkeypatch, operation):
         # no Bareiss elimination runs on a reduced Laplacian; Bareiss is the
-        # kernel of the torus tree count's small norm matrices only, and a
-        # Heisenberg quotient has none
+        # kernel of the torus tree count's small norm matrices only, and on
+        # H mod 3 it sees the 3 x 3 torus norm's (3 - 1) // 2 = 1-square ones
+        sizes = []
+        real = linalg.bareiss_determinant
+
+        def norm_only(rows):
+            sizes.append(len(rows))
+            return real(rows)
+
         def refused(rows):
             raise AssertionError("Bareiss elimination on the CLI path")
 
-        monkeypatch.setattr(linalg, "bareiss_determinant", refused)
+        monkeypatch.setattr(linalg, "bareiss_determinant", norm_only)
         monkeypatch.setattr(intmat, "bareiss_determinant", refused)
         code, _ = run_cli([operation, "--family", "heisenberg", "--moduli", "3"])
         assert code == 0
+        assert sizes and set(sizes) == {1}
 
 
 class TestDenseCap:
@@ -781,7 +802,7 @@ class TestOutputContract:
         q_file.write_text("3 2\n1 2 0\n1 0 2\n")
         code, out = run_cli(["identity", "--family", family, "--quotient-file", str(q_file)])
         assert (code, out) == (1, "")
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: quotient 0 ({q_file}): {message}\n"
 
     def test_error_exit_paths(self, capsys):
         assert run_cli(["identity", "--family", "free-abelian:1"])[0] == 1

@@ -377,6 +377,36 @@ class TestTorusTreeCount:
         assert spanning_tree_count(L) == bareiss_determinant(L.reduced()) == 2**32 * 5**14
 
 
+class TestHeisenbergTreeCount:
+    """The character product on H mod m against the modular determinant."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_product_matches_the_determinant(self, monkeypatch, m):
+        L = build_laplacian(FiniteQuotient.from_moduli(H, m), laplacian_element(H))
+        expected = modular_determinant(L.reduced())
+
+        def refuse(*args):
+            raise AssertionError("matrix kernel on H mod m")
+
+        monkeypatch.setattr(linalg, "modular_determinant", refuse)
+        monkeypatch.setattr(QuotientLaplacian, "reduced", refuse)
+        assert spanning_tree_count(L) == expected
+
+    def test_h_mod_11_is_fast(self):
+        start = time.perf_counter()
+        tau = linalg._heisenberg_tree_count(11)
+        assert time.perf_counter() - start < 1.0
+        # tau_torus P = 11 tau, and the 11 x 11 torus norm divides it
+        assert 11 * tau % linalg._torus_tree_count((11, 11)) == 0
+
+    def test_inexact_product_raises(self, monkeypatch):
+        # a character product of 1 over a norm of 1 is not a multiple of m = 3
+        monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli: 1)
+        monkeypatch.setattr(linalg, "_character_product", lambda primes, m: [1] * len(primes))
+        with pytest.raises(ArithmeticError, match="H mod 3 is not a multiple of m"):
+            linalg._heisenberg_tree_count(3)
+
+
 # --- harmonic component groups ---
 
 
