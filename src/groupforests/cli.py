@@ -104,10 +104,12 @@ def _merge(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    if args.f_file:
-        merged["f"] = Path(args.f_file).read_text()
-    if args.h_file:
-        merged["h"] = Path(args.h_file).read_text()
+    for key, path in (("f", args.f_file), ("h", args.h_file)):
+        if path:
+            try:
+                merged[key] = runner.read_utf8(path)
+            except ValueError as err:
+                raise ValueError(f"--{key}-file {path}: {err}") from None
     if args.quotient_file:
         merged["quotient_files"] = list(args.quotient_file)
     if args.ball_radius:

@@ -48,6 +48,7 @@ from .linalg import (
     spectrum,
 )
 from .walks import (
+    check_support_cap,
     formal_inverse_residual,
     format_group_ring,
     green_truncation,
@@ -252,6 +253,16 @@ def _config_number(key: str, value, whole: bool):
     return int(number) if whole else float(number)
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; bytes that do not decode raise a plain ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        # UnicodeDecodeError cannot be rebuilt from a message, as at_quotient does
+        raise ValueError(str(err)) from None
+
+
 def _config_list(key: str, value) -> tuple:
     """A list-valued key as a tuple, None as empty; a scalar is refused, not iterated."""
     if value is not None and not isinstance(value, (list, tuple)):
@@ -290,13 +301,11 @@ def resolve_config(
         # open(0) would read stdin and close it
         if not isinstance(path, str):
             raise ValueError(f"quotient_files must be a list of paths, got {path!r}")
-        with open(path) as fh:
-            text = fh.read()
         quotients.append(
             at_quotient(
                 len(quotients),
                 str(path),
-                lambda: FiniteQuotient.from_text(fam, text, label=str(path)),
+                lambda: FiniteQuotient.from_text(fam, read_utf8(path), label=str(path)),
                 (GroupForestsError, ValueError),
             )
         )
@@ -415,6 +424,8 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
     notes = []
     ent_cell = ""
     try:
+        # the column is dropped on a cap hit, so find that out before walking
+        check_support_cap(cfg.f, cfg.K, cfg.engine, cfg.cap("max_support"))
         ent = tree_entropy(cfg.f, cfg.K, engine=cfg.engine, **_walk_caps(cfg))
         ent_cell = _fmt(ent.value)
         notes.append(f"tree_entropy engine: {ent.engine}")

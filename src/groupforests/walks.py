@@ -363,6 +363,31 @@ def _box_powers(f, K, max_support):
         yield k, value_at
 
 
+def check_support_cap(f, K, engine, max_support) -> None:
+    """Raise the direct walk's support-cap error before the walk, where that is exact.
+
+    On the Heisenberg box, while f_e^k < 2^63, a well-balanced f makes every
+    cell an exact positive walk count, so the support is the set of words
+    reachable in k steps.  This walks that set on a boolean box (+= is OR)
+    and raises the ResourceLimitError the int64 walk would raise at its
+    first step past max_support.  It returns undecided at the first k with
+    f_e^k >= 2^63, at K, or when the engine is not the direct box walk.
+    """
+    if f.family.kind != "heisenberg" or engine not in ("auto", "direct"):
+        return
+    fe = f.identity_coefficient
+    ident = f.family.identity_normal()
+    words = [(nf, True) for nf in f._coeffs if nf != ident]
+    cur = np.ones((1, 1, 1), dtype=bool)
+    lo = ident
+    for k in range(1, K + 1):
+        if fe**k >= 1 << 63:
+            return
+        cur, lo = _box_step(cur, lo, words)
+        cur, lo, size = _box_trim(cur, lo)
+        _check_support(size, max_support, k)
+
+
 def _direct_powers(f, K, max_support, max_exact_support):
     """mu^1 .. mu^K for the direct engine: the box on Heisenberg, else dicts."""
     if f.family.kind == "heisenberg":

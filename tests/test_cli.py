@@ -29,6 +29,7 @@ from groupforests import (
     linalg,
     return_series,
     runner,
+    walks,
 )
 from groupforests.runner import (
     ExperimentConfig,
@@ -297,6 +298,39 @@ class TestIdentitySuite:
         code, _ = run_cli([operation, "--family", "heisenberg", "--moduli", "3"])
         assert code == 0
         assert sizes and set(sizes) == {1}
+
+
+class TestIdentityEntropyColumn:
+    """The Heisenberg entropy column's support cap is checked before any walk."""
+
+    def test_capped_column_walks_nothing(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the capped walk ran")
+
+        monkeypatch.setattr(walks, "_box_powers", refused)
+        golden = os.path.join(os.path.dirname(__file__), "golden", "identity-heisenberg.csv")
+        with open(golden, encoding="utf-8") as fh:
+            expected = fh.read()
+        assert run_cli(["identity", "--family", "heisenberg", "--moduli", "3"]) == (0, expected)
+        code, out = run_cli(["identity", "--family", "heisenberg", "--moduli", "3;5"])
+        assert code == 0
+        assert "# note: tree_entropy column skipped: walk support 209504 exceeds cap 200000 at step 31\n" in out
+        assert column(out, "tau")[0] == column(expected, "tau")[0]
+        assert column(out, "tree_entropy_K80") == ["", ""]
+
+    def test_grid_engine_note(self):
+        code, out = run_cli(["identity", "--family", "heisenberg", "--moduli", "3", "--engine", "grid"])
+        assert code == 0
+        assert "# note: tree_entropy column skipped: grid engine needs a free-abelian family\n" in out
+        assert column(out, "tree_entropy_K80") == [""]
+
+    def test_column_under_a_larger_cap(self):
+        code, out = run_cli(
+            ["identity", "--family", "heisenberg", "--moduli", "3", "--max-support", "1000000", "--K", "20"]
+        )
+        assert code == 0
+        assert "# note: tree_entropy engine: direct\n" in out
+        assert column(out, "tree_entropy_K20") == ["1.21528517395"]
 
 
 class TestDenseCap:
@@ -788,6 +822,27 @@ class TestOutputContract:
         assert code == 0
         assert column(out, "tau") == ["5"]
         assert str(q_file) in out
+
+    def test_quotient_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        q_file = tmp_path / "bad.quot"
+        q_file.write_bytes(b"3 2\n\xff\xfe 1\n")
+        code, out = run_cli(["identity", "--family", "free:2", "--quotient-file", str(q_file)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: quotient 0 ({q_file}): 'utf-8' codec can't decode byte 0xff "
+            "in position 4: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--f-file", "--h-file"])
+    def test_element_file_that_is_not_utf8_is_named(self, tmp_path, capsys, flag):
+        bad = tmp_path / "elem.txt"
+        bad.write_bytes(b"e 4\n\xff -2\n")
+        code, out = run_cli(["homoclinic", "--family", "heisenberg", flag, str(bad)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: {flag} {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 4: invalid start byte\n"
+        )
 
     @pytest.mark.parametrize(
         "family, message",

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupforests import (
     FamilyMismatchError,
@@ -520,6 +522,47 @@ class TestHeisenbergBox:
                 pass
         assert str(box.value) == str(dic.value)
         assert str(box.value) == "walk support 2577 exceeds cap 2000 at step 10"
+        with pytest.raises(ResourceLimitError) as check:
+            walks.check_support_cap(f, 40, "auto", 2000)
+        assert str(check.value) == str(box.value)
+
+    @staticmethod
+    def cap_error(fn, *args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except ResourceLimitError as err:
+            return str(err)
+        return None
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["e 4\na -1\nA -1\nb -1\nB -1", SHEAR, HEAVY]), st.data())
+    def test_cap_check_raises_exactly_when_the_walk_does(self, text, data):
+        f = elt(H, text)
+        fe = f.identity_coefficient
+        # every step the check decides runs in the walk's int64 phase
+        K = data.draw(st.integers(0, max(k for k in range(64) if fe**k < 1 << 63)), label="K")
+        cap = data.draw(st.integers(0, 30_000), label="max_support")
+        walk = self.cap_error(return_series, f, K, engine="direct", max_support=cap)
+        assert self.cap_error(walks.check_support_cap, f, K, "direct", cap) == walk
+
+    def test_cap_check_stops_where_counts_leave_int64(self):
+        f = elt(H, self.HEAVY)
+        assert 1000**6 < 1 << 63 <= 1000**7
+        sizes = [len(d.coeffs) for d in convolve_powers(f, k_max=7)]
+        cap = max(sizes[:7])
+        assert sizes[7] > cap
+        # the float walk passes the cap at step 7, which the check leaves undecided
+        with pytest.raises(ResourceLimitError, match=f"support {sizes[7]} exceeds cap {cap} at step 7$"):
+            return_series(f, 12, engine="direct", max_support=cap)
+        walks.check_support_cap(f, 12, "direct", cap)
+        with pytest.raises(ResourceLimitError, match=f"cap {cap - 1} at step 6$"):
+            walks.check_support_cap(f, 12, "direct", cap - 1)
+
+    @pytest.mark.parametrize(
+        "family, engine", [(H, "grid"), (H, "tree"), (Z2, "direct"), (F2, "auto")]
+    )
+    def test_cap_check_leaves_other_walks_to_themselves(self, family, engine):
+        walks.check_support_cap(laplacian_element(family), 40, engine, 0)
 
     def test_green_matches_exact_sums(self):
         f = elt(H, self.SHEAR)
