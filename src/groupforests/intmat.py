@@ -14,18 +14,25 @@ in `linalg`.
 Everything else here works on plain Python integers (arbitrary precision).
 Both Smith functions run one elimination, `_smith` (balanced remainders,
 smallest pivot first, each pivot made to divide the rest of its block); only
-`smith_with_transform` carries the column transform V.  With a modulus D, a
-nonzero multiple of det(A), every entry of A and V is kept as a balanced
-residue mod D and each pivot is mapped to its gcd with D.  That bounds
-coefficient growth by the determinant size, and it is sound because
-D * Z^n lies inside A * Z^n (Cramer): augmenting the column space by D * I
-leaves the cokernel unchanged.
+`smith_with_transform` carries the column transform V.  With a modulus D,
+every entry of A and V is kept as a balanced residue mod D and each pivot is
+mapped to its gcd with D, which bounds coefficient growth by the size of D.
+The elimination then runs on [A | D I], whose factors are gcd(d_i, D) for
+the factors d_i of A: A's own when D is a multiple of each d_i, e.g. of
+det(A) (Cramer: D * Z^n then lies inside A * Z^n).
+
+`certified_smith_form` takes D to be the exponent of the cokernel (its
+largest factor), which is often far smaller than det(A).  D comes from a
+p-adic solve (Dixon) that starts from A^-1 modulo one word prime, taken from
+the same LDL^T kernel, and the factors are accepted only if they multiply
+to |det A|, which the caller supplies.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -391,8 +398,7 @@ def _smith(rows, modulus: int | None, transform: bool):
     diag = [a[i][i] for i in range(min(n, m))]
     if D is not None:
         # Residue arithmetic determines each true factor only up to gcd with D,
-        # and a factor equal to D itself reduces to an all-zero block (0 -> D).
-        # Sound only because the modulus contract guarantees full rank.
+        # and a factor that D divides reduces to an all-zero block (0 -> D).
         diag = [math.gcd(x, D) for x in diag]
     return diag, a[n:] if transform else None
 
@@ -402,15 +408,17 @@ def smith_normal_form(rows, modulus: int | None = None) -> list[int]:
 
     Args:
         rows: matrix as a sequence of sequences of ints (need not be square).
-        modulus: optional nonzero integer D with D * Z^n inside the column
-            space (any multiple of the determinant, for nonsingular square
-            input).  When given, entries are kept in balanced residue form
-            mod |D|, which bounds coefficient growth.
+        modulus: optional nonzero integer D.  When given, entries are kept
+            in balanced residue form mod |D|, which bounds coefficient
+            growth, and each factor d comes out as gcd(d, |D|), so a D that
+            every factor divides (any multiple of the determinant, for
+            nonsingular square input) gives the factors themselves.
 
     Returns:
         The nonzero invariant factors in divisibility order.  For a
         nonsingular square matrix their product equals |det|; a rank-deficient
-        matrix yields fewer factors than min(rows, cols).
+        matrix yields fewer factors than min(rows, cols) unless a modulus
+        is given.
     """
     factors = [d for d in _smith(rows, modulus, transform=False)[0] if d]
     # the gcd mapping of a modded run can break the chain: restore it
@@ -422,6 +430,147 @@ def smith_normal_form(rows, modulus: int | None = None) -> list[int]:
                 factors[j] = factors[i] // g * factors[j]
                 factors[i] = g
     return sorted(factors)
+
+
+# right-hand sides of the exponent's solve, with entries in [-_RHS_RANGE, _RHS_RANGE)
+_RHS = 4
+_RHS_RANGE = 100
+_RHS_SEED = 0
+
+
+def certified_smith_form(rows, order: int) -> list[int]:
+    """Invariant factors of a nonsingular square integer matrix A of |det A| = order.
+
+    The Smith form runs modulo D, the exponent of the cokernel (its largest
+    factor s) as found from a few fixed right-hand sides b: y = order A^-1 b
+    is an integer vector, and D = order / gcd(order, y) is the least common
+    denominator of A^-1 b, which is s with high probability (Eberly,
+    Giesbrecht and Villard 2000).  y comes from Dixon's p-adic lifting
+    (`_exponent`) and is checked exactly, A y = order b over Z.
+
+    Over Z/D the elimination yields gcd(d_i, D), so the product of the factors
+    is order exactly when every d_i divides D: that is the certificate.  If it
+    falls short at P, every d_i divides D order / P (d_i / gcd(d_i, D) divides
+    order / P), and the Smith form modulo that must then give order.
+
+    Raises:
+        ValueError: order is refuted as |det A|: det(A)^2 differs from
+            order^2 mod the solve's prime, A y = order b fails, or the factors
+            do not multiply to order.  Also raised for a singular A.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("certified Smith form needs a square matrix")
+    if order < 1:
+        raise ValueError("the order of a finite cokernel is positive")
+    D = _exponent(a, order)
+    factors = _smith_mod(a, D)
+    product = math.prod(factors)
+    if product != order and order % product == 0:
+        factors = _smith_mod(a, D * (order // product))
+        product = math.prod(factors)
+    if product != order:
+        raise ValueError("the invariant factors do not multiply to the order")
+    return factors
+
+
+def _smith_mod(a: list, D: int) -> list[int]:
+    # smith_normal_form takes a modulus of 1 for none; modulo 1 every factor is 1
+    return [1] * len(a) if D == 1 else smith_normal_form(a, modulus=D)
+
+
+def _exponent(a: list, order: int) -> int:
+    """order / gcd(order, y) for y = order A^-1 b on the fixed right-hand sides b.
+
+    x = A^-1 b is lifted p-adically (Dixon 1982) from A^-1 mod one word prime
+    p (`_inverse_mod`), and y is the balanced residue of order x mod p^k.
+    A y = order b over Z proves y right, as A is nonsingular.  That is
+    checked first at p^k > 2 n^2 |b| order, which holds y in practice, and
+    else at p^k > 2 n |b| H, with H the lesser of the row- and column-norm
+    Hadamard bounds: every entry of y = +-adj(A) b is below n |b| H when
+    order is |det A|, so a failure there refutes the order.  The residual
+    r_(i+1) = (r_i - A x_i) / p stays exact: float64 while n |A| p < 2**52,
+    otherwise A in signed limbs of float64 matrices whose products are
+    exact, summed as Python ints.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    exact = np.array(a, dtype=object)
+    p, inverse = _inverse_mod(exact, order)
+    rng = random.Random(_RHS_SEED)  # numpy.random would add 5 MB to a report's peak
+    b = np.array([[rng.randrange(-_RHS_RANGE, _RHS_RANGE) for _ in range(_RHS)] for _ in range(n)])
+    squares = exact * exact
+    h2 = min(math.prod(squares.sum(axis=1).tolist()), math.prod(squares.sum(axis=0).tolist()))
+    top = int(np.abs(exact).max())
+    # limbs of w bits keep every product of a limb and a residue below 2**52
+    w = (_EXACT // (n * (p + 1))).bit_length() - 1
+    if top.bit_length() <= w:
+        limbs = [exact.astype(np.float64)]
+    else:
+        sign, rest = np.sign(exact), np.abs(exact)
+        limbs = []
+        for _ in range(-(-top.bit_length() // w)):
+            limbs.append((sign * (rest & (2**w - 1))).astype(np.float64))
+            rest >>= w
+    residual = b.astype(np.float64 if len(limbs) == 1 else object)
+    fp = float(p)
+    solution, pk = np.zeros(b.shape, dtype=object), 1
+    proven = 4 * (n * _RHS_RANGE) ** 2 * h2
+    for bound in (min(proven, 4 * (n * n * _RHS_RANGE * order) ** 2), proven):
+        while pk**2 <= bound:
+            r = (residual % p).astype(np.float64) if residual.dtype == object else residual.copy()
+            x = reduce_mod(inverse @ reduce_mod(r, fp, 1 / fp), fp, 1 / fp)
+            solution += x.astype(np.int64).astype(object) * pk
+            if len(limbs) == 1:
+                residual = (residual - limbs[0] @ x) / fp  # exact: p divides it
+            else:
+                ax = sum(
+                    (limb @ x).astype(np.int64).astype(object) << (w * i) for i, limb in enumerate(limbs)
+                )
+                residual = (residual - ax) // p
+            pk *= p
+        y = order * solution % pk
+        y[2 * y > pk] -= pk
+        if (exact.dot(y) == order * b.astype(object)).all():
+            return order // math.gcd(order, *y.flat)
+    raise ValueError("the order is not |det A|: A y != order b for y = order A^-1 b mod p^k")
+
+
+def _inverse_mod(a: np.ndarray, order: int):
+    """(p, A^-1 mod p as balanced float64) for the first usable word prime p.
+
+    A^-1 = L^-T D^-1 L^-1 A^T for the LDL^T factorization (`_ldl`) of the
+    symmetric A^T A mod p, which is nonsingular mod p when p does not divide
+    det A.  Primes that divide order are passed over, and so are primes with
+    a zero pivot: such a prime divides a leading Gram minor of A's columns.
+    Once the primes passed over at one pivot multiply past the product of
+    the squared column norms, which bounds every such minor, it is 0 over Z
+    and A is singular.  The pivots multiply to det(A)^2 mod p, which must be
+    order^2 mod p.
+    """
+    n = len(a)
+    skipped = {}
+    for q in primes_below(prime_bound(n)):
+        if order % q == 0:
+            continue
+        fq = float(q)
+        r = reduce_mod((a % q).astype(np.float64), fq, 1 / fq)
+        g = reduce_mod(r.T @ r, fq, 1 / fq)
+        stacked = np.full((1, 1, 1), fq)
+        d, d_inv, w = (x[0] for x in _ldl(g[None], [q], stacked, 1 / stacked, True))
+        zero = np.flatnonzero(d == 0)
+        if len(zero):
+            k = int(zero[0])
+            skipped[k] = skipped.get(k, 1) * q
+            if skipped[k] > math.prod((a * a).sum(axis=0).tolist()):
+                raise ValueError("certified Smith form needs a nonsingular matrix")
+            continue
+        if math.prod(int(x) for x in d.tolist()) % q != order * order % q:
+            raise ValueError(f"the order is not |det A|: their squares differ mod {q}")
+        inverse = reduce_mod(w.T @ reduce_mod(d_inv[:, None] * w, fq, 1 / fq), fq, 1 / fq)
+        return q, reduce_mod(inverse @ r.T, fq, 1 / fq)
+    raise ValueError("ran out of primes below the exactness bound")
 
 
 def smith_with_transform(

@@ -20,7 +20,11 @@ computes, exactly where the theory is exact:
   support words keep in place, a unit-pivot sweep along b reduces the
   Laplacian to a (2K - 1)-square matrix with the same cokernel, and the
   Smith form runs on that (`_layer_sweep`); other quotients, an f without
-  such a b, and hand-built Laplacians use the (N - 1)-square one,
+  such a b, and hand-built Laplacians use the (N - 1)-square one.  Either
+  way the Smith form runs modulo the group's exponent, the common
+  denominator of a p-adic solve with a few right-hand sides, not modulo
+  the tree count, and the factors must multiply to the tree count
+  (`intmat.certified_smith_form`),
 - the eigenvalue spectrum with a structural zero count,
 - log-determinant estimates: the eigenvalue form with a spectral cutoff and
   the tree form (1/N) log tau.
@@ -28,7 +32,8 @@ computes, exactly where the theory is exact:
 Only the exact kernels and the dense eigensolve build the N x N matrix;
 the sweep reads the sparse entries, and the torus norm and the Heisenberg
 character product read none.  On a torus and on H mod m the tree count and
-the group order thus come from routes that share no matrix.
+the group order thus come from routes that share no matrix: the group's
+route takes the tree count only as the order its factors must reach.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, FamilyMismatchError
 from .groups import FiniteQuotient, GroupWord, component_labels
-from .intmat import bareiss_determinant, crt, modular_determinant, primes_below, smith_normal_form
+from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, primes_below
 from .walks import GroupRingElement, laplacian_element, require_well_balanced
 
 
@@ -358,16 +363,20 @@ class ComponentGroup:
 
 
 def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -> ComponentGroup:
-    """Smith normal form of the reduced Laplacian as a ComponentGroup.
+    """The reduced Laplacian's cokernel as a ComponentGroup.
 
-    When `_layer_sweep` finds layers for L, the Smith form runs on its
-    (2K - 1)-square relation matrix, whose cokernel is the same group, and
-    the factors are padded with leading 1s to N - 1; otherwise it runs on the
-    (N - 1)-square reduced Laplacian.
+    When `_layer_sweep` finds layers for L, the relation matrix is its
+    (2K - 1)-square one, whose cokernel is the same group, and the factors
+    are padded with leading 1s to N - 1; otherwise it is the (N - 1)-square
+    reduced Laplacian.  `intmat.certified_smith_form` finds the group's
+    exponent from one p-adic solve, runs the Smith form modulo it, and
+    accepts the factors only if they multiply to the order.
 
-    modulus, when given, must be a nonzero multiple of the reduced
-    determinant, e.g. the tree count a caller already holds; otherwise it is
-    `spanning_tree_count(L)`.
+    modulus is that order, |det| of the reduced Laplacian: the tree count a
+    caller already holds, or else `spanning_tree_count(L)`.
+
+    Raises:
+        ValueError: the relation matrix refutes modulus as the order.
     """
     _require_connected(L)
     n = L.size
@@ -378,18 +387,8 @@ def harmonic_component_group(L: QuotientLaplacian, modulus: int | None = None) -
     relations = _layer_sweep(L)
     if relations is None:
         relations = L.reduced().tolist()
-    # determinant-modulus entry reduction: sound because det(A) Z^k is
-    # contained in A Z^k, so it never changes the cokernel.  Without it,
-    # intermediate entries can reach thousands of digits even on small
-    # matrices, so the modulus is applied unconditionally.
-    factors = smith_normal_form(relations, modulus=modulus)
-    if len(factors) < len(relations):
-        raise DisconnectedGraphError("reduced Laplacian is singular")
-    factors = [1] * (n - 1 - len(factors)) + factors
-    order = 1
-    for d in factors:
-        order *= d
-    return ComponentGroup(invariant_factors=tuple(factors), order=order)
+    factors = [1] * (n - 1 - len(relations)) + certified_smith_form(relations, modulus)
+    return ComponentGroup(invariant_factors=tuple(factors), order=math.prod(factors))
 
 
 def _layer_sweep(L: QuotientLaplacian) -> list | None:

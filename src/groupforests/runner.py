@@ -434,7 +434,10 @@ def run_identity_suite(cfg: ExperimentConfig) -> Report:
 
     def row(i, q, lap):
         tau = spanning_tree_count(lap)
-        comp = harmonic_component_group(lap, modulus=tau)
+        try:
+            comp = harmonic_component_group(lap, modulus=tau)
+        except ValueError as err:  # the relation matrix refutes tau as the group's order
+            raise IdentityMismatchError(f"tau {_int_text(tau)} is not the component order: {err}") from None
         if comp.order != tau:
             raise IdentityMismatchError(
                 f"tau {_int_text(tau)} != component order {_int_text(comp.order)}"

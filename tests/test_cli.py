@@ -192,6 +192,17 @@ class TestIdentitySuite:
         with pytest.raises(IdentityMismatchError, match="component order"):
             runner.run_identity_suite(cfg)
 
+    def test_a_divisor_of_tau_is_a_mismatch(self, monkeypatch):
+        # Z/9 has the subgroup Z/3, so a Smith form modulo tau / 3 = 3 alone
+        # would multiply to 3; the exponent's solve refutes that order
+        real = linalg._torus_tree_count
+        monkeypatch.setattr(
+            linalg, "_torus_tree_count", lambda moduli: real(moduli) // (3 if tuple(moduli) == (9,) else 1)
+        )
+        cfg = resolve_config("identity", family="free-abelian:1", moduli="8;9")
+        with pytest.raises(IdentityMismatchError, match="component order"):
+            runner.run_identity_suite(cfg)
+
     @pytest.mark.parametrize("operation", ["identity", "fk-det"])
     @pytest.mark.parametrize(
         "argv",
@@ -244,38 +255,53 @@ class TestIdentitySuite:
         assert calls == sizes
 
     @pytest.mark.parametrize(
-        "argv, smith_rows, reduced_calls",
+        "argv, smith_runs, tau_bits, reduced_calls",
         [
-            (["--family", "free-abelian:2", "--moduli", "8,8"], [15], 0),
+            # the four right-hand sides miss a factor 2 of the exponent here:
+            # the product falls short, and the retry modulo D tau / P reaches it
+            (["--family", "free-abelian:2", "--moduli", "8,8"], [(15, 15), (15, 16)], [107], 0),
             # b is the generator of order 5, then 9: K is the shorter side
-            (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [5, 11], 0),
-            (["--family", "heisenberg", "--moduli", "3"], [17], 0),
-            (["--family", "free:2", "--ball-radius", "3"], [52], 2),
+            (["--family", "free-abelian:2", "--moduli", "3,5;6,9"], [(5, 9), (11, 28)], [24, 90], 0),
+            (["--family", "heisenberg", "--moduli", "3"], [(17, 7)], [43], 0),
+            # the ball's group is nearly cyclic: its exponent is tau / 2
+            (["--family", "free:2", "--ball-radius", "3"], [(52, 85)], [86], 2),
         ],
         ids=["torus", "torus-rect", "heisenberg", "free-ball"],
     )
-    def test_component_group_route(self, monkeypatch, argv, smith_rows, reduced_calls):
+    def test_component_group_route(self, monkeypatch, argv, smith_runs, tau_bits, reduced_calls):
         # tori and Heisenberg quotients take the layer sweep's (2K-1)-square
         # matrix and never read the reduced Laplacian (tau is a character
         # norm or product); a free ball has no layers and reads it for tau
-        # and again for the (N-1)-square Smith form
-        rows, reads = [], []
-        real_smith, real_reduced = linalg.smith_normal_form, QuotientLaplacian.reduced
+        # and again for the (N-1)-square Smith form.  Each Smith form runs
+        # modulo the group's exponent or, on a retry, a multiple of it: a
+        # proper divisor of tau, never tau itself
+        orders, runs, reads = [], [], []
+        real_certified, real_smith = linalg.certified_smith_form, intmat.smith_normal_form
+        real_reduced = QuotientLaplacian.reduced
+
+        def certified(matrix, order):
+            orders.append(order)
+            return real_certified(matrix, order)
 
         def smith(matrix, modulus=None):
-            rows.append(len(matrix))
+            if modulus is not None:  # the injectivity radius's lattice checks have none
+                runs.append((len(matrix), modulus, orders[-1]))
             return real_smith(matrix, modulus=modulus)
 
         def reduced(self):
             reads.append(self.size)
             return real_reduced(self)
 
-        monkeypatch.setattr(linalg, "smith_normal_form", smith)
+        monkeypatch.setattr(linalg, "certified_smith_form", certified)
+        monkeypatch.setattr(intmat, "smith_normal_form", smith)
         monkeypatch.setattr(QuotientLaplacian, "reduced", reduced)
         code, out = run_cli(["identity", *argv])
         assert code == 0
         assert column(out, "tau") == column(out, "component_order")
-        assert rows == smith_rows
+        assert orders == [int(t) for t in column(out, "tau")]
+        assert [tau.bit_length() for tau in orders] == tau_bits
+        assert [(rows, modulus.bit_length()) for rows, modulus, _ in runs] == smith_runs
+        assert all(tau % modulus == 0 and modulus < tau for _, modulus, tau in runs)
         assert len(reads) == reduced_calls
 
     @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])

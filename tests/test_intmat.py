@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from groupforests import (
 )
 from groupforests.intmat import (
     bareiss_determinant,
+    certified_smith_form,
     lattice_spans_z_d,
     modular_determinant,
     prime_bound,
@@ -379,6 +381,92 @@ class TestSmithProperties:
         diag, _ = smith_with_transform(rows, modulus)
         expected = invariant_factors([d for d in diag if d])
         assert smith_normal_form(rows, modulus) == expected
+
+
+class TestCertifiedSmith:
+    """The Smith form modulo the exponent, against the one modulo the determinant."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        int_matrices(square=True, entry=st.integers(-30, 30)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+    )
+    def test_matches_the_form_modulo_the_determinant(self, rows, seed, rhs):
+        # one or two right-hand sides often miss a factor of the exponent,
+        # so the retry modulo D order / P runs here too
+        det = bareiss_determinant(rows)
+        assume(det != 0)
+        with mock.patch.object(intmat, "_RHS_SEED", seed), mock.patch.object(intmat, "_RHS", rhs):
+            assert certified_smith_form(rows, abs(det)) == smith_normal_form(rows, modulus=det)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(24, 90), st.randoms(use_true_random=False))
+    def test_wide_entries_take_the_limb_path(self, n, bits, rnd):
+        # B diag(d) C with B of wide entries: past about 2**22 the residual
+        # A x_i runs on limbs of A; the diagonal gives a non-cyclic group
+        b = [[rnd.randrange(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+        c = [[rnd.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        d = [rnd.choice([1, 2, 3, 4, 6, 12]) for _ in range(n)]
+        rows = matrix_times(b, [[x * y for x, y in zip(row, d)] for row in c])
+        det = bareiss_determinant(rows)
+        assume(det != 0)
+        assert certified_smith_form(rows, abs(det)) == smith_normal_form(rows, modulus=det)
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1, lambda t: t // 3]
+    )
+    @pytest.mark.parametrize("rows", [[[9]], [[3, 9], [0, 9]]], ids=["cyclic", "Z3xZ9"])
+    def test_a_wrong_order_is_refuted(self, rows, wrong):
+        # modulo 3, Z/9 has the factor gcd(9, 3) = 3: a product check alone
+        # would take the order 9 / 3 = 3
+        order = abs(bareiss_determinant(rows))
+        assert certified_smith_form(rows, order)
+        with pytest.raises(ValueError, match="squares differ"):
+            certified_smith_form(rows, wrong(order))
+
+    def test_the_solve_refutes_an_order_congruent_to_the_determinant(self):
+        # 9 + p has the square of 9 mod the solve's prime p, but A y = order b
+        # has no solution y = order A^-1 b mod p^k for it
+        p = first_prime(1)
+        with pytest.raises(ValueError, match="A y != order b"):
+            certified_smith_form([[9]], 9 + p)
+
+    @pytest.mark.parametrize("order", [28, 54, 81])
+    def test_the_product_refutes_what_the_factors_cannot_reach(self, monkeypatch, order):
+        # with the solve's checks passed (here skipped), Z/3 x Z/9 modulo
+        # D = 9 multiplies to 27, and modulo D order / 27 too, if it divides
+        monkeypatch.setattr(intmat, "_exponent", lambda a, order: 9)
+        with pytest.raises(ValueError, match="do not multiply to the order"):
+            certified_smith_form([[3, 0], [0, 9]], order)
+
+    @pytest.mark.parametrize("q, moduli", [(3, [3, 9]), (9, [1, 27])])
+    def test_an_unlucky_exponent_is_retried(self, monkeypatch, q, moduli):
+        # D = 9 / q: the factors gcd(3, D), gcd(9, D) fall short of 27 at P,
+        # and every factor divides D 27 / P; at D = 1 that is 27 itself
+        ran = []
+        real = intmat._smith_mod
+
+        def recorded(a, modulus):
+            ran.append(modulus)
+            return real(a, modulus)
+
+        monkeypatch.setattr(intmat, "_exponent", lambda a, order: 9 // q)
+        monkeypatch.setattr(intmat, "_smith_mod", recorded)
+        assert certified_smith_form([[3, 9], [0, 9]], 27) == [3, 9]
+        assert ran == moduli
+
+    def test_refuses_singular_and_malformed_input(self):
+        with pytest.raises(ValueError, match="nonsingular"):
+            certified_smith_form([[1, 2], [2, 4]], 1)
+        with pytest.raises(ValueError, match="square"):
+            certified_smith_form([[1, 2]], 1)
+        with pytest.raises(ValueError, match="positive"):
+            certified_smith_form([[2]], 0)
+
+    def test_empty_and_unimodular(self):
+        assert certified_smith_form([], 1) == []
+        assert certified_smith_form([[2, 1], [1, 1]], 1) == [1, 1]
 
 
 class TestLatticeSpan:

@@ -10,6 +10,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from groupforests import (
     spanning_tree_count,
     spectrum,
 )
-from groupforests import linalg
+from groupforests import intmat, linalg
 from groupforests.groups import GroupWord
 from groupforests.intmat import bareiss_determinant, modular_determinant, smith_normal_form
 
@@ -566,13 +567,13 @@ class TestLayerSweep:
     def test_fallback_is_the_dense_smith_form(self, L, monkeypatch):
         assert linalg._layer_sweep(L) is None
         sizes = []
-        real = linalg.smith_normal_form
+        real = intmat.smith_normal_form
 
         def recorded(rows, modulus=None):
             sizes.append(len(rows))
             return real(rows, modulus=modulus)
 
-        monkeypatch.setattr(linalg, "smith_normal_form", recorded)
+        monkeypatch.setattr(intmat, "smith_normal_form", recorded)
         assert_dense_factors(L)
         assert sizes == [L.size - 1] * 2  # with the modulus tau, then without
 
@@ -588,6 +589,77 @@ class TestLayerSweep:
         assert linalg._layer_sweep(L) is None
         tau = spanning_tree_count(N)
         assert harmonic_component_group(L, modulus=tau) == harmonic_component_group(N)
+
+
+# --- the Smith form modulo the exponent, certified by tau ---
+
+
+@st.composite
+def relation_matrices(draw):
+    """(relation matrix, tau) of a small torus, of H mod m, or under another f.
+
+    Tori and H mod m >= 3 take the layer sweep; NO_UNIT_F has no unit
+    coefficient, so a torus under it takes the reduced Laplacian.
+    """
+    kind = draw(st.sampled_from(["torus", "heisenberg", "other-f"]))
+    if kind == "torus":
+        rank = draw(st.integers(1, 3))
+        moduli = draw(st.lists(st.integers(1, 8), min_size=rank, max_size=rank))
+        assume(math.prod(moduli) <= 160)
+        family = GroupFamily.free_abelian(len(moduli))
+        L = build_laplacian(FiniteQuotient.from_moduli(family, tuple(moduli)), laplacian_element(family))
+    elif kind == "heisenberg":
+        L = build_laplacian(FiniteQuotient.from_moduli(H, (draw(st.integers(2, 5)),)), laplacian_element(H))
+    else:
+        moduli = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        assume(math.prod(moduli) <= 48)
+        L = build_laplacian(FiniteQuotient.from_moduli(Z2, moduli), parse_group_ring(Z2, NO_UNIT_F))
+        assert linalg._layer_sweep(L) is None
+    relations = linalg._layer_sweep(L)
+    return (L.reduced().tolist() if relations is None else relations), spanning_tree_count(L)
+
+
+# the 3 x 5 torus: its sweep's group is Z/29^3 x Z/435
+TORUS_3X5 = build_laplacian(FiniteQuotient.from_moduli(Z2, (3, 5)), laplacian_element(Z2))
+TAU_3X5 = 29**3 * 435
+
+
+class TestCertifiedGroup:
+    @settings(max_examples=60, deadline=None)
+    @given(relation_matrices(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_matches_the_smith_form_modulo_tau(self, case, seed, rhs):
+        relations, tau = case
+        with mock.patch.object(intmat, "_RHS_SEED", seed), mock.patch.object(intmat, "_RHS", rhs):
+            factors = intmat.certified_smith_form(relations, tau)
+        assert factors == smith_normal_form(relations, modulus=tau)
+
+    @pytest.mark.parametrize("q, moduli", [(3, [145, 435]), (29, [15, TAU_3X5])])
+    def test_an_unlucky_exponent_on_the_3x5_torus(self, monkeypatch, q, moduli):
+        # two right-hand sides can give D = 145 = 435 / 3 here; the factors
+        # then multiply to P = tau / 3, and the retry runs modulo D tau / P.
+        # At D = 15 = 435 / 29 that is tau itself
+        relations = linalg._layer_sweep(TORUS_3X5)
+        assert intmat.certified_smith_form(relations, TAU_3X5) == [1, 29, 29, 29, 435]
+        ran = []
+        real = intmat._smith_mod
+
+        def recorded(a, modulus):
+            ran.append(modulus)
+            return real(a, modulus)
+
+        monkeypatch.setattr(intmat, "_exponent", lambda a, order: 435 // q)
+        monkeypatch.setattr(intmat, "_smith_mod", recorded)
+        g = harmonic_component_group(TORUS_3X5)
+        assert g.invariant_factors == (1,) * 10 + (29, 29, 29, 435)
+        assert g.order == TAU_3X5
+        assert ran == moduli
+
+    def test_two_right_hand_sides_on_the_3x5_torus(self, monkeypatch):
+        # some seeds miss the factor 3 of the exponent; every seed ends on the group
+        monkeypatch.setattr(intmat, "_RHS", 2)
+        for seed in range(10):
+            monkeypatch.setattr(intmat, "_RHS_SEED", seed)
+            assert harmonic_component_group(TORUS_3X5).invariant_factors[-4:] == (29, 29, 29, 435)
 
 
 # --- spectra and determinant estimates ---
