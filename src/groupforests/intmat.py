@@ -1,15 +1,14 @@
 """Exact integer matrix kernels: determinants and Smith normal form.
 
 `modular_determinant` is the determinant of every reduced Laplacian: det
-mod p for a deterministic list of word-size primes, each from a float64
-LDL^T factorization whose O(n^3) work is `np.matmul` over a stack of primes,
-then combined by the Chinese remainder theorem (`crt`, which the
-Heisenberg tree count in `linalg` shares) past twice a determinant bound
-(Hadamard's, or the diagonal product on a diagonally dominant input), which
-proves the result exact.  `bareiss_determinant` (fraction-free
-elimination in Python integers) is the independent route it is tested
-against, and the kernel of the small norm matrices of the torus tree count
-in `linalg`.
+mod p for a deterministic list of word-size primes (`primes_below`, whose
+sieve windows every caller shares), each from a float64 LDL^T factorization
+whose O(n^3) work is `np.matmul` over a stack of primes, then combined by
+the Chinese remainder theorem (`crt`, which the character tree counts in
+`linalg` share) past twice a determinant bound (Hadamard's, or the diagonal
+product on a diagonally dominant input), which proves the result exact.
+`bareiss_determinant` (fraction-free elimination in Python integers) is the
+independent route it is tested against; no report runs it.
 
 Everything else here works on plain Python integers (arbitrary precision).
 Both Smith functions run one elimination, `_smith` (balanced remainders,
@@ -30,6 +29,7 @@ to |det A|, which the caller supplies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -94,23 +94,37 @@ def prime_bound(n: int) -> int:
     return math.isqrt((_EXACT - 1) // max(n, 1)) + 1
 
 
+_WINDOW = 2**16
+
+
 def primes_below(bound: int):
     """Primes below bound, largest first, sieved 2**16 numbers at a time."""
-    root = math.isqrt(bound)
-    small = np.ones(root + 1, dtype=bool)
+    for k in range(-(-bound // _WINDOW) - 1, -1, -1):
+        primes = _window_primes(k)
+        primes = primes[primes < bound]
+        for i in range(0, len(primes), 2**8):  # a caller that stops early converts little
+            yield from primes[i : i + 2**8].tolist()
+
+
+@functools.cache
+def _window_primes(k: int) -> np.ndarray:
+    """The primes in [k 2**16, (k + 1) 2**16), largest first, read-only.
+
+    Every determinant, Smith form and character product walks the same
+    windows below its bound, so each is sieved once per process.
+    """
+    lo, hi = max(2, k * _WINDOW), (k + 1) * _WINDOW
+    small = np.ones(math.isqrt(hi) + 1, dtype=bool)
     small[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
+    for q in range(2, math.isqrt(len(small)) + 1):
         if small[q]:
             small[q * q :: q] = False
-    small = np.flatnonzero(small).tolist()
-    hi = bound
-    while hi > 2:
-        lo = max(2, hi - 2**16)
-        window = np.ones(hi - lo, dtype=bool)
-        for q in small:
-            window[max(q * q, -(-lo // q) * q) - lo :: q] = False
-        yield from (lo + np.flatnonzero(window)[::-1]).tolist()
-        hi = lo
+    window = np.ones(hi - lo, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        window[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    primes = lo + np.flatnonzero(window)[::-1]
+    primes.setflags(write=False)
+    return primes
 
 
 def reduce_mod(x: np.ndarray, p: np.ndarray, inv_p: np.ndarray) -> np.ndarray:

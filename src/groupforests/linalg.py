@@ -5,15 +5,14 @@ convolution operator; this module builds that operator as a sparse Laplacian
 in O(N |S|) from the quotient's permutation of each support word, and
 computes, exactly where the theory is exact:
 
-- the spanning-tree count of the quotient Cayley multigraph.  On a
-  nearest-neighbour torus of rank 1 or 2 it is a character norm: an integer
-  determinant of size (n1 - 1) // 2, n1 the smaller modulus
-  (`_torus_tree_count`).  On a nearest-neighbour Heisenberg quotient H mod
-  m it is that norm for the m x m torus times a product over the nontrivial
-  central characters of traces of 2 x 2 transfer matrices, taken mod primes
-  p = 1 (mod m) and lifted by CRT (`_heisenberg_tree_count`).  Elsewhere it
-  is the exact determinant of the reduced Laplacian, by CRT over word-size
-  primes with a float64 LDL^T per prime (`intmat.modular_determinant`),
+- the spanning-tree count of the quotient Cayley multigraph.  On a moduli
+  quotient of a torus (any rank, any f) and on a nearest-neighbour H mod m
+  it is the product of L's nonzero eigenvalues, character by character,
+  over N: mod primes p = 1 (mod M), where the characters' roots of unity
+  are integers, lifted by CRT (`_character_tree_count`).  Elsewhere, and
+  when those primes run out, it is the exact determinant of the reduced
+  Laplacian, by CRT over word-size primes with a float64 LDL^T per prime
+  (`intmat.modular_determinant`),
 - the component group of harmonic-mod-1 points (Smith normal form of the
   reduced Laplacian; its order equals the tree count).  When a support word
   b with coefficient -1 cycles m >= 3 layers of K vertices that the other
@@ -30,14 +29,15 @@ computes, exactly where the theory is exact:
   the tree form (1/N) log tau.
 
 Only the exact kernels and the dense eigensolve build the N x N matrix;
-the sweep reads the sparse entries, and the torus norm and the Heisenberg
-character product read none.  On a torus and on H mod m the tree count and
-the group order thus come from routes that share no matrix: the group's
-route takes the tree count only as the order its factors must reach.
+the sweep reads the sparse entries, and the character products read none.
+On a torus and on H mod m the tree count and the group order thus come
+from routes that share no matrix: the group's route takes the tree count
+only as the order its factors must reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +45,9 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, FamilyMismatchError
 from .groups import FiniteQuotient, GroupWord, component_labels
-from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, primes_below
+# bareiss_determinant is unused here; perfbench's tracer wraps it under this
+# name too, and its smoke test checks that both bindings are wrapped
+from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, primes_below  # noqa: F401
 from .walks import GroupRingElement, laplacian_element, require_well_balanced
 
 
@@ -184,114 +186,47 @@ def _require_connected(L: QuotientLaplacian) -> None:
 def spanning_tree_count(L: QuotientLaplacian) -> int:
     """Exact number of spanning trees of the quotient multigraph.
 
-    On a moduli quotient with f the default Laplacian and L built by
-    `build_laplacian`, no matrix is formed: on a torus (Z or Z^2) the count
-    is a character norm in Python integers (`_torus_tree_count`), and on H
-    mod m a product over characters taken mod primes
-    (`_heisenberg_tree_count`).  Otherwise it is the determinant of the
-    reduced Laplacian (vertex 0 struck; by the matrix-tree theorem every
-    vertex gives the same count).  That matrix is positive definite on a connected graph, which is
-    what `modular_determinant` needs: residues mod word-size primes from a
-    float64 LDL^T, lifted by CRT past twice a determinant bound.
+    On a moduli quotient of a torus (any rank, any f) or of H mod m (the
+    default f), with L from `build_laplacian`, it is a character product
+    that forms no matrix (`_character_tree_count`).  Otherwise, and when
+    that runs out of primes, it is `modular_determinant` of the reduced
+    Laplacian (vertex 0 struck; by the matrix-tree theorem every vertex
+    gives the same count), which is positive definite on a connected graph.
     """
     _require_connected(L)
     if L.size == 1:
         return 1
-    q = L.quotient
-    if q is not None and q.moduli is not None and L.source == laplacian_element(q.family):
-        if q.family.kind == "free-abelian" and q.family.rank <= 2:
-            return _torus_tree_count(q.moduli)
-        if q.family.kind == "heisenberg":
-            return _heisenberg_tree_count(q.moduli[0])
-    return modular_determinant(L.reduced())
-
-
-def _torus_tree_count(moduli) -> int:
-    """Spanning trees of the nearest-neighbour torus Z^2 / (n1 Z x n2 Z).
-
-    A cycle of length n is the torus 1 x n.  Put n1 <= n2.  The Laplacian's
-    eigenvalues are 4 - y_j - z_k with y_j = 2 cos(2 pi j / n1) and z_k
-    likewise mod n2, so by the matrix-tree theorem N tau is their product
-    over (j, k) != (0, 0).  With Q_n(y) = prod_k (y - 2 cos(2 pi k / n)) =
-    2 T_n(y / 2) - 2, monic in Z[y], the product over k is Q_n2(4 - y_j), and
-    at j = 0 the factors k != 0 give n2^2.  So N tau = n2^2 prod_{j != 0}
-    g(y_j) with g(y) = Q_n2(4 - y).  Now Q_n1 = (y - 2) (y + 2)^[n1 even] S^2,
-    where S is monic of degree (n1 - 1) // 2 with the roots y_j,
-    0 < j < n1 / 2.  Hence prod_{j != 0} g(y_j) = g(-2)^[n1 even] Res(S, g)^2.
-    With y = t + 1/t, Q_n = (t^(n/2) - t^(-n/2))^2, which gives S =
-    U_(k-1) + [n1 odd] U_k for k = n1 // 2, where U_(j+1) = y U_j - U_(j-1),
-    U_(-1) = 0 and U_0 = 1.
-
-    Raises:
-        ArithmeticError: if the product is not a multiple of N.
-    """
-    n1, n2 = sorted(moduli) if len(moduli) == 2 else (1, moduli[0])
-    prev, cur = [0], [1]  # U_(j-1), U_j in Z[y], low degree first
-    for _ in range(n1 // 2):
-        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
-    s = prev if n1 % 2 == 0 else [a + b for a, b in zip(prev + [0], cur)]
-    product = n2**2 * _resultant(s, n2) ** 2
-    if n1 % 2 == 0:
-        product *= _resultant([2, 1], n2)  # Z[y]/(y + 2): g(-2)
-    tau, rest = divmod(product, n1 * n2)
-    if rest:
-        raise ArithmeticError(
-            f"character norm {product} of the {n1}x{n2} torus is not a multiple of N"
-        )
-    return tau
-
-
-def _resultant(s: list, n: int) -> int:
-    """Res(s, g) for g(y) = Q_n(4 - y) and a monic s in Z[y], low degree first.
-
-    That is the determinant of multiplication by g on Z[y]/(s), whose basis
-    is 1, y, ..., y^(d-1).  g = V_n(4 - y) - 2 comes from the recurrence
-    V_(j+1) = (4 - y) V_j - V_(j-1), V_0 = 2, V_1 = 4 - y, taken mod s.
-    """
-    d = len(s) - 1
-    if d == 0:
-        return 1
-
-    def times_y(p):  # y^d = -(s_0 + ... + s_(d-1) y^(d-1))
-        return [-p[-1] * s[0]] + [a - p[-1] * b for a, b in zip(p, s[1:d])]
-
-    one = [1] + [0] * (d - 1)
-    prev, cur = [2 * a for a in one], [4 * a - b for a, b in zip(one, times_y(one))]
-    for _ in range(n - 1):
-        prev, cur = cur, [4 * a - b - c for a, b, c in zip(cur, times_y(cur), prev)]
-    cur[0] -= 2
-    rows = [cur]
-    for _ in range(d - 1):
-        rows.append(times_y(rows[-1]))
-    return bareiss_determinant(rows)
+    q, f, tau = L.quotient, L.source, None
+    if q is not None and q.moduli is not None:
+        if q.family.kind == "free-abelian":
+            tau = _torus_tree_count(q.moduli, f)
+        elif q.family.kind == "heisenberg" and f == laplacian_element(q.family):
+            tau = _heisenberg_tree_count(q.moduli[0])
+    return modular_determinant(L.reduced()) if tau is None else tau
 
 
 # Primes below 2**26 keep every product of two residues below 2**52, inside
-# int64, and their sieve needs only the primes below 2**13.  A batch of
-# primes holds about _CHAR_ENTRIES residues per array.
+# int64.  A batch of primes holds about _CHAR_ENTRIES residues per array.
 _CHAR_PRIME_BOUND = 2**26
 _CHAR_ENTRIES = 2**16
 
 
-def _heisenberg_tree_count(m: int) -> int:
-    """Spanning trees of the nearest-neighbour Cayley graph of H mod m, m >= 2.
+def _character_tree_count(n: int, bound: int, m: int, count: int, values) -> int | None:
+    """tau = P / n for a product P of count integers, 0 < P <= bound.
 
-    Right multiplication by the centre shifts c in (a, b, c) and commutes
-    with L, and in the central character k and then the character l of b,
-    L acts on functions of a as the periodic Jacobi matrix J_kl with
-    diagonal d_a = 4 - w^(ka + l) - w^-(ka + l), w = exp(2 pi i / m), and
-    -1 between a and a +- 1 mod m.  The blocks k = 0 make up the m x m
-    torus, whose nonzero eigenvalues multiply to m^2 tau_torus, so N tau =
-    m^2 tau_torus P with P = prod_(k != 0, l) det J_kl, a positive integer,
-    and tau = tau_torus P / m.  P is found mod primes p = 1 (mod m), where
-    w is a primitive m-th root of unity (`_character_product`), and lifted
-    by CRT past twice the bound P <= m tau <= m 4^(N - 1) (tau is at most
-    the product of the N - 1 non-root degrees).  No matrix is formed.
+    The factors are known mod primes p = 1 (mod m) below _CHAR_PRIME_BOUND:
+    values(p, powers) returns them as a (B, count) int64 array of residues
+    for a batch of B such primes, p of shape (B, 1), where powers[:, j] =
+    w^j mod p for a primitive m-th root of unity w mod p (`_root_powers`).
+    Each prime's factors are multiplied by pairwise halving, and the
+    products are lifted by CRT once the primes multiply past 2 bound.  No
+    step divides mod p.
+
+    Returns None when the primes run out first.
 
     Raises:
-        ArithmeticError: if tau_torus P is not a multiple of m.
+        ArithmeticError: if P is not a multiple of n.
     """
-    bound = m << 2 * (m**3 - 1)
     primes, modulus = [], 1
     for p in primes_below(_CHAR_PRIME_BOUND):
         if p % m == 1:
@@ -300,45 +235,89 @@ def _heisenberg_tree_count(m: int) -> int:
             if modulus > 2 * bound:
                 break
     else:
-        raise ValueError("ran out of primes below the exactness bound")
-    batch = max(1, _CHAR_ENTRIES // m**2)
+        return None
+    batch = max(1, _CHAR_ENTRIES // count)
     residues = []
     for i in range(0, len(primes), batch):
-        residues += _character_product(primes[i : i + batch], m)
+        chunk = primes[i : i + batch]
+        p = np.array(chunk, dtype=np.int64)[:, None]
+        x = values(p, np.array([_root_powers(q, m) for q in chunk]))
+        while (width := x.shape[1]) > 1:  # fold the back half onto the front
+            h = (width + 1) // 2
+            x[:, : width - h] = x[:, : width - h] * x[:, h:] % p
+            x = x[:, :h]
+        residues += x[:, 0].tolist()
     product = crt(residues, primes)[0]
-    tau, rest = divmod(_torus_tree_count((m, m)) * product, m)
+    tau, rest = divmod(product, n)
     if rest:
-        raise ArithmeticError(f"character product {product} of H mod {m} is not a multiple of m")
+        raise ArithmeticError(f"character product {product} is not a multiple of {n}")
     return tau
 
 
-def _character_product(primes: list, m: int) -> list:
-    """prod_(0 < k < m, l < m) det J_kl mod p, for each prime p = 1 (mod m).
+def _torus_tree_count(moduli, f: GroupRingElement) -> int | None:
+    """Spanning trees of f's Cayley multigraph on Z^d / (n_1 Z x ... x n_d Z).
+
+    With w a primitive M-th root of unity, M = lcm(moduli), the characters
+    chi_j(s) = w^(sum_i j_i s_i M / n_i) diagonalize L with eigenvalues
+    f^(chi_j) = sum_s c_s chi_j(s), one for each residue vector j, so N tau
+    is the product of the N - 1 values at j != 0.  Each c_s is reduced mod
+    p before it multiplies a power of w, so every term stays below 2**52.
+    No vertex's degree exceeds f_e, and tau is at most the product of the
+    N - 1 non-root degrees, so N tau <= N f_e^(N - 1).  None when the
+    primes run out.
+    """
+    shape = tuple(moduli)
+    n, m = math.prod(shape), math.lcm(*shape)
+    j = np.indices(shape).reshape(len(shape), -1).T[1:] * (m // np.array(shape))
+    exponents = j @ (np.array(list(f._coeffs)) % m).T % m  # <j, s> for each j != 0 and word s
+
+    def values(p, powers):
+        out = np.zeros((len(p), n - 1), dtype=np.int64)
+        for i, (c, e) in enumerate(zip(f._coeffs.values(), exponents.T), 1):
+            out += c % p * powers[:, e]  # below 2**52: 2**10 such terms fit in int64
+            if i % 2**10 == 0:
+                out %= p
+        return out % p
+
+    return _character_tree_count(n, n * f.identity_coefficient ** (n - 1), m, n - 1, values)
+
+
+def _heisenberg_tree_count(m: int) -> int | None:
+    """Spanning trees of the nearest-neighbour Cayley graph of H mod m, m >= 2.
+
+    Right multiplication by the centre shifts c in (a, b, c) and commutes
+    with L, and in the central character k and then the character l of b,
+    L acts on functions of a as the periodic Jacobi matrix J_kl with
+    diagonal d_a = 4 - w^(ka + l) - w^-(ka + l), w = exp(2 pi i / m), and
+    -1 between a and a +- 1 mod m.  J_00 is the m-cycle's Laplacian, whose
+    nonzero eigenvalues multiply to m^2, so N tau = m^2 P with P =
+    prod_((k, l) != (0, 0)) det J_kl, and tau = P / m, P <= m 4^(N - 1).
 
     det J = tr(T_(m-1) ... T_0) - 2 with T_a = [[d_a, -1], [1, 0]] (at m = 2
     the two -1 of J merge into -2, and the trace still gives d_0 d_1 - 4).
     The product is carried on the columns e_0 and e_1 as (top, bottom)
-    pairs, one T_a at a time, over every (p, k, l) at once; no step divides.
+    pairs, one T_a at a time, over every (p, k, l) at once.  None when the
+    primes run out.
     """
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    powers = np.array([_root_powers(q, m) for q in primes], dtype=np.int64)
-    k = np.arange(1, m)[:, None]
+    k = np.arange(m)[:, None]
     l = np.arange(m)
-    top = np.zeros((len(primes), m - 1, m, 2), dtype=np.int64)
-    bottom = np.zeros_like(top)
-    top[..., 0] = bottom[..., 1] = 1
-    for a in range(m):
-        e = (k * a + l) % m
-        d = (4 - powers[:, e] - powers[:, -e % m]) % p
-        top, bottom = (d[..., None] * top - bottom) % p[..., None], top
-    det = (top[..., 0] + bottom[..., 1] - 2) % p
-    product = np.ones(len(primes), dtype=np.int64)
-    for column in det.reshape(len(primes), -1).T:
-        product = product * column % p[:, 0, 0]
-    return product.tolist()
+
+    def values(p, powers):
+        p = p[..., None]
+        top = np.zeros((len(p), m, m, 2), dtype=np.int64)
+        bottom = np.zeros_like(top)
+        top[..., 0] = bottom[..., 1] = 1
+        for a in range(m):
+            e = (k * a + l) % m
+            d = (4 - powers[:, e] - powers[:, -e % m]) % p
+            top, bottom = (d[..., None] * top - bottom) % p[..., None], top
+        return ((top[..., 0] + bottom[..., 1] - 2) % p).reshape(len(p), -1)[:, 1:]
+
+    return _character_tree_count(m, m << 2 * (m**3 - 1), m, m * m - 1, values)
 
 
-def _root_powers(p: int, m: int) -> list:
+@functools.lru_cache(maxsize=2**10)
+def _root_powers(p: int, m: int) -> np.ndarray:
     """[w^j mod p for j < m] for a primitive m-th root of unity w mod p."""
     for g in range(2, p):
         w = pow(g, (p - 1) // m, p)  # w^m = 1; primitive unless some w^j = 1
@@ -346,6 +325,8 @@ def _root_powers(p: int, m: int) -> list:
         for _ in range(m - 1):
             powers.append(powers[-1] * w % p)
         if 1 not in powers[1:]:
+            powers = np.array(powers, dtype=np.int64)
+            powers.setflags(write=False)
             return powers
 
 

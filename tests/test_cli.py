@@ -156,8 +156,9 @@ class TestIdentitySuite:
 
     def test_one_determinant_per_quotient(self, monkeypatch):
         # tau doubles as the Smith modulus, so the modular determinant runs
-        # at most once per quotient, and never on a nearest-neighbour torus
-        # or Heisenberg quotient, whose tau is a character norm or product
+        # at most once per quotient, and never on a moduli quotient of a
+        # torus (any rank, any f) or on a nearest-neighbour Heisenberg
+        # quotient, whose tau is a character product
         calls = []
         real = linalg.modular_determinant
 
@@ -174,11 +175,19 @@ class TestIdentitySuite:
         assert code == 0
         assert column(out, "tau") == column(out, "component_order")
         assert calls == []
+        for argv in (
+            ["--family", "free-abelian:2", "--moduli", "4,4", "--f", "e 6; a -2; A -2; b -1; B -1"],
+            ["--family", "free-abelian:3", "--moduli", "2,2,3"],
+        ):
+            code, out = run_cli(["identity", *argv])
+            assert code == 0
+            assert column(out, "tau") == column(out, "component_order")
+            assert calls == []
 
     @pytest.mark.parametrize("wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1])
     def test_wrong_torus_tau_is_a_mismatch(self, monkeypatch, wrong):
         real = linalg._torus_tree_count
-        monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli: wrong(real(moduli)))
+        monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli, f: wrong(real(moduli, f)))
         cfg = resolve_config("identity", family="free-abelian:2", moduli="4,4;3,5")
         with pytest.raises(IdentityMismatchError, match="component order"):
             runner.run_identity_suite(cfg)
@@ -197,7 +206,7 @@ class TestIdentitySuite:
         # would multiply to 3; the exponent's solve refutes that order
         real = linalg._torus_tree_count
         monkeypatch.setattr(
-            linalg, "_torus_tree_count", lambda moduli: real(moduli) // (3 if tuple(moduli) == (9,) else 1)
+            linalg, "_torus_tree_count", lambda moduli, f: real(moduli, f) // (3 if tuple(moduli) == (9,) else 1)
         )
         cfg = resolve_config("identity", family="free-abelian:1", moduli="8;9")
         with pytest.raises(IdentityMismatchError, match="component order"):
@@ -206,12 +215,17 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("operation", ["identity", "fk-det"])
     @pytest.mark.parametrize(
         "argv",
-        [["--family", "free-abelian:2", "--moduli", "4,4;3,5"], ["--family", "free-abelian:1", "--moduli", "3;8"]],
-        ids=["torus", "cycle"],
+        [
+            ["--family", "free-abelian:2", "--moduli", "4,4;3,5"],
+            ["--family", "free-abelian:1", "--moduli", "3;8"],
+            ["--family", "free-abelian:3", "--moduli", "2,2,3"],
+        ],
+        ids=["torus", "cycle", "rank-3"],
     )
     def test_torus_reports_form_no_matrix(self, monkeypatch, operation, argv):
-        # tau is a character norm and the group a layer sweep on the sparse
-        # entries, so no N x N matrix is formed, and the bytes are the same
+        # tau is a character product and the group a layer sweep on the
+        # sparse entries (along c, the one side of 3 or more on 2 x 2 x 3),
+        # so no N x N matrix is formed, and the bytes are the same
         expected = run_cli([operation, *argv])
         assert expected[0] == 0
 
@@ -225,14 +239,12 @@ class TestIdentitySuite:
     @pytest.mark.parametrize(
         "argv, sizes",
         [
-            (["--family", "free-abelian:2", "--moduli", "4,4", "--f", "e 6; a -2; A -2; b -1; B -1"], [15]),
-            (["--family", "free-abelian:3", "--moduli", "2,2,3"], [11]),
             (["--family", "free:2", "--ball-radius", "2"], [16]),
             (("text", "free-abelian:2", (4, 4)), [15]),
             (["--family", "heisenberg", "--moduli", "5", "--f", "e 6; a -2; A -2; b -1; B -1"], [124]),
             (("text", "heisenberg", 3), [26]),
         ],
-        ids=["other-f", "rank-3", "free-ball", "text-quotient", "heisenberg-other-f", "heisenberg-text"],
+        ids=["free-ball", "text-quotient", "heisenberg-other-f", "heisenberg-text"],
     )
     def test_other_quotients_reach_the_modular_determinant(self, monkeypatch, tmp_path, argv, sizes):
         if argv[0] == "text":
@@ -271,7 +283,7 @@ class TestIdentitySuite:
     def test_component_group_route(self, monkeypatch, argv, smith_runs, tau_bits, reduced_calls):
         # tori and Heisenberg quotients take the layer sweep's (2K-1)-square
         # matrix and never read the reduced Laplacian (tau is a character
-        # norm or product); a free ball has no layers and reads it for tau
+        # product); a free ball has no layers and reads it for tau
         # and again for the (N-1)-square Smith form.  Each Smith form runs
         # modulo the group's exponent or, on a retry, a multiple of it: a
         # proper divisor of tau, never tau itself
@@ -306,24 +318,20 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("operation", ["identity", "fk-det", "window-density"])
     def test_exact_reports_never_run_bareiss(self, monkeypatch, operation):
-        # no Bareiss elimination runs on a reduced Laplacian; Bareiss is the
-        # kernel of the torus tree count's small norm matrices only, and on
-        # H mod 3 it sees the 3 x 3 torus norm's (3 - 1) // 2 = 1-square ones
-        sizes = []
-        real = linalg.bareiss_determinant
-
-        def norm_only(rows):
-            sizes.append(len(rows))
-            return real(rows)
+        # every tau is a character product or a modular determinant, so no
+        # report runs Bareiss elimination through either binding
+        calls = []
 
         def refused(rows):
+            calls.append(len(rows))
             raise AssertionError("Bareiss elimination on the CLI path")
 
-        monkeypatch.setattr(linalg, "bareiss_determinant", norm_only)
+        monkeypatch.setattr(linalg, "bareiss_determinant", refused)
         monkeypatch.setattr(intmat, "bareiss_determinant", refused)
-        code, _ = run_cli([operation, "--family", "heisenberg", "--moduli", "3"])
-        assert code == 0
-        assert sizes and set(sizes) == {1}
+        for argv in (["--family", "heisenberg", "--moduli", "3"], ["--family", "free-abelian:2", "--moduli", "4,4"]):
+            code, _ = run_cli([operation, *argv])
+            assert code == 0
+        assert calls == []
 
 
 class TestIdentityEntropyColumn:

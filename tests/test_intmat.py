@@ -717,6 +717,16 @@ class TestResidueArithmetic:
         oracle = [q for q in range(bound - 1, 1, -1) if all(q % r for r in range(2, math.isqrt(q) + 1))]
         assert list(primes_below(bound)) == oracle
 
+    @pytest.mark.parametrize("bound", [0, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 3 * 2**16 + 5, 2**26, 2**26 + 3])
+    def test_primes_below_at_window_edges(self, bound):
+        # the windows are cached and aligned to multiples of 2**16; a bound
+        # inside one cuts it, and a second walk yields the same primes
+        head = list(itertools.islice(primes_below(bound), 400))
+        top = head[-1] if len(head) == 400 else 2
+        oracle = [q for q in range(bound - 1, top - 1, -1) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+        assert head == oracle
+        assert list(itertools.islice(primes_below(bound), 400)) == head
+
     @pytest.mark.parametrize("n", [1, 343, 4096])
     def test_reduction_at_the_limit(self, n):
         rng = random.Random(n)

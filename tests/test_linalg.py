@@ -22,6 +22,7 @@ from groupforests import (
     FamilyMismatchError,
     FiniteQuotient,
     GroupFamily,
+    GroupRingElement,
     NotWellBalancedError,
     QuotientLaplacian,
     QuotientMultigraph,
@@ -344,8 +345,32 @@ class TestSpanningTreeCount:
             spanning_tree_count(L)
 
 
+@st.composite
+def torus_elements(draw):
+    """A small moduli quotient of Z^d, d <= 3, and a well-balanced f on it.
+
+    Every generator carries a coefficient, so the support spans Z^d and the
+    multigraph is connected; extra words, loops among them, carry
+    coefficients up to 2**40, past the 2**26 of the character primes.
+    """
+    rank = draw(st.integers(1, 3))
+    family = GroupFamily.free_abelian(rank)
+    moduli = tuple(draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank)))
+    assume(math.prod(moduli) >= 2)
+    words = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    words += draw(st.lists(st.tuples(*[st.integers(-6, 6)] * rank), max_size=3))
+    coeffs = {}
+    for w in words:
+        if any(w):
+            c = draw(st.integers(1, 2**40))
+            for x in (w, tuple(-a for a in w)):
+                coeffs[x] = coeffs.get(x, 0) - c
+    coeffs[(0,) * rank] = -sum(coeffs.values())
+    return FiniteQuotient.from_moduli(family, moduli), GroupRingElement(family, coeffs)
+
+
 class TestTorusTreeCount:
-    """The character norm on nearest-neighbour tori against the matrix kernels."""
+    """The character product on moduli quotients of Z^d against the matrix kernels."""
 
     @settings(max_examples=15)
     @given(st.lists(st.integers(1, 24), min_size=1, max_size=2))
@@ -354,19 +379,53 @@ class TestTorusTreeCount:
         # the modular kernel reaches N = 600, past what Bareiss does in test time
         assume(math.prod(moduli) <= 600)
         family = GroupFamily.free_abelian(len(moduli))
-        L = build_laplacian(FiniteQuotient.from_moduli(family, tuple(moduli)), laplacian_element(family))
-        tau = linalg._torus_tree_count(tuple(moduli))
+        f = laplacian_element(family)
+        L = build_laplacian(FiniteQuotient.from_moduli(family, tuple(moduli)), f)
+        tau = spanning_tree_count(L)
         rows = L.reduced()
-        assert spanning_tree_count(L) == tau == modular_determinant(rows)
+        assert tau == modular_determinant(rows)
+        if L.size > 1:  # the trivial quotient has no nonzero eigenvalue
+            assert linalg._torus_tree_count(tuple(moduli), f) == tau
         if L.size <= 64:
             assert tau == bareiss_determinant(rows)
 
+    @settings(max_examples=40, deadline=None)
+    @given(torus_elements())
+    @example((FiniteQuotient.from_moduli(Z, (2,)), parse_group_ring(Z, f"e {2**63 - 2}\na -{2**62 - 1}\nA -{2**62 - 1}")))
+    def test_any_f_matches_the_determinant(self, case):
+        quotient, f = case
+        L = build_laplacian(quotient, f)
+        expected = modular_determinant(L.reduced())
+        with mock.patch.object(linalg, "modular_determinant", side_effect=AssertionError("matrix route")):
+            assert spanning_tree_count(L) == expected
+
+    @pytest.mark.parametrize(
+        "family, moduli",
+        [(Z2, (6, 6)), (GroupFamily.free_abelian(3), (2, 3, 4)), (H, (3,))],
+        ids=["torus", "rank-3", "heisenberg"],
+    )
+    def test_prime_shortage_takes_the_determinant(self, monkeypatch, family, moduli):
+        # the primes = 1 (mod M) below 64 multiply to at most 2**30, short of
+        # twice the bound on the product of the nonzero eigenvalues
+        L = build_laplacian(FiniteQuotient.from_moduli(family, moduli), laplacian_element(family))
+        expected = modular_determinant(L.reduced())
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return modular_determinant(rows)
+
+        monkeypatch.setattr(linalg, "_CHAR_PRIME_BOUND", 64)
+        monkeypatch.setattr(linalg, "modular_determinant", counted)
+        assert spanning_tree_count(L) == expected
+        assert calls == [L.size - 1]
+
     def test_inexact_norm_raises(self, monkeypatch):
-        # a resultant off by one leaves N tau indivisible by N = 12
-        real = linalg.bareiss_determinant
-        monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: real(rows) + 1)
-        with pytest.raises(ArithmeticError, match="3x4 torus is not a multiple of N"):
-            linalg._torus_tree_count((4, 3))
+        # a lift off by one leaves N tau indivisible by N = 12
+        real = linalg.crt
+        monkeypatch.setattr(linalg, "crt", lambda residues, primes: (real(residues, primes)[0] + 1, None))
+        with pytest.raises(ArithmeticError, match="is not a multiple of 12"):
+            linalg._torus_tree_count((4, 3), laplacian_element(Z2))
 
     def test_hand_built_laplacian_is_read_as_a_matrix(self):
         # M is twice the 5 x 5 torus Laplacian (2**8 * 5**14 trees), whose
@@ -397,14 +456,14 @@ class TestHeisenbergTreeCount:
         start = time.perf_counter()
         tau = linalg._heisenberg_tree_count(11)
         assert time.perf_counter() - start < 1.0
-        # tau_torus P = 11 tau, and the 11 x 11 torus norm divides it
-        assert 11 * tau % linalg._torus_tree_count((11, 11)) == 0
+        # 11 tau = tau_torus prod_(k != 0, l) det J_kl, a multiple of the 11 x 11 torus's count
+        assert 11 * tau % linalg._torus_tree_count((11, 11), laplacian_element(Z2)) == 0
 
     def test_inexact_product_raises(self, monkeypatch):
-        # a character product of 1 over a norm of 1 is not a multiple of m = 3
-        monkeypatch.setattr(linalg, "_torus_tree_count", lambda moduli: 1)
-        monkeypatch.setattr(linalg, "_character_product", lambda primes, m: [1] * len(primes))
-        with pytest.raises(ArithmeticError, match="H mod 3 is not a multiple of m"):
+        # a lift off by one leaves m tau indivisible by m = 3
+        real = linalg.crt
+        monkeypatch.setattr(linalg, "crt", lambda residues, primes: (real(residues, primes)[0] + 1, None))
+        with pytest.raises(ArithmeticError, match="is not a multiple of 3"):
             linalg._heisenberg_tree_count(3)
 
 
