@@ -156,9 +156,8 @@ class TestIdentitySuite:
 
     def test_one_determinant_per_quotient(self, monkeypatch):
         # tau doubles as the Smith modulus, so the modular determinant runs
-        # at most once per quotient, and never on a moduli quotient of a
-        # torus (any rank, any f) or on a nearest-neighbour Heisenberg
-        # quotient, whose tau is a character product
+        # at most once per quotient, and never on a nearest-neighbour torus
+        # or Heisenberg quotient, whose tau is a character product
         calls = []
         real = linalg.modular_determinant
 
@@ -175,14 +174,30 @@ class TestIdentitySuite:
         assert code == 0
         assert column(out, "tau") == column(out, "component_order")
         assert calls == []
-        for argv in (
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--family", "free-abelian:2", "--moduli", "4,4", "--f", "e 6; a -2; A -2; b -1; B -1"],
             ["--family", "free-abelian:3", "--moduli", "2,2,3"],
-        ):
-            code, out = run_cli(["identity", *argv])
-            assert code == 0
-            assert column(out, "tau") == column(out, "component_order")
-            assert calls == []
+        ],
+        ids=["other-f", "rank-3"],
+    )
+    def test_other_tori_take_the_character_product(self, monkeypatch, argv):
+        # a moduli quotient of a torus under another f, or of rank 3, takes
+        # the character product too: the modular determinant never runs
+        calls = []
+        real = linalg.modular_determinant
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "modular_determinant", counted)
+        code, out = run_cli(["identity", *argv])
+        assert code == 0
+        assert column(out, "tau") == column(out, "component_order")
+        assert calls == []
 
     @pytest.mark.parametrize("wrong", [lambda t: 2 * t, lambda t: t + 1, lambda t: t - 1])
     def test_wrong_torus_tau_is_a_mismatch(self, monkeypatch, wrong):
