@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import runner
 from .errors import GroupForestsError
 
@@ -56,35 +54,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="groupforests",
         description="Spanning forests and harmonic invariants on finite group quotients.",
     )
+    shared = argparse.ArgumentParser(add_help=False)  # one set of actions for all nine
+    shared.add_argument("--config", help="YAML config file; flags override its keys")
+    shared.add_argument("--family", help="free-abelian:d, free:r, or heisenberg")
+    shared.add_argument("--f", help="group-ring element, terms separated by ';'")
+    shared.add_argument("--f-file", help="group-ring element file, one term per line")
+    shared.add_argument("--h", help="numerator element for homoclinic (defaults to f)")
+    shared.add_argument("--h-file", help="numerator element file")
+    shared.add_argument("--moduli", help="quotients like '4,4;8,8' (free-abelian) or '3;5' ")
+    shared.add_argument(
+        "--quotient-file",
+        action="append",
+        default=None,
+        help="permutation-action file; repeat for a chain",
+    )
+    shared.add_argument(
+        "--ball-radius",
+        action="append",
+        default=None,
+        type=int,
+        help="truncated-ball quotient of this radius; repeat for a chain",
+    )
+    for name, kind, text in _PARAMS:
+        shared.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
     sub = parser.add_subparsers(dest="operation", required=True)
     for name in runner.OPERATIONS:
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
-        p.add_argument("--config", help="YAML config file; flags override its keys")
-        p.add_argument("--family", help="free-abelian:d, free:r, or heisenberg")
-        p.add_argument("--f", help="group-ring element, terms separated by ';'")
-        p.add_argument("--f-file", help="group-ring element file, one term per line")
-        p.add_argument("--h", help="numerator element for homoclinic (defaults to f)")
-        p.add_argument("--h-file", help="numerator element file")
-        p.add_argument("--moduli", help="quotients like '4,4;8,8' (free-abelian) or '3;5' ")
-        p.add_argument(
-            "--quotient-file",
-            action="append",
-            default=None,
-            help="permutation-action file; repeat for a chain",
-        )
-        p.add_argument(
-            "--ball-radius",
-            action="append",
-            default=None,
-            type=int,
-            help="truncated-ball quotient of this radius; repeat for a chain",
-        )
-        for name, kind, text in _PARAMS:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
+        sub.add_parser(name, help=_DESCRIPTIONS[name], parents=[shared])
     return parser
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # only --config needs it, so other runs skip its import
+
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)

@@ -97,11 +97,16 @@ def prime_bound(n: int) -> int:
 _WINDOW = 2**16
 
 
-def primes_below(bound: int):
-    """Primes below bound, largest first, sieved 2**16 numbers at a time."""
+def prime_windows(bound: int):
+    """Primes below bound as int64 arrays of one 2**16 window each, largest first."""
     for k in range(-(-bound // _WINDOW) - 1, -1, -1):
         primes = _window_primes(k)
-        primes = primes[primes < bound]
+        yield primes[primes < bound]
+
+
+def primes_below(bound: int):
+    """Primes below bound, largest first, sieved 2**16 numbers at a time."""
+    for primes in prime_windows(bound):
         for i in range(0, len(primes), 2**8):  # a caller that stops early converts little
             yield from primes[i : i + 2**8].tolist()
 

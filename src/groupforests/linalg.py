@@ -38,6 +38,7 @@ only as the order its factors must reach.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ from .errors import DisconnectedGraphError, FamilyMismatchError
 from .groups import FiniteQuotient, GroupWord, component_labels
 # bareiss_determinant is unused here; perfbench's tracer wraps it under this
 # name too, and its smoke test checks that both bindings are wrapped
-from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, primes_below  # noqa: F401
+from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, prime_windows  # noqa: F401
 from .walks import GroupRingElement, laplacian_element, require_well_balanced
 
 
@@ -214,7 +215,8 @@ _CHAR_ENTRIES = 2**16
 def _character_tree_count(n: int, bound: int, m: int, count: int, values) -> int | None:
     """tau = P / n for a product P of count integers, 0 < P <= bound.
 
-    The factors are known mod primes p = 1 (mod m) below _CHAR_PRIME_BOUND:
+    The factors are known mod primes p = 1 (mod m) below _CHAR_PRIME_BOUND,
+    picked from each cached sieve window by one mask, largest first:
     values(p, powers) returns them as a (B, count) int64 array of residues
     for a batch of B such primes, p of shape (B, 1), where powers[:, j] =
     w^j mod p for a primitive m-th root of unity w mod p (`_root_powers`).
@@ -227,13 +229,13 @@ def _character_tree_count(n: int, bound: int, m: int, count: int, values) -> int
     Raises:
         ArithmeticError: if P is not a multiple of n.
     """
-    primes, modulus = [], 1
-    for p in primes_below(_CHAR_PRIME_BOUND):
-        if p % m == 1:
-            primes.append(p)
-            modulus *= p
-            if modulus > 2 * bound:
-                break
+    primes, modulus, limit = [], 1, 2 * bound
+    candidates = (w[w % m == 1].tolist() for w in prime_windows(_CHAR_PRIME_BOUND))
+    for p in itertools.chain.from_iterable(candidates):
+        primes.append(p)
+        modulus *= p
+        if modulus > limit:
+            break
     else:
         return None
     batch = max(1, _CHAR_ENTRIES // count)

@@ -5,6 +5,7 @@ counts, torus entropy limits, exact covering radii), and reruns are compared
 byte for byte.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -40,6 +41,7 @@ from groupforests.runner import (
     parse_moduli,
     resolve_config,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 Z = GroupFamily.free_abelian(1)
 
@@ -120,6 +122,89 @@ class TestConfigParsing:
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         for key, _, _ in cli._PARAMS:
             assert key in names or key in runner.DEFAULT_CAPS, key
+
+
+def _reference_parser():
+    """The parser as built before the nine subcommands shared one flag set:
+    every subcommand adds its own copy of every flag."""
+    parser = argparse.ArgumentParser(
+        prog="groupforests",
+        description="Spanning forests and harmonic invariants on finite group quotients.",
+    )
+    sub = parser.add_subparsers(dest="operation", required=True)
+    for name in runner.OPERATIONS:
+        p = sub.add_parser(name, help=cli._DESCRIPTIONS[name])
+        p.add_argument("--config", help="YAML config file; flags override its keys")
+        p.add_argument("--family", help="free-abelian:d, free:r, or heisenberg")
+        p.add_argument("--f", help="group-ring element, terms separated by ';'")
+        p.add_argument("--f-file", help="group-ring element file, one term per line")
+        p.add_argument("--h", help="numerator element for homoclinic (defaults to f)")
+        p.add_argument("--h-file", help="numerator element file")
+        p.add_argument("--moduli", help="quotients like '4,4;8,8' (free-abelian) or '3;5' ")
+        p.add_argument(
+            "--quotient-file",
+            action="append",
+            default=None,
+            help="permutation-action file; repeat for a chain",
+        )
+        p.add_argument(
+            "--ball-radius",
+            action="append",
+            default=None,
+            type=int,
+            help="truncated-ball quotient of this radius; repeat for a chain",
+        )
+        for key, kind, text in cli._PARAMS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+    return parser
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    def test_help_matches_the_reference(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        new, ref = cli.build_parser(), _reference_parser()
+        assert new.format_help() == ref.format_help()
+        new_subs, ref_subs = _subcommands(new), _subcommands(ref)
+        assert list(new_subs) == list(ref_subs) == list(runner.OPERATIONS)
+        for name in runner.OPERATIONS:
+            assert new_subs[name].format_help() == ref_subs[name].format_help(), name
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_parse_matches_the_reference(self, name):
+        argv = GOLDEN_CONFIGS[name]
+        assert vars(cli.build_parser().parse_args(argv)) == vars(_reference_parser().parse_args(argv))
+
+    def test_repeated_flags_start_empty_on_every_parse(self):
+        # the nine subcommands share their Action objects, so an append
+        # action must not carry one parse's list into the next
+        parser = cli.build_parser()
+        first = parser.parse_args(
+            ["identity", "--quotient-file", "a.txt", "--quotient-file", "b.txt",
+             "--ball-radius", "2", "--ball-radius", "3"]
+        )
+        assert first.quotient_file == ["a.txt", "b.txt"] and first.ball_radius == [2, 3]
+        second = parser.parse_args(["fk-det", "--quotient-file", "c.txt"])
+        assert second.quotient_file == ["c.txt"] and second.ball_radius is None
+        third = parser.parse_args(["identity"])
+        assert third.quotient_file is None and third.ball_radius is None
+        assert first.quotient_file == ["a.txt", "b.txt"] and first.ball_radius == [2, 3]
+
+    def test_import_leaves_yaml_unloaded(self):
+        # PyYAML is imported by --config alone, not on every start
+        src = os.path.dirname(os.path.dirname(groupforests.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, groupforests.cli; print('yaml' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout == "False\n"
 
 
 class TestIdentitySuite:

@@ -420,6 +420,40 @@ class TestTorusTreeCount:
         assert spanning_tree_count(L) == expected
         assert calls == [L.size - 1]
 
+    @pytest.mark.parametrize(
+        "m, bound, prime_bound",
+        [(6, 2**200, 2**26), (4093, 2**4000, 2**26), (2, 2**3000, 3 * 2**16 + 5)],
+        ids=["m6", "m4093", "cut-window"],
+    )
+    def test_takes_the_primes_of_the_walk(self, monkeypatch, m, bound, prime_bound):
+        # largest first from primes_below, stopping at the first prime whose
+        # product passes 2 bound; a bound inside a window cuts it
+        expected, product = [], 1
+        for q in intmat.primes_below(prime_bound):
+            if q % m == 1:
+                expected.append(q)
+                product *= q
+                if product > 2 * bound:
+                    break
+        seen = []
+
+        def values(p, powers):
+            seen.extend(p[:, 0].tolist())
+            return np.ones((len(p), 3), dtype=np.int64)
+
+        monkeypatch.setattr(linalg, "_CHAR_PRIME_BOUND", prime_bound)
+        assert linalg._character_tree_count(1, bound, m, 3, values) == 1
+        assert seen == expected
+
+    def test_unreached_bound_returns_none(self):
+        # the primes = 1 (mod 2003) below 2**26 number at most 2**26 / 2003 + 1
+        # and each is below 2**26, so their product is short of this bound
+        def values(p, powers):
+            raise AssertionError("evaluated the factors without enough primes")
+
+        bound = 2 ** (26 * (2**26 // 2003 + 1))
+        assert linalg._character_tree_count(1, bound, 2003, 1, values) is None
+
     def test_inexact_norm_raises(self, monkeypatch):
         # a lift off by one leaves N tau indivisible by N = 12
         real = linalg.crt
