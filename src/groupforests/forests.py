@@ -12,15 +12,16 @@ estimates forest edge marginals on the group itself.
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
 Each walk step reads one stream double x (drawn 256 at a time) and leaves v
-by exit index int(x * degree).  On a regular multigraph the degree is one
-number d, so the indices of a whole block come from one NumPy multiply and
-truncation, the same IEEE product; otherwise each step multiplies by its
-own row length.  The exits left when the walk meets the tree are the tree
-edges, so marginals need no built tree.
+by exit index int(x * degree), for a whole block at once by one NumPy
+multiply on a regular multigraph, the same IEEE product.  The exits left
+when the walk meets the tree are its edges.  A SpanningTree keeps them as
+one sorted (N-1) x 3 int64 array, which its checks read with NumPy and
+`edges` shows as tuples; marginals read the exits and build no tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,26 +84,31 @@ class QuotientMultigraph:
         self.neighbours = tuple(tuple(neighbour[a:b]) for a, b in zip(ends, ends[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """N-1 edge copies (u, v, slot), u < v, forming a spanning tree, plus the root."""
+    """N-1 edge copies, sorted int64 rows (u, v, slot) with u < v, plus the root."""
 
     graph: QuotientMultigraph
     root: int
-    edges: tuple
+    copies: np.ndarray
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The rows of copies as a tuple of triples, built on first use."""
+        return tuple(map(tuple, self.copies.tolist()))
 
     def validate(self) -> None:
-        """Raise AssertionError unless the edges are N-1 distinct copies.
+        """Raise AssertionError unless the rows are N-1 distinct copies.
 
         A copy (u, v, slot) needs u < v, a Laplacian entry at (u, v) and
-        slot < -M[u][v].  N-1 copies that connect every vertex have no
-        cycle; connectivity is one `component_labels` pass over their ends.
+        slot < -M[u][v]; sorted ids entry * (largest multiplicity + 1) + slot
+        find a repeat in any row order.  N-1 copies that connect every vertex
+        have no cycle; connectivity is one `component_labels` pass over their ends.
         """
         n = self.graph.n
-        if len(self.edges) != n - 1:
-            raise AssertionError(f"expected {n - 1} edges, got {len(self.edges)}")
-        flat = itertools.chain.from_iterable(self.edges)
-        u, v, slot = np.fromiter(flat, np.int64, 3 * len(self.edges)).reshape(-1, 3).T
+        if len(self.copies) != n - 1:
+            raise AssertionError(f"expected {n - 1} edges, got {len(self.copies)}")
+        u, v, slot = self.copies.T
         lap = self.graph.laplacian
         # entry keys u * n + v ascend, as the entries are sorted; n * n closes
         # them with multiplicity 0 and stands for every pair out of range
@@ -112,8 +118,8 @@ class SpanningTree:
         at = np.searchsorted(keys, pair)
         copy = (keys[at] == pair) & (0 <= slot) & (slot < mult[at])
         if not copy.all():
-            raise AssertionError(f"edge {self.edges[np.argmin(copy)]} is not a copy")
-        if len(set(self.edges)) < len(self.edges):
+            raise AssertionError(f"edge {tuple(self.copies[~copy][0].tolist())} is not a copy")
+        if not np.diff(np.sort(at * (mult.max() + 1) + slot)).all():
             raise AssertionError("repeated edge copy")
         # a nonzero label is a vertex outside vertex 0's component
         if component_labels(n, u, v).any():
@@ -195,9 +201,8 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     exits = _wilson_exits(graph, root, gen, max_steps)
     at = np.delete(graph.offsets[:-1] + np.array(exits, dtype=np.int64), root)
     x, y = np.delete(np.arange(graph.n), root), graph.copy_neighbour[at]
-    u, v = np.minimum(x, y).tolist(), np.maximum(x, y).tolist()
-    edges = sorted(zip(u, v, graph.copy_slot[at].tolist()))
-    return SpanningTree(graph=graph, root=root, edges=tuple(edges))
+    copies = np.stack([np.minimum(x, y), np.maximum(x, y), graph.copy_slot[at]], axis=1)
+    return SpanningTree(graph=graph, root=root, copies=copies[np.lexsort(copies.T[::-1])])
 
 
 @dataclass(frozen=True)

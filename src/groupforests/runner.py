@@ -368,7 +368,7 @@ class Report:
         out.extend(f"#   {line}" for line in self.config_lines)
         out.extend(f"# note: {note}" for note in self.notes)
         out.append(",".join(self.columns))
-        out.extend(",".join(row) for row in self.rows)
+        out.extend(map(",".join, self.rows))
         return "\n".join(out) + "\n"
 
 
@@ -516,14 +516,16 @@ def run_sample_ust(cfg: ExperimentConfig) -> Report:
 
     def edge_rows(i, q, lap):
         graph = QuotientMultigraph(lap)
+        # the cell of every vertex and slot; a bundle may be wider than N
+        cell = list(map(str, range(max(graph.n, graph.copy_slot.max(initial=0) + 1)))).__getitem__
         out = []
         for s in range(cfg.samples):
             tree = wilson_sample(
                 graph, root=cfg.root, rng=rng_stream(cfg.seed, i, s), max_steps=max_steps
             )
             tree.validate()
-            for u, v, slot in tree.edges:
-                out.append((str(i), str(s), str(u), str(v), str(slot)))
+            ends = (map(cell, column) for column in tree.copies.T.tolist())
+            out.extend(zip(itertools.repeat(str(i)), itertools.repeat(str(s)), *ends))
         return out
 
     rows = [row for chunk in _per_quotient(cfg, edge_rows) for row in chunk]

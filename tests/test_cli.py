@@ -1006,17 +1006,17 @@ class TestRuntimeChecks:
 
     @staticmethod
     def repeated_edge(tree):
-        return dataclasses.replace(tree, edges=(tree.edges[0],) * len(tree.edges))
+        return dataclasses.replace(tree, copies=tree.copies[[0] * len(tree.copies)])
 
     @staticmethod
     def cyclic_edges(tree):
         # two copies of one doubled pair close a cycle on its endpoints
-        return dataclasses.replace(tree, edges=((0, 1, 0), (0, 1, 1)))
+        return dataclasses.replace(tree, copies=np.array([[0, 1, 0], [0, 1, 1]]))
 
     @staticmethod
     def forged_copy(tree):
         # the pair (0, 1) has two copies, slots 0 and 1
-        return dataclasses.replace(tree, edges=((0, 1, 0), (0, 1, 2)))
+        return dataclasses.replace(tree, copies=np.array([[0, 1, 0], [0, 1, 2]]))
 
     @pytest.mark.parametrize(
         "corrupt, f, message",
@@ -1042,7 +1042,7 @@ class TestRuntimeChecks:
             "real = runner.wilson_sample\n"
             "def bad(*args, **kwargs):\n"
             "    tree = real(*args, **kwargs)\n"
-            "    return dataclasses.replace(tree, edges=(tree.edges[0],) * len(tree.edges))\n"
+            "    return dataclasses.replace(tree, copies=tree.copies[[0] * len(tree.copies)])\n"
             "runner.wilson_sample = bad\n"
             "cfg = runner.resolve_config('sample-ust', family='free-abelian:1', moduli='5')\n"
             "try:\n"

@@ -5,6 +5,7 @@ The sampling law is checked against exhaustive spanning-tree enumeration
 least four standard errors wide at the stated sample counts.
 """
 
+import functools
 import itertools
 import os
 import re
@@ -91,6 +92,11 @@ def is_spanning_tree(graph, edges):
             return False
         parent[ru] = rv
     return True
+
+
+def copy_array(edges):
+    """Triples as the (len, 3) int64 array a SpanningTree holds."""
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)
 
 
 def all_spanning_trees(graph):
@@ -390,6 +396,34 @@ class TestWilsonKernel:
     def test_no_walk_needs_no_draw(self):
         assert wilson_sample(hand_graph([[0]]), max_steps=0).edges == ()
 
+    # a regular torus, a free-ball quotient with rows of lengths 2 and 4, and
+    # bundles of 5 copies on 3 vertices, so slots run past N
+    @settings(max_examples=60)
+    @given(st.sampled_from(["torus", "free-ball", "wide"]), st.integers(0, 2**32), st.data())
+    def test_copies_are_the_sorted_exit_triples(self, name, seed, data):
+        graph = ordering_graph(name)
+        root = data.draw(st.sampled_from([0, graph.n - 1, graph.n // 2]))
+        # the tree as sorted tuples, as wilson_sample built it before it kept an array
+        exits = _wilson_exits(graph, root, rng_stream(seed), None)
+        at = np.delete(graph.offsets[:-1] + np.array(exits, dtype=np.int64), root)
+        x, y = np.delete(np.arange(graph.n), root), graph.copy_neighbour[at]
+        u, v = np.minimum(x, y).tolist(), np.maximum(x, y).tolist()
+        expected = tuple(sorted(zip(u, v, graph.copy_slot[at].tolist())))
+        tree = wilson_sample(graph, root=root, rng=rng_stream(seed))
+        assert tree.copies.dtype == np.int64 and tree.copies.shape == (graph.n - 1, 3)
+        assert tree.edges == expected
+        tree.validate()
+
+
+@functools.cache
+def ordering_graph(name):
+    if name == "torus":
+        return torus_graph(6)
+    if name == "free-ball":
+        q = free_ball_quotient(F2, 3, seed=0)
+        return QuotientMultigraph(build_laplacian(q, laplacian_element(F2)))
+    return cycle_graph(3, "e 10\na -5\nA -5")
+
 
 def tree_degrees(tree):
     """Degree of each vertex in the tree, counted from its edge list."""
@@ -436,7 +470,7 @@ class TestValidate:
         g = make_graph()
         trees = set(all_spanning_trees(g))
         for subset in itertools.combinations(edge_copies(g), g.n - 1):
-            tree = SpanningTree(graph=g, root=0, edges=subset)
+            tree = SpanningTree(graph=g, root=0, copies=copy_array(subset))
             if frozenset(subset) in trees:
                 tree.validate()
             else:
@@ -454,7 +488,7 @@ class TestValidate:
         copies = edge_copies(g)
         for _ in range(data.draw(st.integers(0, 3)) if edges else 0):
             edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(copies))
-        tree = SpanningTree(graph=g, root=0, edges=tuple(edges))
+        tree = SpanningTree(graph=g, root=0, copies=copy_array(edges))
         if is_spanning_tree(g, edges):
             tree.validate()
         else:
@@ -489,7 +523,7 @@ class TestValidate:
         pairs = itertools.combinations(range(g.n), 2)
         forged += [(a, b, 0) for a, b in pairs if (a, b) not in multiplicity][:1]
         for edge in forged:
-            tree = SpanningTree(graph=g, root=0, edges=(edge,) + tree.edges[1:])
+            tree = SpanningTree(graph=g, root=0, copies=copy_array((edge,) + tree.edges[1:]))
             with pytest.raises(AssertionError, match=re.escape(f"edge {edge} is not a copy")):
                 tree.validate()
 
@@ -499,6 +533,8 @@ class TestValidate:
         cases = [
             (((0, 1, 0), (0, 3, 0)), "expected 3 edges, got 2"),
             (((0, 1, 0), (0, 1, 0), (0, 3, 0)), "repeated edge copy"),
+            # unsorted, the repeats apart: no neighbouring rows are equal
+            (((1, 2, 0), (0, 3, 0), (1, 2, 0)), "repeated edge copy"),
             (((0, 1, 0), (0, 1, 1), (0, 3, 0)), "edge set contains a cycle"),
             (((0, 1, 0), (0, 2, 0), (0, 3, 0)), "edge (0, 2, 0) is not a copy"),
             (((0, 1, 2), (1, 2, 0), (0, 3, 0)), "edge (0, 1, 2) is not a copy"),
@@ -508,10 +544,11 @@ class TestValidate:
         ]
         for edges, message in cases:
             with pytest.raises(AssertionError, match=re.escape(message)):
-                SpanningTree(graph=g, root=0, edges=edges).validate()
+                SpanningTree(graph=g, root=0, copies=copy_array(edges)).validate()
 
     def test_survives_optimized_mode(self):
         script = (
+            "import numpy as np\n"
             "from groupforests import *\n"
             "Z = GroupFamily.free_abelian(1)\n"
             "f = parse_group_ring(Z, 'e 4\\na -2\\nA -2')\n"
@@ -519,7 +556,8 @@ class TestValidate:
             "for edges in [((0, 1, 0), (0, 3, 0)), ((0, 1, 0), (0, 1, 0), (0, 3, 0)),\n"
             "              ((0, 1, 0), (0, 1, 1), (0, 3, 0)), ((0, 1, 2), (1, 2, 0), (0, 3, 0))]:\n"
             "    try:\n"
-            "        SpanningTree(graph=g, root=0, edges=edges).validate()\n"
+            "        copies = np.array(edges, dtype=np.int64)\n"
+            "        SpanningTree(graph=g, root=0, copies=copies).validate()\n"
             "    except AssertionError as err:\n"
             "        print('raised:', err)\n"
         )

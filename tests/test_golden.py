@@ -48,6 +48,11 @@ CONFIGS = {
         "sample-ust", "--family", "free-abelian:2", "--moduli", "2,2;2,3;16,16",
         "--samples", "3", "--seed", "1",
     ],
+    # bundles of 5 copies on N = 3 vertices: slot 3 is printed, past every vertex
+    "sample-ust-wide-bundle": [
+        "sample-ust", "--family", "free-abelian:1", "--moduli", "3",
+        "--f", "e 10; a -5; A -5", "--samples", "3",
+    ],
     "wsf-marginals-torus": [
         "wsf-marginals", "--family", "free-abelian:2", "--moduli", "6,6;8,8",
         "--samples", "20", "--seed", "1",
