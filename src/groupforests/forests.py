@@ -202,7 +202,9 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     at = np.delete(graph.offsets[:-1] + np.array(exits, dtype=np.int64), root)
     x, y = np.delete(np.arange(graph.n), root), graph.copy_neighbour[at]
     copies = np.stack([np.minimum(x, y), np.maximum(x, y), graph.copy_slot[at]], axis=1)
-    return SpanningTree(graph=graph, root=root, copies=copies[np.lexsort(copies.T[::-1])])
+    copies = copies[np.lexsort(copies.T[::-1])]
+    copies.setflags(write=False)  # edges caches a view of these rows
+    return SpanningTree(graph=graph, root=root, copies=copies)
 
 
 @dataclass(frozen=True)

@@ -230,9 +230,6 @@ def _character_tree_count(n: int, bound: int, m: int, count: int, values) -> int
         ArithmeticError: if P is not a multiple of n.
     """
     primes, modulus, limit = [], 1, 2 * bound
-    # ceil(2**26 / m) candidates below 2**26 multiply to less than 2**(26 * that)
-    if limit.bit_length() > 26 * -(-_CHAR_PRIME_BOUND // m):
-        return None
     candidates = (w[w % m == 1].tolist() for w in prime_windows(_CHAR_PRIME_BOUND))
     for p in itertools.chain.from_iterable(candidates):
         primes.append(p)

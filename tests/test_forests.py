@@ -411,6 +411,7 @@ class TestWilsonKernel:
         expected = tuple(sorted(zip(u, v, graph.copy_slot[at].tolist())))
         tree = wilson_sample(graph, root=root, rng=rng_stream(seed))
         assert tree.copies.dtype == np.int64 and tree.copies.shape == (graph.n - 1, 3)
+        assert not tree.copies.flags.writeable
         assert tree.edges == expected
         tree.validate()
 

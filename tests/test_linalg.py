@@ -454,20 +454,6 @@ class TestTorusTreeCount:
         bound = 2 ** (26 * (2**26 // 2003 + 1))
         assert linalg._character_tree_count(1, bound, 2003, 1, values) is None
 
-    def test_certain_shortage_sieves_nothing(self):
-        # at most ceil(2**26 / 2003) = 33505 candidates, each below 2**26: a
-        # shortage is certain once 2 bound >= 2**(26 * 33505)
-        def values(p, powers):
-            raise AssertionError("evaluated the factors without enough primes")
-
-        intmat._window_primes.cache_clear()
-        for bound in [2 ** (26 * 33506), 2 ** (26 * 33505 - 1)]:
-            assert linalg._character_tree_count(1, bound, 2003, 1, values) is None
-        assert intmat._window_primes.cache_info().currsize == 0
-        # one below, only the sieve of all 1024 windows shows the shortage
-        assert linalg._character_tree_count(1, 2 ** (26 * 33505 - 1) - 1, 2003, 1, values) is None
-        assert intmat._window_primes.cache_info().currsize == 1024
-
     def test_inexact_norm_raises(self, monkeypatch):
         # a lift off by one leaves N tau indivisible by N = 12
         real = linalg.crt
