@@ -11,6 +11,9 @@ estimates forest edge marginals on the group itself.
 
 Randomness is counter-based: every (seed, quotient, sample) triple owns an
 independent stream, so results do not depend on scheduling or batching.
+`lift_marginals` deals each quotient's samples round-robin to one forked
+worker per CPU in the process's affinity mask and sums their integer
+counts, so its tables are the same bytes at any worker count.
 Each walk step reads one stream double x (drawn 256 at a time) and leaves v
 by exit index int(x * degree), for a whole block at once by one NumPy
 multiply on a regular multigraph, the same IEEE product.  The exits left
@@ -21,9 +24,11 @@ one sorted (N-1) x 3 int64 array, which its checks read with NumPy and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +212,28 @@ def wilson_sample(graph: QuotientMultigraph, root: int = 0, rng=0, max_steps=Non
     return SpanningTree(graph=graph, root=root, copies=copies)
 
 
+def _cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where there is no mask to read."""
+    getaffinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(getaffinity(0)) if getaffinity is not None else 1
+
+
+def _window_counts(graph, ends, seed, qi, sample_indices, max_steps) -> list:
+    """Per window copy, how many of the given samples of quotient qi hold it.
+
+    ends lists each copy as (u, its exit index at u, v, its exit index at
+    v); a sample holds the copy iff it is the walk's exit at an endpoint
+    (the root's exit is -1).  Module-level so that a pool worker can run it.
+    """
+    counts = [0] * len(ends)
+    for sample_index in sample_indices:
+        exits = _wilson_exits(graph, 0, rng_stream(seed, qi, sample_index), max_steps)
+        for i, (u, iu, v, iv) in enumerate(ends):
+            if exits[u] == iu or exits[v] == iv:
+                counts[i] += 1
+    return counts
+
+
 @dataclass(frozen=True)
 class MarginalRow:
     """Empirical inclusion data for one lifted window edge."""
@@ -274,6 +301,13 @@ def lift_marginals(
     quotient, aligned across quotients for convergence display.  A sample
     counts a window copy when the copy is the walk's exit at one of its
     endpoints, so no SpanningTree is built per sample.
+
+    Each quotient's samples are dealt round-robin to min(CPUs in the
+    affinity mask, samples) workers of one fork pool, closed before this
+    returns or raises.  Sample i of quotient qi reads stream (seed, qi, i)
+    on any worker and counts are integer sums, so the tables do not depend
+    on the worker count.  With one worker, or no affinity mask, nothing is
+    forked.
     """
     require_well_balanced(f)
     if any(q.family != f.family for q in quotients):
@@ -294,12 +328,11 @@ def lift_marginals(
         graph = QuotientMultigraph(build_laplacian(quotient, f))
         nbr = graph.neighbours
         # Each window copy as (u, its exit index at u, v, its exit index at
-        # v); it is a tree edge iff it is an endpoint's exit (the root's is
-        # -1).  Copy j is slot j, as the repeats of v in row u are s's copies
-        # alone: a support word w != s with u.w = v would put g.w and g.s on
-        # one coset inside B(radius + 1), where the map was just checked
-        # injective; from v, v.w' = u means u.w'^-1 = v, the same case as f
-        # is self-adjoint.
+        # v), as _window_counts reads it.  Copy j is slot j, as the repeats
+        # of v in row u are s's copies alone: a support word w != s with
+        # u.w = v would put g.w and g.s on one coset inside B(radius + 1),
+        # where the map was just checked injective; from v, v.w' = u means
+        # u.w'^-1 = v, the same case as f is self-adjoint.
         ends = []
         for (g, s, j), _ in window:
             u = quotient.coset_of(g)
@@ -307,12 +340,12 @@ def lift_marginals(
             if u == v:
                 raise AssertionError("window edge collapsed to a loop")
             ends.append((u, nbr[u].index(v) + j, v, nbr[v].index(u) + j))
-        counts = [0] * len(ends)
-        for sample_index in range(samples):
-            exits = _wilson_exits(graph, 0, rng_stream(seed, qi, sample_index), max_steps)
-            for i, (u, iu, v, iv) in enumerate(ends):
-                if exits[u] == iu or exits[v] == iv:
-                    counts[i] += 1
+        shares = [
+            (graph, ends, seed, qi, range(r, samples, workers), max_steps)
+            for r in range(workers)
+        ]
+        parts = pool.starmap(_window_counts, shares) if pool else [_window_counts(*shares[0])]
+        counts = [sum(column) for column in zip(*parts)]
         rows = []
         for ((g, s, j), label), count in zip(window, counts):
             p = count / samples
@@ -320,7 +353,19 @@ def lift_marginals(
             rows.append(MarginalRow((g.normal, s.normal, j), label, count, p, halfwidth))
         return tuple(rows)
 
-    return [
-        at_quotient(qi, q.label, lambda qi=qi, q=q: table(qi, q))
-        for qi, q in enumerate(quotients)
-    ]
+    workers = min(_cpus(), samples)
+    import multiprocessing  # only this report forks, so other runs skip its import
+
+    # Pool forks in its constructor, before its handler threads start, and
+    # the workers run Python and Philox alone (no BLAS); the block
+    # terminates and joins them on return and on error
+    pool_context = (
+        multiprocessing.get_context("fork").Pool(workers)
+        if workers > 1
+        else contextlib.nullcontext()
+    )
+    with pool_context as pool:
+        return [
+            at_quotient(qi, q.label, lambda qi=qi, q=q: table(qi, q))
+            for qi, q in enumerate(quotients)
+        ]

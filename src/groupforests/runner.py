@@ -206,7 +206,8 @@ class ExperimentConfig:
             f"tol: {_fmt(self.tol)}",
             f"root: {self.root}",
             f"seed: {self.seed}",
-            # fixed: the golden corpus and the benchmark digests pin this line
+            # a fixed literal that the golden corpus and the benchmark digests
+            # pin; wsf-marginals' sample workers do not change it or the bytes
             "threads: 1",
             f"engine: {self.engine}",
             "caps: " + " ".join(f"{k}={self.cap(k)}" for k in sorted(DEFAULT_CAPS)),

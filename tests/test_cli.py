@@ -25,6 +25,7 @@ from groupforests import (
     IdentityMismatchError,
     QuotientLaplacian,
     cli,
+    forests,
     intmat,
     laplacian_element,
     linalg,
@@ -535,12 +536,16 @@ class TestForestSuite:
         assert len(rows) == 4 * 4
         assert "mean tree degree 8/5" in out
 
-    def test_wsf_marginals_applies_step_cap(self, capsys):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+    def test_wsf_marginals_applies_step_cap(self, capfd, monkeypatch, cpus):
+        # a worker's error reaches the user once, prefixed in the parent;
+        # capfd also sees what a forked worker writes
+        monkeypatch.setattr(forests, "_cpus", lambda: cpus)
         base = ["--family", "free-abelian:2", "--moduli", "8,8", "--samples", "3"]
         code, _ = run_cli(["wsf-marginals", *base, "--max-steps", "1"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: quotient 0 (Z^2 mod 8x8): random walk exceeded 1 steps")
+        (line,) = capfd.readouterr().err.splitlines()
+        assert line.startswith("error: quotient 0 (Z^2 mod 8x8): random walk exceeded 1 steps")
 
 
 class TestWalkReports:

@@ -7,6 +7,7 @@ least four standard errors wide at the stated sample counts.
 
 import functools
 import itertools
+import multiprocessing
 import os
 import re
 import subprocess
@@ -44,6 +45,7 @@ from groupforests import (
     spanning_tree_count,
     wilson_sample,
 )
+from groupforests import forests
 from groupforests.forests import _wilson_exits, _window_edges
 
 Z = GroupFamily.free_abelian(1)
@@ -600,6 +602,29 @@ class TestWindowEdges:
         assert len(rows) == 16
 
 
+# window cases of lift_marginals: doubled bundles, a non-abelian chain and
+# free-group balls (moduli None)
+MARGINAL_CASES = [
+    (Z2, "e 6\na -2\nA -2\nb -1\nB -1", ((6, 6), (8, 8)), 1),
+    (H, None, ((5,), (7,)), 1),
+    (F2, None, None, 1),
+]
+MARGINAL_IDS = ["doubled-torus", "heisenberg", "free-ball"]
+
+
+def marginal_case(family, f_text, moduli):
+    """f and the quotient chain of one MARGINAL_CASES row."""
+    f = laplacian_element(family) if f_text is None else parse_group_ring(family, f_text)
+    if moduli is None:
+        return f, [free_ball_quotient(family, r, seed=1) for r in (2, 3)]
+    return f, [FiniteQuotient.from_moduli(family, m) for m in moduli]
+
+
+def forced_cpus(monkeypatch, cpus):
+    """Make lift_marginals see cpus CPUs in the affinity mask."""
+    monkeypatch.setattr(forests, "_cpus", lambda: cpus)
+
+
 class TestLiftMarginals:
     def test_cycle_law(self):
         f = laplacian_element(Z)
@@ -646,24 +671,10 @@ class TestLiftMarginals:
             assert 0.0 <= row.frequency <= 1.0
             assert row.halfwidth < 0.06
 
-    @pytest.mark.parametrize(
-        "family, f_text, moduli, radius",
-        [
-            (Z2, "e 6\na -2\nA -2\nb -1\nB -1", ((6, 6), (8, 8)), 1),
-            (H, None, ((5,), (7,)), 1),
-            (F2, None, None, 1),
-        ],
-        ids=["doubled-torus", "heisenberg", "free-ball"],
-    )
+    @pytest.mark.parametrize("family, f_text, moduli, radius", MARGINAL_CASES, ids=MARGINAL_IDS)
     def test_counts_match_sampled_trees(self, family, f_text, moduli, radius):
         # exits decide membership; the oracle looks each copy up in a built tree
-        f = laplacian_element(family) if f_text is None else parse_group_ring(family, f_text)
-        if moduli is None:
-            from groupforests import free_ball_quotient
-
-            quotients = [free_ball_quotient(family, r, seed=1) for r in (2, 3)]
-        else:
-            quotients = [FiniteQuotient.from_moduli(family, m) for m in moduli]
+        f, quotients = marginal_case(family, f_text, moduli)
         samples = 60
         tables = lift_marginals(quotients, f, radius, samples, seed=4)
         window = _window_edges(f, radius)
@@ -684,6 +695,55 @@ class TestLiftMarginals:
             assert [row.count for row in table] == [
                 sum(c in t for t in trees) for c in copies
             ]
+
+    @pytest.mark.parametrize("family, f_text, moduli, radius", MARGINAL_CASES, ids=MARGINAL_IDS)
+    def test_tables_do_not_depend_on_worker_count(
+        self, monkeypatch, family, f_text, moduli, radius
+    ):
+        f, quotients = marginal_case(family, f_text, moduli)
+        contexts = []
+        get_context = multiprocessing.get_context
+
+        def recorded(method):
+            contexts.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recorded)
+        tables = []
+        for cpus in (1, 2, 3):
+            forced_cpus(monkeypatch, cpus)
+            tables.append(lift_marginals(quotients, f, radius, 60, seed=4))
+        assert contexts == ["fork", "fork"]  # 2 and 3 workers ran in a pool
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        forced_cpus(monkeypatch, 2)
+        f = laplacian_element(Z2)
+        chain = [FiniteQuotient.from_moduli(Z2, (8, 8))]
+        lift_marginals(chain, f, radius=0, samples=10, seed=1)
+        assert multiprocessing.active_children() == []
+        message = "quotient 0 (Z^2 mod 8x8): random walk exceeded 1 steps"
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            lift_marginals(chain, f, radius=0, samples=10, seed=1, max_steps=1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, samples", [(1, 40), (4, 1)], ids=["one-cpu", "one-sample"])
+    def test_one_worker_forks_nothing(self, monkeypatch, cpus, samples):
+        f = laplacian_element(Z)
+        chain = [FiniteQuotient.from_moduli(Z, (8,))]
+        expected = lift_marginals(chain, f, radius=1, samples=samples, seed=6)
+
+        def no_fork(method):
+            raise RuntimeError(f"asked for a {method} context")
+
+        forced_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert lift_marginals(chain, f, radius=1, samples=samples, seed=6) == expected
+
+    def test_no_affinity_mask_means_one_cpu(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert forests._cpus() == 1
 
     @settings(max_examples=60)
     @given(quotient_cases(window=True))
