@@ -591,6 +591,8 @@ def run_forest_suite(cfg: ExperimentConfig) -> Report:
 
 # ----- window density --------------------------------------------------------
 
+PROBE_CHUNK = 256  # representatives per early-stop check in _covering_radius
+
 
 def _component_window_values(cfg: ExperimentConfig, lap, window_vertices, stream_index):
     """Window coordinates of harmonic-mod-1 component representatives.
@@ -619,12 +621,15 @@ def _component_window_values(cfg: ExperimentConfig, lap, window_vertices, stream
         count = min(cap, 5000)
         W = np.column_stack([rng.integers(0, d, size=count).astype(float) for d in factors])
         mode = f"sampled({count})"
+    # only the window's rows: vertex v >= 1 is row v - 1 of V, the root is 0
+    rows, inverse = np.unique(window_vertices, return_inverse=True)
+    live = rows != 0
     scale = np.array(
-        [[V[r][j] / factors[j] for j in range(k)] for r in range(n - 1)], dtype=float
-    ).reshape(n - 1, k)
-    vals = (scale @ W.T) % 1.0
-    full = np.vstack([np.zeros((1, vals.shape[1])), vals])
-    return full[window_vertices, :].T, mode, order
+        [[V[r - 1][j] / factors[j] for j in range(k)] for r in rows[live]], dtype=float
+    ).reshape(-1, k)
+    vals = np.zeros((len(rows), W.shape[0]))
+    vals[live] = (scale @ W.T) % 1.0
+    return vals[inverse].T, mode, order
 
 
 def _covering_radius(probes: np.ndarray, reps: np.ndarray) -> float:
@@ -632,17 +637,22 @@ def _covering_radius(probes: np.ndarray, reps: np.ndarray) -> float:
 
     Each component is a representative plus the constant circle direction,
     so the distance from probe t is min_c max_g d(t_g - y_g - c), which is
-    (1 - largest circular gap of {t_g - y_g}) / 2.
+    (1 - largest circular gap of {t_g - y_g}) / 2.  A probe's scan stops
+    once its running minimum cannot raise the maximum.
     """
+    if reps.shape[1] == 1:
+        return 0.0
     worst = 0.0
     for t in probes:
-        delta = (t[None, :] - reps) % 1.0
-        if delta.shape[1] == 1:
-            return 0.0
-        delta.sort(axis=1)
-        gaps = np.diff(delta, axis=1).max(axis=1)
-        wrap = 1.0 - (delta[:, -1] - delta[:, 0])
-        nearest = float(((1.0 - np.maximum(gaps, wrap)) / 2.0).min())
+        nearest = math.inf
+        for start in range(0, len(reps), PROBE_CHUNK):
+            delta = (t[None, :] - reps[start : start + PROBE_CHUNK]) % 1.0
+            delta.sort(axis=1)
+            gaps = np.diff(delta, axis=1).max(axis=1)
+            wrap = 1.0 - (delta[:, -1] - delta[:, 0])
+            nearest = min(nearest, float(((1.0 - np.maximum(gaps, wrap)) / 2.0).min()))
+            if nearest <= worst:
+                break
         worst = max(worst, nearest)
     return worst
 

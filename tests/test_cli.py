@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -17,6 +18,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import groupforests
 from groupforests import (
@@ -33,6 +36,7 @@ from groupforests import (
     runner,
     walks,
 )
+from groupforests.groups import word_ball
 from groupforests.runner import (
     ExperimentConfig,
     _component_window_values,
@@ -163,6 +167,86 @@ def _reference_parser():
 def _subcommands(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+def _reference_window_values(cfg, lap, window_vertices, stream_index):
+    """_component_window_values as it was before it kept only the window's
+    rows: the product for all N - 1 non-root vertices, then the selection."""
+    n = lap.size
+    if n == 1:
+        return np.zeros((1, len(window_vertices))), "enumerated", 1
+    factors, V = intmat.smith_with_transform(
+        lap.reduced().tolist(), modulus=linalg.spanning_tree_count(lap)
+    )
+    order = math.prod(factors)
+    cap = cfg.cap("max_enumerate")
+    k = len(factors)
+    if order <= cap:
+        W = np.array(list(itertools.product(*[range(d) for d in factors])), dtype=float)
+        W = W.reshape(-1, k)
+        mode = "enumerated"
+    else:
+        rng = forests.rng_stream(cfg.seed, stream_index + 1)
+        count = min(cap, 5000)
+        W = np.column_stack([rng.integers(0, d, size=count).astype(float) for d in factors])
+        mode = f"sampled({count})"
+    scale = np.array(
+        [[V[r][j] / factors[j] for j in range(k)] for r in range(n - 1)], dtype=float
+    ).reshape(n - 1, k)
+    vals = (scale @ W.T) % 1.0
+    full = np.vstack([np.zeros((1, vals.shape[1])), vals])
+    return full[window_vertices, :].T, mode, order
+
+
+def _reference_covering_radius(probes, reps):
+    """_covering_radius without the early stop: every probe scans every
+    representative."""
+    worst = 0.0
+    for t in probes:
+        delta = (t[None, :] - reps) % 1.0
+        if delta.shape[1] == 1:
+            return 0.0
+        delta.sort(axis=1)
+        gaps = np.diff(delta, axis=1).max(axis=1)
+        wrap = 1.0 - (delta[:, -1] - delta[:, 0])
+        nearest = float(((1.0 - np.maximum(gaps, wrap)) / 2.0).min())
+        worst = max(worst, nearest)
+    return worst
+
+
+@st.composite
+def covering_cases(draw):
+    """Probes and representatives around the scan's chunk boundaries, with
+    repeated rows and, on a coarse grid, tied distances.  Planted cases copy
+    every probe into a row (often a chunk's first or last), so the answer is
+    0 unless the scan misses one of those rows."""
+    rows = draw(st.sampled_from([1, 255, 256, 257, 5000]))
+    cols = draw(st.integers(2, 6))
+    count = draw(st.integers(0, 12))
+    distinct = draw(st.integers(1, rows))
+    grid = draw(st.sampled_from([0, 4, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probes = rng.random((count, cols))
+    reps = rng.random((distinct, cols))[rng.integers(0, distinct, size=rows)]
+    if grid:
+        probes, reps = np.floor(probes * grid) / grid, np.floor(reps * grid) / grid
+    edges = sorted({i for i in (0, 255, 256, 511, 512, rows - 1) if i < rows})
+    row = st.one_of(st.sampled_from(edges), st.integers(0, rows - 1))
+    if draw(st.booleans()):
+        for probe in probes:
+            reps[draw(row)] = probe
+    return probes, reps
+
+
+def _window_case(family, moduli, vertex_order=None):
+    cfg = resolve_config("window-density", family=family, moduli=moduli)
+    quotient = cfg.quotients[0]
+    lap = linalg.build_laplacian(quotient, cfg.f)
+    window = word_ball(cfg.family, cfg.radius, generators=walks.support_words(cfg.f))
+    verts = [quotient.coset_of(w) for w in window]
+    if vertex_order is not None:
+        verts = [verts[i] for i in vertex_order]
+    return cfg, lap, verts
 
 
 class TestParser:
@@ -712,6 +796,72 @@ class TestWindowDensity:
         # worst probe sits halfway between adjacent components
         worst = _covering_radius(np.array([[0.0, 1 / (2 * m)]]), reps)
         assert worst == pytest.approx(1 / (4 * m))
+
+
+class TestWindowDensityReference:
+    """The pruned window rows and probe scan against the full computations
+    they replace: the same floats, hence the same report bytes."""
+
+    @given(covering_cases())
+    def test_probe_scan_matches_full_scan(self, case):
+        probes, reps = case
+        assert _covering_radius(probes, reps) == _reference_covering_radius(probes, reps)
+
+    @pytest.mark.parametrize("rows", [257, 5000])
+    def test_every_row_is_scanned(self, rows):
+        # row `at` is at sup distance 0 from the second probe, every other
+        # row at 1/4 from it and at 0 from the first probe
+        for at in (0, 255, 256, rows - 1):
+            reps = np.tile([0.0, 0.5], (rows, 1))
+            reps[at] = (0.3, 0.3)
+            probes = np.array([[0.0, 0.5], [0.3, 0.3]])
+            assert _covering_radius(probes, reps) == 0.0
+            assert _covering_radius(probes[::-1], reps) == 0.0
+
+    def test_probe_scan_edge_cases(self):
+        reps = np.random.default_rng(0).random((300, 3))
+        assert _covering_radius(np.zeros((0, 3)), reps) == 0.0
+        assert _covering_radius(np.random.default_rng(1).random((4, 1)), reps[:, :1]) == 0.0
+        assert _covering_radius(np.zeros((0, 1)), reps[:, :1]) == 0.0
+
+    @pytest.mark.parametrize(
+        "family, moduli, vertex_order, mode",
+        [
+            ("free-abelian:1", "8", None, "enumerated"),
+            ("free-abelian:2", "4,4", None, "sampled(5000)"),
+            ("free-abelian:2", "6,6", None, "sampled(5000)"),
+            ("free-abelian:2", "4,4", [3, 1, 0, 4, 2], "sampled(5000)"),
+        ],
+        ids=["cycle8", "torus4", "torus6", "torus4-root-third"],
+    )
+    def test_window_rows_match_full_product(self, family, moduli, vertex_order, mode):
+        cfg, lap, verts = _window_case(family, moduli, vertex_order)
+        assert vertex_order is None or verts[0] != 0
+        reps, got_mode, order = _component_window_values(cfg, lap, verts, 0)
+        ref_reps, ref_mode, ref_order = _reference_window_values(cfg, lap, verts, 0)
+        assert (got_mode, order) == (ref_mode, ref_order) and got_mode == mode
+        assert np.array_equal(reps, ref_reps)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["--family", "free-abelian:2", "--moduli", "4,4;6,6;8,8", "--seed", str(seed)]
+                for seed in range(4)
+            ),
+            ["--family", "free-abelian:2", "--moduli", "4,4;6,6;8,8", "--probes", "512"],
+            ["--family", "free-abelian:2", "--moduli", "6,6;8,8", "--radius", "2"],
+            ["--family", "free-abelian:1", "--moduli", "8;16;32;64;128"],
+        ],
+        ids=["seed0", "seed1", "seed2", "seed3", "probes512", "radius2", "cycles"],
+    )
+    def test_report_bytes_match_reference(self, monkeypatch, argv):
+        code, out = run_cli(["window-density", *argv])
+        assert code == 0
+        monkeypatch.setattr(runner, "_component_window_values", _reference_window_values)
+        monkeypatch.setattr(runner, "_covering_radius", _reference_covering_radius)
+        ref_code, ref_out = run_cli(["window-density", *argv])
+        assert (code, out) == (ref_code, ref_out)
 
 
 class TestOutputContract:
