@@ -327,23 +327,24 @@ def _row_sub(dst: list, src: list, f: int, lo: int, D: int | None) -> None:
         dst[lo:] = [x - f * y for x, y in zip(dst[lo:], src[lo:])]
     else:
         h = (D - 1) // 2  # (x + h) % D - h is the balanced residue of x
-        dst[lo:] = [(x - f * y + h) % D - h for x, y in zip(dst[lo:], src[lo:])]
+        # x is a balanced residue already, so where y is 0 it stays
+        dst[lo:] = [(x - f * y + h) % D - h if y else x for x, y in zip(dst[lo:], src[lo:])]
 
 
-def _col_sub(a: list, top: int, j: int, f: int, D: int | None) -> None:
-    """Column j -= f * column top on rows top.. (the rest of A, then V)."""
-    if D is None:
-        for row in a[top:]:
-            row[j] -= f * row[top]
-    else:
-        h = (D - 1) // 2
-        for row in a[top:]:
-            row[j] = (row[j] - f * row[top] + h) % D - h
+def _col_sub(at: list, vt: list, top: int, j: int, f: int, D: int | None) -> None:
+    """Column j -= f * column top on A's row top and on V (vt holds V's
+    columns as rows): called once A's column top is 0 below the pivot, where
+    every entry would stay as it is."""
+    at[j] -= f * at[top]  # a balanced remainder by the pivot: reduced mod D already
+    if vt:
+        _row_sub(vt[j], vt[top], f, 0, D)
 
 
-def _col_swap(a: list, top: int, j: int) -> None:
+def _col_swap(a: list, vt: list, top: int, j: int) -> None:
     for row in a[top:]:
         row[top], row[j] = row[j], row[top]
+    if vt:
+        vt[top], vt[j] = vt[j], vt[top]
 
 
 def _smallest_entry(a: list, n: int, top: int):
@@ -364,8 +365,8 @@ def _smith(rows, modulus: int | None, transform: bool):
     Returns (diagonal, V).  The diagonal holds the min(rows, cols) entries
     in pivot order: |pivot|, 0 past the rank, or with a modulus D each entry
     mapped to gcd(entry, D).  Each pivot column is signed so that its pivot
-    is nonnegative.  When transform is set, V starts as the identity stacked
-    under A, so that every column operation carries it; otherwise V is None.
+    is nonnegative.  V, None unless transform is set, starts as the identity
+    and is kept as its columns, so that column operations are row operations.
     """
     a = [[int(x) for x in row] for row in rows]
     n = len(a)
@@ -376,15 +377,14 @@ def _smith(rows, modulus: int | None, transform: bool):
     if D is not None:
         h = (D - 1) // 2
         a = [[(x + h) % D - h for x in row] for row in a]
-    if transform:
-        a += [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(m)] for i in range(m)] if transform else []
     top = 0
     while top < min(n, m):
         pivot = _smallest_entry(a, n, top)
         if pivot is None:
             break
         a[top], a[pivot[0]] = a[pivot[0]], a[top]
-        _col_swap(a, top, pivot[1])
+        _col_swap(a, vt, top, pivot[1])
         while True:  # clear column top below the pivot, then row top to its right
             at = a[top]
             for i in range(top + 1, n):
@@ -396,9 +396,9 @@ def _smith(rows, modulus: int | None, transform: bool):
             else:
                 for j in range(top + 1, m):
                     if at[j]:
-                        _col_sub(a, top, j, _balanced_quotient(at[j], at[top]), D)
+                        _col_sub(at, vt, top, j, _balanced_quotient(at[j], at[top]), D)
                         if at[j]:
-                            _col_swap(a, top, j)
+                            _col_swap(a, vt, top, j)
                             break
                 else:
                     break
@@ -411,15 +411,16 @@ def _smith(rows, modulus: int | None, transform: bool):
             _row_sub(a[top], bad, -1, top, D)
             continue
         if a[top][top] < 0:  # flipping a column's sign is a unimodular column op
-            for row in a[top:]:
-                row[top] = -row[top]
+            a[top][top] = -a[top][top]  # column top is 0 below the pivot
+            if vt:
+                vt[top] = [-x for x in vt[top]]
         top += 1
     diag = [a[i][i] for i in range(min(n, m))]
     if D is not None:
         # Residue arithmetic determines each true factor only up to gcd with D,
         # and a factor that D divides reduces to an all-zero block (0 -> D).
         diag = [math.gcd(x, D) for x in diag]
-    return diag, a[n:] if transform else None
+    return diag, [list(col) for col in zip(*vt)] if transform else None
 
 
 def smith_normal_form(rows, modulus: int | None = None) -> list[int]:

@@ -619,7 +619,10 @@ def _component_window_values(cfg: ExperimentConfig, lap, window_vertices, stream
     else:
         rng = rng_stream(cfg.seed, stream_index + 1)
         count = min(cap, 5000)
-        W = np.column_stack([rng.integers(0, d, size=count).astype(float) for d in factors])
+        W = np.zeros((count, k))
+        for j, d in enumerate(factors):
+            if d > 1:  # a unit factor's draw is zeros and leaves the stream as it was
+                W[:, j] = rng.integers(0, d, size=count)
         mode = f"sampled({count})"
     # only the window's rows: vertex v >= 1 is row v - 1 of V, the root is 0
     rows, inverse = np.unique(window_vertices, return_inverse=True)
@@ -637,24 +640,30 @@ def _covering_radius(probes: np.ndarray, reps: np.ndarray) -> float:
 
     Each component is a representative plus the constant circle direction,
     so the distance from probe t is min_c max_g d(t_g - y_g - c), which is
-    (1 - largest circular gap of {t_g - y_g}) / 2.  A probe's scan stops
-    once its running minimum cannot raise the maximum.
+    (1 - largest circular gap of {t_g - y_g}) / 2.  That is monotone in the
+    gap, so the scan keeps the least over probes of each probe's largest gap
+    and halves once; a probe's scan stops once its gap reaches that least.
+    Probes lie in [0, 1) and representatives in [0, 1] (`% 1.0` rounds a tiny
+    negative up to 1.0), so t - y lies in [-1, 1), where adding 1 to each
+    negative difference gives the bits of `% 1.0`.
     """
     if reps.shape[1] == 1:
         return 0.0
-    worst = 0.0
+    neg = -reps
+    least = 1.0
     for t in probes:
-        nearest = math.inf
-        for start in range(0, len(reps), PROBE_CHUNK):
-            delta = (t[None, :] - reps[start : start + PROBE_CHUNK]) % 1.0
-            delta.sort(axis=1)
-            gaps = np.diff(delta, axis=1).max(axis=1)
+        gap = 0.0
+        for start in range(0, len(neg), PROBE_CHUNK):
+            delta = neg[start : start + PROBE_CHUNK] + t
+            delta += delta < 0
+            delta.sort(axis=1, kind="stable")  # faster on short rows; no -0.0 or NaN here
             wrap = 1.0 - (delta[:, -1] - delta[:, 0])
-            nearest = min(nearest, float(((1.0 - np.maximum(gaps, wrap)) / 2.0).min()))
-            if nearest <= worst:
+            gap = max(gap, (delta[:, 1:] - delta[:, :-1]).max(), wrap.max())
+            if gap >= least:
                 break
-        worst = max(worst, nearest)
-    return worst
+        else:
+            least = gap
+    return float((1.0 - least) / 2.0)
 
 
 def run_window_density(cfg: ExperimentConfig) -> Report:

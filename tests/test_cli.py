@@ -238,6 +238,31 @@ def covering_cases(draw):
     return probes, reps
 
 
+# values at the ends of the probe scan's domain: t - r is then exactly -1.0,
+# -2**-53 or -(1 - 2**-53), or a negative that rounds up to 1.0 once shifted
+EDGE_PROBES = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53)
+EDGE_REPS = (0.0, 1.0, 2.0**-60, 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53)
+
+
+@st.composite
+def edge_covering_cases(draw):
+    """covering_cases with a share of the entries set to the domain's edges."""
+    probes, reps = draw(covering_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    for values, edges in ((probes, EDGE_PROBES), (reps, EDGE_REPS)):
+        mask = rng.random(values.shape) < share
+        values[mask] = rng.choice(edges, size=int(mask.sum()))
+    return probes, reps
+
+
+def _plain_state(value):
+    """A bit generator's state with its arrays as lists, comparable by ==."""
+    if isinstance(value, dict):
+        return {k: _plain_state(v) for k, v in value.items()}
+    return np.asarray(value).tolist()
+
+
 def _window_case(family, moduli, vertex_order=None):
     cfg = resolve_config("window-density", family=family, moduli=moduli)
     quotient = cfg.quotients[0]
@@ -823,6 +848,44 @@ class TestWindowDensityReference:
         assert _covering_radius(np.zeros((0, 3)), reps) == 0.0
         assert _covering_radius(np.random.default_rng(1).random((4, 1)), reps[:, :1]) == 0.0
         assert _covering_radius(np.zeros((0, 1)), reps[:, :1]) == 0.0
+
+    def test_shift_is_mod_one_on_the_domain(self):
+        t = np.array(EDGE_PROBES)[:, None]
+        diff = (-np.array(EDGE_REPS) + t).ravel()
+        assert {-1.0, -(2.0**-53), -(1.0 - 2.0**-53)} <= set(diff.tolist())
+        shifted = diff + (diff < 0)
+        assert shifted.tobytes() == (diff % 1.0).tobytes() and 1.0 in shifted
+
+    @given(edge_covering_cases())
+    def test_domain_edges_match_full_scan(self, case):
+        probes, reps = case
+        assert _covering_radius(probes, reps) == _reference_covering_radius(probes, reps)
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_domain_edges_fixed(self, rows):
+        # each probe has a row at t - r = -1.0, -2**-53, -(1 - 2**-53) or a
+        # tiny negative in some column, representatives hold 0.0 and 1.0, and
+        # the probes are copied onto rows
+        probes = np.array([[0.0, 0.0, 0.5], [2.0**-53, 0.5, 1.0 - 2.0**-53], [0.0, 2.0**-53, 0.0]])
+        edges = np.array(
+            [[1.0, 2.0**-53, 1.0 - 2.0**-53], [2.0**-60, 1.0, 0.5 + 2.0**-53], [0.0, 0.0, 1.0]]
+        )
+        reps = np.random.default_rng(rows).random((rows, 3))
+        reps[: min(rows, 3)] = edges[: min(rows, 3)]
+        for placed in (reps, np.vstack([reps, probes]), np.vstack([probes, reps])):
+            for subset in (probes, probes[::-1], probes[:1]):
+                expected = _reference_covering_radius(subset, placed)
+                assert _covering_radius(subset, placed) == expected
+
+    @pytest.mark.parametrize("seed, index", [(0, 1), (0, 3), (7, 2), (2**40, 12)])
+    def test_unit_draws_leave_the_stream_as_it_was(self, seed, index):
+        # `_component_window_values` puts zeros where a unit factor would draw
+        rng = forests.rng_stream(seed, index)
+        before = _plain_state(rng.bit_generator.state)
+        assert not rng.integers(0, 1, size=5000).any()
+        assert _plain_state(rng.bit_generator.state) == before
+        rng.integers(0, 2, size=1)
+        assert _plain_state(rng.bit_generator.state) != before
 
     @pytest.mark.parametrize(
         "family, moduli, vertex_order, mode",

@@ -10,6 +10,15 @@ deliberately and say why.  Running
 writes the files that do not exist yet and checks every other one byte for
 byte, naming each that differs and exiting 1 if any does.  To replace a
 file, delete it and rerun.
+
+Files under tests/golden/ci/ are not in CONFIGS, because each takes seconds:
+the CI workflow renders and diffs them, each under a timeout.
+`ci/window-density-torus-large.csv` is
+
+    window-density --family free-abelian:2 --moduli "16,16;20,20" --seed 0
+
+the only report that runs `smith_with_transform` on a 255- and a 399-square
+reduced Laplacian (about 1.6 s on a 2-CPU x86-64 host).
 """
 
 import sys

@@ -20,6 +20,7 @@ from groupforests import (
     free_ball_quotient,
     intmat,
     laplacian_element,
+    linalg,
 )
 from groupforests.intmat import (
     bareiss_determinant,
@@ -32,6 +33,8 @@ from groupforests.intmat import (
     smith_normal_form,
     smith_with_transform,
 )
+from groupforests.linalg import spanning_tree_count
+from groupforests.runner import resolve_config
 
 
 def det_fraction_elimination(rows):
@@ -381,6 +384,156 @@ class TestSmithProperties:
         diag, _ = smith_with_transform(rows, modulus)
         expected = invariant_factors([d for d in diag if d])
         assert smith_normal_form(rows, modulus) == expected
+
+
+def _reference_smith(rows, modulus, transform):
+    """intmat._smith as it was before its column operations skipped A's rows
+    below the pivot: V stacked under A, every column operation and the
+    pivot's sign flip on all rows from the pivot down, each entry reduced."""
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    if any(len(row) != m for row in a):
+        raise ValueError("ragged matrix")
+    D = abs(modulus) if modulus and abs(modulus) > 1 else None
+    h = (D - 1) // 2 if D else 0
+
+    def reduce(x):
+        return x if D is None else (x + h) % D - h
+
+    def quotient(q, p):  # f with q - f p in (-|p|/2, |p|/2]
+        return -quotient(q, -p) if p < 0 else (2 * q + p) // (2 * p)
+
+    def row_sub(dst, src, f, lo):
+        dst[lo:] = [reduce(x - f * y) for x, y in zip(dst[lo:], src[lo:])]
+
+    def col_sub(top, j, f):
+        for row in a[top:]:
+            row[j] = reduce(row[j] - f * row[top])
+
+    def col_swap(top, j):
+        for row in a[top:]:
+            row[top], row[j] = row[j], row[top]
+
+    def smallest(top):
+        best = None
+        for i in range(top, n):
+            for j, x in enumerate(a[i][top:], top):
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if best[0] == 1:
+                        return i, j
+        return None if best is None else best[1:]
+
+    a = [[reduce(x) for x in row] for row in a]
+    if transform:
+        a += [[int(i == j) for j in range(m)] for i in range(m)]
+    top = 0
+    while top < min(n, m):
+        pivot = smallest(top)
+        if pivot is None:
+            break
+        a[top], a[pivot[0]] = a[pivot[0]], a[top]
+        col_swap(top, pivot[1])
+        while True:
+            at = a[top]
+            for i in range(top + 1, n):
+                if a[i][top]:
+                    row_sub(a[i], at, quotient(a[i][top], at[top]), top)
+                    if a[i][top]:
+                        a[top], a[i] = a[i], at
+                        break
+            else:
+                for j in range(top + 1, m):
+                    if at[j]:
+                        col_sub(top, j, quotient(at[j], at[top]))
+                        if at[j]:
+                            col_swap(top, j)
+                            break
+                else:
+                    break
+        p = abs(a[top][top])
+        bad = None if p == 1 else next(
+            (ai for ai in a[top + 1 : n] if any(x % p for x in ai[top + 1 :])), None
+        )
+        if bad:
+            row_sub(a[top], bad, -1, top)
+            continue
+        if a[top][top] < 0:
+            for row in a[top:]:
+                row[top] = -row[top]
+        top += 1
+    diag = [a[i][i] for i in range(min(n, m))]
+    if D is not None:
+        diag = [math.gcd(x, D) for x in diag]
+    return diag, a[n:] if transform else None
+
+
+@st.composite
+def smith_cases(draw):
+    """Square, rectangular, singular and all-zero matrices, with entries
+    small or past 2**64, and no modulus, 1, a small one, a multiple of the
+    determinant or one above 2**64."""
+    rows = draw(
+        int_matrices(
+            min_size=0,
+            entry=st.one_of(st.integers(-2, 2), st.integers(-30, 30), st.integers(-(2**70), 2**70)),
+        )
+    )
+    shape = draw(st.sampled_from(["any", "singular", "zero"]))
+    if shape == "zero":
+        rows = [[0] * len(row) for row in rows]
+    elif shape == "singular" and rows:
+        rows.append([2 * x - 3 * y for x, y in zip(rows[0], rows[-1])])
+    square = len(rows) == len(rows[0] if rows else [])
+    modulus = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([1, -1]),
+            st.integers(2, 60),
+            st.integers(-60, -2),
+            st.integers(2**64 + 1, 2**80),
+            st.sampled_from([1, 3]).map(lambda k: k * bareiss_determinant(rows) if square else None),
+        )
+    )
+    return rows, modulus
+
+
+def _window_density_laplacians():
+    """The reduced Laplacians of the 4x4, 6x6 and 8x8 tori with their tree
+    counts, as `window-density` passes them to `smith_with_transform`."""
+    cfg = resolve_config("window-density", family="free-abelian:2", moduli="4,4;6,6;8,8")
+    for quotient in cfg.quotients:
+        lap = build_laplacian(quotient, cfg.f)
+        yield lap.reduced().tolist(), spanning_tree_count(lap)
+
+
+class TestSmithReference:
+    """The elimination that updates only the rows a column operation changes,
+    against the one that updated every row: the same factors and V."""
+
+    @settings(max_examples=400)
+    @given(smith_cases(), st.booleans())
+    def test_matches_the_reference(self, case, transform):
+        rows, modulus = case
+        assert intmat._smith(rows, modulus, transform) == _reference_smith(rows, modulus, transform)
+
+    @pytest.mark.parametrize("transform", [True, False])
+    def test_window_density_tori(self, transform):
+        for rows, tau in _window_density_laplacians():
+            assert intmat._smith(rows, tau, transform) == _reference_smith(rows, tau, transform)
+
+    def test_heisenberg_mod_5_sweep(self):
+        # the 49-square layer-sweep relations of H mod 5, modulo the exponent
+        # that `certified_smith_form` finds and modulo tau
+        cfg = resolve_config("identity", family="heisenberg", moduli="5")
+        lap = build_laplacian(cfg.quotients[0], cfg.f)
+        rows, tau = linalg._layer_sweep(lap), spanning_tree_count(lap)
+        assert len(rows) == 49
+        for modulus in (intmat._exponent(rows, tau), tau):
+            for transform in (False, True):
+                got = intmat._smith(rows, modulus, transform)
+                assert got == _reference_smith(rows, modulus, transform)
 
 
 class TestCertifiedSmith:
