@@ -2,11 +2,13 @@
 
 Three families are supported: free abelian groups Z^d, free groups F_k, and
 the discrete Heisenberg group (upper unitriangular 3x3 integer matrices).
-Each family carries a normal form for its elements, so words multiply and
-compare cheaply.  A finite quotient is stored as one permutation of the coset
-set per generator letter (right translation); quotients of the free-abelian
-and Heisenberg families are generated from moduli, while free-group quotients
-are arbitrary transitive permutation actions supplied by the caller.
+Each family is one subclass of GroupFamily, which carries a normal form for
+its elements, so words multiply and compare cheaply, together with its
+congruence quotients and the relations a quotient must satisfy.  A finite
+quotient is stored as one permutation of the coset set per generator letter
+(right translation); quotients of the free-abelian and Heisenberg families
+are generated from moduli, while free-group quotients are arbitrary
+transitive permutation actions supplied by the caller.
 
 Generator letters are signed integers: +i is the i-th generator, -i its
 inverse.  The text rendering uses 'a', 'b', ... for generators and
@@ -22,39 +24,40 @@ import numpy as np
 
 from .errors import FamilyMismatchError, GroupForestsError
 
-_FAMILY_KINDS = ("free-abelian", "free", "heisenberg")
-
 
 @dataclass(frozen=True)
 class GroupFamily:
     """A group presentation family together with its generator count.
 
-    kind: one of "free-abelian", "free", "heisenberg".
     rank: number of generators (d for Z^d, k for F_k, always 2 for Heisenberg).
+    Each family is a subclass naming its `kind` (the --family spelling) and
+    the least rank at which its simple random walks are transient.
     """
 
-    kind: str
     rank: int
+    kind = ""
+    transient_rank = 1
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if self.kind == "heisenberg" and self.rank != 2:
-            raise ValueError("the Heisenberg family has exactly 2 generators")
 
     @classmethod
     def free_abelian(cls, d: int) -> "GroupFamily":
-        return cls("free-abelian", d)
+        return FreeAbelian(d)
 
     @classmethod
     def free(cls, k: int) -> "GroupFamily":
-        return cls("free", k)
+        return Free(k)
 
     @classmethod
     def heisenberg(cls) -> "GroupFamily":
-        return cls("heisenberg", 2)
+        return Heisenberg(2)
+
+    @property
+    def spec(self) -> str:
+        """The --family spelling, 'kind:rank'."""
+        return f"{self.kind}:{self.rank}"
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -62,18 +65,14 @@ class GroupFamily:
         pos = tuple(range(1, self.rank + 1))
         return pos + tuple(-i for i in pos)
 
+    def is_transient(self) -> bool:
+        return self.rank >= self.transient_rank
+
     def _check_letter(self, letter: int):
         if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
             raise ValueError(f"letter {letter!r} out of range for rank {self.rank}")
 
     # ----- normal forms -------------------------------------------------
-
-    def identity_normal(self):
-        if self.kind == "free-abelian":
-            return (0,) * self.rank
-        if self.kind == "free":
-            return ()
-        return (0, 0, 0)
 
     def normal_of_letters(self, letters) -> tuple:
         nf = self.identity_normal()
@@ -83,52 +82,115 @@ class GroupFamily:
         return nf
 
     def _letter_normal(self, letter: int):
-        if self.kind == "free-abelian":
-            v = [0] * self.rank
-            v[abs(letter) - 1] = 1 if letter > 0 else -1
-            return tuple(v)
-        if self.kind == "free":
-            return (letter,)
-        if letter == 1:
-            return (1, 0, 0)
-        if letter == -1:
-            return (-1, 0, 0)
-        if letter == 2:
-            return (0, 1, 0)
-        return (0, -1, 0)
+        """Generator i is the i-th unit coordinate of the identity's normal form."""
+        v = list(self.identity_normal())
+        v[abs(letter) - 1] = 1 if letter > 0 else -1
+        return tuple(v)
+
+    def congruence_action(self, moduli: list):
+        """(perms, label, moduli) of the congruence quotient from positive moduli."""
+        raise ValueError("free-group quotients are given by explicit permutations")
+
+    def check_relations(self, perms: dict):
+        """Raise unless the family's defining relations hold among perms."""
+
+
+class FreeAbelian(GroupFamily):
+    """Z^d; an element's normal form is its coordinate vector."""
+
+    kind = "free-abelian"
+    transient_rank = 3
+
+    def identity_normal(self):
+        return (0,) * self.rank
 
     def multiply_normals(self, a: tuple, b: tuple) -> tuple:
-        if self.kind == "free-abelian":
-            return tuple(x + y for x, y in zip(a, b))
-        if self.kind == "free":
-            # concatenate with cancellation at the seam
-            a = list(a)
-            i = 0
-            while a and i < len(b) and a[-1] == -b[i]:
-                a.pop()
-                i += 1
-            return tuple(a) + tuple(b[i:])
+        return tuple(x + y for x, y in zip(a, b))
+
+    def invert_normal(self, a: tuple) -> tuple:
+        return tuple(-x for x in a)
+
+    def letters_of_normal(self, a: tuple) -> tuple[int, ...]:
+        """A canonical word (letter sequence) evaluating to the element."""
+        out = []
+        for i, v in enumerate(a):
+            out.extend([i + 1 if v > 0 else -(i + 1)] * abs(v))
+        return tuple(out)
+
+    def congruence_action(self, moduli: list):
+        """A length-d vector (one modulus stands for all d): the product of cyclic groups."""
+        if len(moduli) == 1 and self.rank > 1:
+            moduli = moduli * self.rank
+        if len(moduli) != self.rank:
+            raise ValueError(f"expected {self.rank} moduli, got {len(moduli)}")
+        coords = np.unravel_index(np.arange(int(np.prod(moduli))), moduli)
+        perms = {}
+        for i in range(self.rank):
+            shifted = list(coords)
+            shifted[i] = (coords[i] + 1) % moduli[i]
+            perms[i + 1] = np.ravel_multi_index(tuple(shifted), moduli)
+        return perms, "Z^%d mod %s" % (self.rank, "x".join(map(str, moduli))), tuple(moduli)
+
+    def check_relations(self, perms: dict):
+        """The generators commute."""
+        for i in range(1, self.rank + 1):
+            for j in range(i + 1, self.rank + 1):
+                a, b = perms[i], perms[j]
+                if not np.array_equal(a[b], b[a]):
+                    raise GroupForestsError(f"generators {i},{j} do not commute")
+
+
+class Free(GroupFamily):
+    """F_k; an element's normal form is its reduced word.  No relations."""
+
+    kind = "free"
+    transient_rank = 2
+
+    def identity_normal(self):
+        return ()
+
+    def _letter_normal(self, letter: int):
+        return (letter,)
+
+    def multiply_normals(self, a: tuple, b: tuple) -> tuple:
+        # concatenate with cancellation at the seam
+        a = list(a)
+        i = 0
+        while a and i < len(b) and a[-1] == -b[i]:
+            a.pop()
+            i += 1
+        return tuple(a) + tuple(b[i:])
+
+    def invert_normal(self, a: tuple) -> tuple:
+        return tuple(-l for l in reversed(a))
+
+    def letters_of_normal(self, a: tuple) -> tuple[int, ...]:
+        return tuple(a)
+
+
+class Heisenberg(GroupFamily):
+    """H; (x, y, z) times (u, v, w) is (x + u, y + v, z + w + x v)."""
+
+    kind = "heisenberg"
+    spec = "heisenberg"
+
+    def __post_init__(self):
+        if self.rank != 2:
+            raise ValueError("the Heisenberg family has exactly 2 generators")
+
+    def identity_normal(self):
+        return (0, 0, 0)
+
+    def multiply_normals(self, a: tuple, b: tuple) -> tuple:
         x, y, z = a
         u, v, w = b
         return (x + u, y + v, z + w + x * v)
 
     def invert_normal(self, a: tuple) -> tuple:
-        if self.kind == "free-abelian":
-            return tuple(-x for x in a)
-        if self.kind == "free":
-            return tuple(-l for l in reversed(a))
         x, y, z = a
         return (-x, -y, -z + x * y)
 
     def letters_of_normal(self, a: tuple) -> tuple[int, ...]:
-        """A canonical word (letter sequence) evaluating to the element."""
-        if self.kind == "free-abelian":
-            out = []
-            for i, v in enumerate(a):
-                out.extend([i + 1 if v > 0 else -(i + 1)] * abs(v))
-            return tuple(out)
-        if self.kind == "free":
-            return tuple(a)
         x, y, z = a
         out = [1 if x > 0 else -1] * abs(x)
         out += [2 if y > 0 else -2] * abs(y)
@@ -137,6 +199,29 @@ class GroupFamily:
         comm = (1, 2, -1, -2) if c > 0 else (2, 1, -2, -1)
         out += list(comm) * abs(c)
         return tuple(out)
+
+    def congruence_action(self, moduli: list):
+        """A single modulus m, all three matrix entries reduced mod m: m^3 cosets."""
+        if len(set(moduli)) != 1:
+            raise ValueError("heisenberg quotients take a single modulus")
+        m = moduli[0]
+        a, b, c = np.unravel_index(np.arange(m**3), (m, m, m))
+        perms = {
+            1: np.ravel_multi_index(((a + 1) % m, b, c), (m, m, m)),
+            2: np.ravel_multi_index((a, (b + 1) % m, (c + a) % m), (m, m, m)),
+        }
+        return perms, f"H mod {m}", (m,)
+
+    def check_relations(self, perms: dict):
+        """The commutator is central."""
+        x, y = perms[1], perms[2]
+        z = perms[-2][perms[-1][y[x]]]  # right-action composite for the commutator word
+        for g in (x, y):
+            if not np.array_equal(z[g], g[z]):
+                raise GroupForestsError("commutator is not central in the quotient")
+
+
+FAMILIES = {cls.kind: cls for cls in (FreeAbelian, Free, Heisenberg)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +259,7 @@ class GroupWord:
         return self.normal == self.family.identity_normal()
 
     def __hash__(self):
-        return hash((self.family.kind, self.family.rank, self.normal))
+        return hash((self.family, self.normal))
 
     def __eq__(self, other):
         return (
@@ -273,7 +358,7 @@ class FiniteQuotient:
                     )
         if not self._is_transitive():
             raise ValueError("the generator permutations do not act transitively")
-        self._check_relations()
+        family.check_relations(self.perms)
         self.moduli = None  # set by from_moduli for congruence quotients
 
     def _check_permutation(self, p: np.ndarray):
@@ -297,73 +382,14 @@ class FiniteQuotient:
 
     @classmethod
     def from_moduli(cls, family: GroupFamily, moduli) -> "FiniteQuotient":
-        """Congruence quotient from a modulus vector.
-
-        free-abelian(d): moduli is a length-d vector, quotient is the product
-        of cyclic groups.  heisenberg: a single modulus m (all three matrix
-        entries reduced mod m), quotient has m^3 cosets.
-        """
-        if family.kind == "free":
-            raise ValueError("free-group quotients are given by explicit permutations")
+        """Congruence quotient from a modulus vector (`family.congruence_action`)."""
         moduli = [int(m) for m in np.atleast_1d(moduli)]
         if any(m < 1 for m in moduli):
             raise ValueError("moduli must be >= 1")
-        if family.kind == "free-abelian":
-            if len(moduli) == 1 and family.rank > 1:
-                moduli = moduli * family.rank
-            if len(moduli) != family.rank:
-                raise ValueError(f"expected {family.rank} moduli, got {len(moduli)}")
-            shape = tuple(moduli)
-            n = int(np.prod(shape))
-            coords = np.unravel_index(np.arange(n), shape)
-            perms = {}
-            for i in range(family.rank):
-                shifted = list(coords)
-                shifted[i] = (coords[i] + 1) % shape[i]
-                perms[i + 1] = np.ravel_multi_index(tuple(shifted), shape)
-            label = "Z^%d mod %s" % (family.rank, "x".join(map(str, moduli)))
-            q = cls(family, perms, label=label)
-            q.moduli = tuple(moduli)
-            return q
-        # Heisenberg: entries mod m, multiplication (a,b,c)(a',b',c')=(a+a',b+b',c+c'+ab')
-        if len(moduli) != 1:
-            if len(set(moduli)) != 1:
-                raise ValueError("heisenberg quotients take a single modulus")
-            moduli = [moduli[0]]
-        m = moduli[0]
-        n = m**3
-        a, b, c = np.unravel_index(np.arange(n), (m, m, m))
-        perms = {
-            1: np.ravel_multi_index(((a + 1) % m, b, c), (m, m, m)),
-            2: np.ravel_multi_index((a, (b + 1) % m, (c + a) % m), (m, m, m)),
-        }
-        q = cls(family, perms, label=f"H mod {m}")
-        # not a relation of H: the m-th power of the commutator is trivial mod m
-        z_m = q.word_permutation(GroupWord.from_normal(family, (0, 0, m)))
-        if not np.array_equal(z_m, np.arange(n)):
-            raise GroupForestsError("central element has wrong order")
-        q.moduli = (m,)
+        perms, label, moduli = family.congruence_action(moduli)
+        q = cls(family, perms, label=label)
+        q.moduli = moduli
         return q
-
-    def _check_relations(self):
-        """The family's defining relations must hold as permutation identities.
-
-        Free-abelian generators commute; the Heisenberg commutator is
-        central.  Free families have no relations.
-        """
-        if self.family.kind == "free-abelian":
-            for i in range(1, self.family.rank + 1):
-                for j in range(i + 1, self.family.rank + 1):
-                    a, b = self.perms[i], self.perms[j]
-                    if not np.array_equal(a[b], b[a]):
-                        raise GroupForestsError(f"generators {i},{j} do not commute")
-        elif self.family.kind == "heisenberg":
-            x, y = self.perms[1], self.perms[2]
-            xi, yi = self.perms[-1], self.perms[-2]
-            z = yi[xi[y[x]]]  # right-action composite for the commutator word
-            for g in (x, y):
-                if not np.array_equal(z[g], g[z]):
-                    raise GroupForestsError("commutator is not central in the quotient")
 
     @classmethod
     def from_text(cls, family: GroupFamily, text: str, label: str = "") -> "FiniteQuotient":
@@ -446,8 +472,13 @@ def injectivity_radius(
     inverses implicitly; defaults to the family's letters).  BFS expands group
     elements by normal form while tracking coset images; the first time two
     distinct elements land on one coset at depth r, the radius is r - 1.
+    On Z^d mod moduli with the letters it is (min(moduli) - 1) // 2: a
+    nonzero vector of the lattice of moduli-multiples has l1 norm at least
+    min(moduli), and ceil(m/2) e_i, -floor(m/2) e_i share a coset.
     """
     fam = quotient.family
+    if generators is None and isinstance(fam, FreeAbelian) and quotient.moduli is not None:
+        return min(r_max, (min(quotient.moduli) - 1) // 2)
     gen_pairs = [(g.normal, quotient.word_permutation(g)) for g in _closure(fam, generators)]
     ident = fam.identity_normal()
     owner = {0: ident}
@@ -521,7 +552,7 @@ def free_ball_quotient(family: GroupFamily, radius: int, seed: int = 0) -> Finit
     tree, so word balls of the given radius embed.  Useful for generating
     quotient files for free-group experiments.
     """
-    if family.kind != "free":
+    if not isinstance(family, Free):
         raise ValueError("free_ball_quotient only applies to free families")
     if radius < 1:
         raise ValueError("radius must be >= 1")

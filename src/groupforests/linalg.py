@@ -49,7 +49,7 @@ from .groups import FiniteQuotient, GroupWord, component_labels
 # bareiss_determinant is unused here; perfbench's tracer wraps it under this
 # name too, and its smoke test checks that both bindings are wrapped
 from .intmat import bareiss_determinant, certified_smith_form, crt, modular_determinant, prime_windows  # noqa: F401
-from .walks import GroupRingElement, laplacian_element, require_well_balanced
+from .walks import GroupRingElement, laplacian_element, require_well_balanced, torus_symbol
 
 
 class QuotientLaplacian:
@@ -516,18 +516,7 @@ def free_abelian_spectrum(quotient: FiniteQuotient, f: GroupRingElement) -> Spec
     if quotient.moduli is None:
         raise ValueError("quotient was not built from moduli; use spectrum()")
     require_well_balanced(f)
-    shape = tuple(quotient.moduli)
-    d = f.family.rank
-    lam = np.zeros(shape)
-    grids = np.meshgrid(
-        *[2.0 * np.pi * np.arange(m) / m for m in shape], indexing="ij", sparse=True
-    )
-    for nf, c in f._coeffs.items():
-        phase = np.zeros(shape)
-        for i in range(d):
-            if nf[i]:
-                phase = phase + nf[i] * grids[i]
-        lam += int(c) * np.cos(phase)
+    lam = torus_symbol(((nf, int(c)) for nf, c in f._coeffs.items()), tuple(quotient.moduli))
     vals = np.sort(lam.ravel())
     # characters are exact: clamp the single structural zero's rounding dust
     vals[np.abs(vals) < 1e-12 * max(1.0, float(f.one_norm()))] = 0.0

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .forests import QuotientMultigraph, lift_marginals, rng_stream, wilson_sample
 from .groups import (
+    FAMILIES,
     FiniteQuotient,
     GroupFamily,
     chain_radii,
@@ -124,26 +125,16 @@ def _int_text(n: int) -> str:
 def parse_family(text: str) -> GroupFamily:
     """Family spec: 'free-abelian:d', 'free:r', or 'heisenberg'."""
     spec = text.strip().lower().replace("_", "-")
-    if spec == "heisenberg":
-        return GroupFamily.heisenberg()
     kind, sep, rank_text = spec.partition(":")
-    if not sep:
+    if not sep and kind != "heisenberg":
         raise ValueError(f"family spec {text!r} needs 'kind:rank' (or 'heisenberg')")
     try:
-        rank = int(rank_text)
+        rank = int(rank_text) if sep else 2
     except ValueError:
         raise ValueError(f"family rank {rank_text!r} is not an integer") from None
-    if kind == "free-abelian":
-        return GroupFamily.free_abelian(rank)
-    if kind == "free":
-        return GroupFamily.free(rank)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-def family_spec(family: GroupFamily) -> str:
-    if family.kind == "heisenberg":
-        return "heisenberg"
-    return f"{family.kind}:{family.rank}"
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return FAMILIES[kind](rank)
 
 
 def parse_moduli(text: str) -> list:
@@ -188,7 +179,7 @@ class ExperimentConfig:
         f_line = format_group_ring(self.f).strip().replace("\n", "; ")
         lines = [
             f"operation: {self.operation}",
-            f"family: {family_spec(self.family)}",
+            f"family: {self.family.spec}",
             f"f: {f_line}",
         ]
         if self.h is not None:

@@ -24,9 +24,9 @@ so the Green tail estimate reads the series of its own walk.  The engines:
   second step on).  Both stop at the same step with the same error once the
   support exceeds max_support.
 - "grid": for free-abelian families, evaluates the Fourier multiplier of mu
-  on an m^d grid; the grid average of its k-th power equals (mu^k) at the
-  origin exactly as long as k * reach < m (no wrap-around), and is an upper
-  bound with exponentially small bias otherwise.
+  on an m^d grid (`torus_symbol`); the grid average of its k-th power
+  equals (mu^k) at the origin exactly as long as k * reach < m (no
+  wrap-around), and is an upper bound with exponentially small bias otherwise.
 - "tree": for free groups with nearest-neighbor support, a first-passage /
   renewal recurrence in the word-length coordinate.
 """
@@ -430,19 +430,16 @@ def _pick_grid_size(target: int, d: int, max_cells: int, iterations: int = 1) ->
     return max(16, min(target, cap))
 
 
-def _grid_multiplier(f, m):
-    """Fourier multiplier of mu on the m^d grid, as a d-dimensional array."""
-    fam = f.family
-    d = fam.rank
-    theta = 2.0 * np.pi * np.arange(m) / m
-    lam = np.zeros((m,) * d)
-    for nf, w in _mu_float(f).items():
-        phase = np.zeros((m,) * d)
-        for i, s_i in enumerate(nf):
+def torus_symbol(terms, shape) -> np.ndarray:
+    """sum of w cos<theta, s> over the (s, w) terms at theta = 2 pi j / shape, j in the grid."""
+    thetas = [2.0 * np.pi * np.arange(m) / m for m in shape]
+    grids = np.meshgrid(*thetas, indexing="ij", sparse=True)
+    lam = np.zeros(shape)
+    for s, w in terms:
+        phase = np.zeros(shape)
+        for s_i, grid in zip(s, grids):
             if s_i:
-                shape = [1] * d
-                shape[i] = m
-                phase = phase + s_i * theta.reshape(shape)
+                phase = phase + s_i * grid
         lam += w * np.cos(phase)
     return lam
 
@@ -462,7 +459,7 @@ def _grid_pass(f, K, ball, radius, max_cells):
     m = _pick_grid_size(K * _grid_reach(f) + radius + 1, d, max_cells, iterations=K)
     if m**d > max_cells:
         raise ResourceLimitError(f"grid {m}^{d} exceeds cell cap {max_cells}")
-    lam = _grid_multiplier(f, m)
+    lam = torus_symbol(_mu_float(f).items(), (m,) * d)
     series = np.zeros(K + 1)
     series[0] = 1.0
     p = np.ones_like(lam)
@@ -668,17 +665,9 @@ def tree_entropy(f: GroupRingElement, K: int, engine: str = "auto", **caps) -> T
 # ----- truncated Green's function -------------------------------------------
 
 
-def _is_transient(family: GroupFamily) -> bool:
-    if family.kind == "free-abelian":
-        return family.rank >= 3
-    if family.kind == "free":
-        return family.rank >= 2
-    return family.kind == "heisenberg"
-
-
 def require_transient(family: GroupFamily) -> None:
     """Raise UnsupportedFamilyError when the family's walks are recurrent."""
-    if not _is_transient(family):
+    if not family.is_transient():
         raise UnsupportedFamilyError(
             f"{family.kind}({family.rank}) walks are recurrent: the Green series "
             "diverges and no homoclinic point is defined there"
@@ -722,7 +711,7 @@ def green_truncation(
     require_well_balanced(f)
     fam = f.family
     warn: list = []
-    if not _is_transient(fam):
+    if not fam.is_transient():
         msg = (
             f"{fam.kind}({fam.rank}) walks are recurrent: the Green series "
             "diverges and partial sums grow without bound"

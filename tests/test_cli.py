@@ -77,12 +77,25 @@ class TestConfigParsing:
         assert parse_family("free_abelian:3").rank == 3
         assert parse_family("free:2").kind == "free"
         assert parse_family("heisenberg").kind == "heisenberg"
+        # the kind:rank spelling parses for every family, Heisenberg's too
+        assert parse_family("heisenberg:2") == parse_family("heisenberg")
+        with pytest.raises(ValueError, match="^the Heisenberg family has exactly 2 generators$"):
+            parse_family("heisenberg:3")
         with pytest.raises(ValueError):
             parse_family("free-abelian")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown family kind 'dihedral'$"):
             parse_family("dihedral:4")
         with pytest.raises(ValueError):
             parse_family("free:x")
+
+    def test_heisenberg_rank_spelling_gives_the_golden_report(self, capsys):
+        golden = os.path.join(os.path.dirname(__file__), "golden", "identity-heisenberg.csv")
+        with open(golden, encoding="utf-8") as fh:
+            expected = fh.read()
+        assert run_cli(["identity", "--family", "heisenberg:2", "--moduli", "3"]) == (0, expected)
+        code, _ = run_cli(["identity", "--family", "heisenberg:3", "--moduli", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the Heisenberg family has exactly 2 generators\n"
 
     def test_moduli_specs(self):
         assert parse_moduli("4,4;8,8") == [(4, 4), (8, 8)]

@@ -1,5 +1,6 @@
 """Group families, words, quotient actions, injectivity radii."""
 
+import itertools
 import random
 import time
 
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 
 from groupforests.errors import FamilyMismatchError, GroupForestsError
 from groupforests.groups import (
+    FAMILIES,
     FiniteQuotient,
+    Free,
+    FreeAbelian,
     GroupFamily,
     GroupWord,
+    Heisenberg,
     chain_radii,
     component_labels,
     format_word,
@@ -21,6 +26,7 @@ from groupforests.groups import (
     parse_word,
     word_ball,
 )
+from groupforests.runner import parse_family
 
 Z1 = GroupFamily.free_abelian(1)
 Z2 = GroupFamily.free_abelian(2)
@@ -345,6 +351,24 @@ def test_injectivity_radius_brute_force_heisenberg():
     assert injectivity_radius(q, r_max=4) == brute(4)
 
 
+def test_torus_injectivity_radius_closed_form_matches_bfs():
+    # the letters passed explicitly take the word-ball BFS; the default
+    # takes (min(moduli) - 1) // 2, capped at r_max
+    vectors = [(m,) for m in range(1, 10)]
+    vectors += list(itertools.product(range(1, 10), repeat=2))
+    vectors += list(itertools.product(range(1, 6), repeat=3))
+    cases = 0
+    for moduli in vectors:
+        fam = GroupFamily.free_abelian(len(moduli))
+        q = FiniteQuotient.from_moduli(fam, moduli)
+        letters = [GroupWord.from_letters(fam, (l,)) for l in fam.letters]
+        for r_max in (0, 1, 2, 512):
+            expected = injectivity_radius(q, r_max=r_max, generators=letters)
+            assert injectivity_radius(q, r_max=r_max) == expected, (moduli, r_max)
+            cases += 1
+    assert cases == 860
+
+
 def test_injectivity_radius_with_support_generators():
     # with respect to {u^2, u^3} on Z/12 the ball grows faster than with {u}
     q = FiniteQuotient.from_moduli(Z1, [12])
@@ -380,3 +404,47 @@ def test_chain_radius_monotonicity():
     assert chain_radii([FiniteQuotient.from_moduli(Z1, [m]) for m in (4, 8, 16)]) == [1, 3, 7]
     with pytest.raises(ValueError, match=r"non-decreasing along the chain, got \[7, 1\]"):
         chain_radii([FiniteQuotient.from_moduli(Z1, [16]), FiniteQuotient.from_moduli(Z1, [4])])
+
+
+# ----- the family contract ----------------------------------------------
+
+# each family at two ranks, on both sides of its transience threshold
+CONTRACT_RANKS = {"free-abelian": (1, 3), "free": (1, 2), "heisenberg": (2,)}
+CONTRACT_FAMILIES = [cls(r) for kind, cls in FAMILIES.items() for r in CONTRACT_RANKS[kind]]
+
+
+@pytest.mark.parametrize("fam", CONTRACT_FAMILIES, ids=lambda fam: fam.spec)
+def test_family_contract(fam):
+    assert parse_family(fam.spec) == fam
+    # families of one rank stay apart, and so do their identity words
+    others = [cls(fam.rank) for cls in FAMILIES.values() if cls is not type(fam) and cls.kind != "heisenberg"]
+    for other in others:
+        assert other != fam
+        assert GroupWord.from_letters(other, ()) != GroupWord.from_letters(fam, ())
+    ident = fam.identity_normal()
+    for l in fam.letters:
+        assert fam.multiply_normals(fam._letter_normal(l), fam._letter_normal(-l)) == ident
+        assert fam.letters_of_normal(fam._letter_normal(l)) == (l,)
+    if isinstance(fam, Free):
+        with pytest.raises(ValueError, match="^free-group quotients are given by explicit permutations$"):
+            FiniteQuotient.from_moduli(fam, [3])
+        return
+    for m in (1, 2, 5):
+        q = FiniteQuotient.from_moduli(fam, [m])
+        fam.check_relations(q.perms)
+        assert q.size == m ** len(ident)
+
+
+def test_family_contract_texts():
+    assert GroupFamily.free(2) != GroupFamily.free_abelian(2)
+    assert {GroupFamily.free(2), GroupFamily.free_abelian(2)} == {Free(2), FreeAbelian(2)}
+    assert [fam.is_transient() for fam in (Z1, Z2, GroupFamily.free(1))] == [False, False, False]
+    assert [fam.is_transient() for fam in (GroupFamily.free_abelian(3), F2, H)] == [True, True, True]
+    with pytest.raises(ValueError, match="^expected 2 moduli, got 3$"):
+        FiniteQuotient.from_moduli(Z2, [2, 3, 4])
+    with pytest.raises(ValueError, match="^heisenberg quotients take a single modulus$"):
+        FiniteQuotient.from_moduli(H, [2, 3])
+    with pytest.raises(ValueError, match="^the Heisenberg family has exactly 2 generators$"):
+        Heisenberg(3)
+    with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+        FreeAbelian(0)

@@ -37,7 +37,7 @@ from groupforests import (
     spanning_tree_count,
     spectrum,
 )
-from groupforests import intmat, linalg
+from groupforests import intmat, linalg, walks
 from groupforests.groups import GroupWord
 from groupforests.intmat import bareiss_determinant, modular_determinant, smith_normal_form
 
@@ -758,6 +758,24 @@ class TestCertifiedGroup:
 # --- spectra and determinant estimates ---
 
 
+def reference_torus_spectrum(quotient, f):
+    """The closed-form spectrum's character sums on the moduli grid, as they
+    were computed before `walks.torus_symbol` served the grid and the spectrum."""
+    shape = tuple(quotient.moduli)
+    d = f.family.rank
+    lam = np.zeros(shape)
+    grids = np.meshgrid(
+        *[2.0 * np.pi * np.arange(m) / m for m in shape], indexing="ij", sparse=True
+    )
+    for nf, c in f._coeffs.items():
+        phase = np.zeros(shape)
+        for i in range(d):
+            if nf[i]:
+                phase = phase + nf[i] * grids[i]
+        lam += int(c) * np.cos(phase)
+    return lam
+
+
 class TestSpectrum:
     def test_cycle_closed_form(self):
         m = 8
@@ -794,6 +812,19 @@ class TestSpectrum:
         dense = spectrum(L).eigenvalues
         closed = free_abelian_spectrum(quotient, f).eigenvalues
         assert np.allclose(dense, closed, atol=1e-9)
+
+    @settings(max_examples=150)
+    @given(torus_elements())
+    def test_multiplier_route_is_bit_identical(self, case):
+        # non-cubic moduli and words past the nearest neighbours, each
+        # against the loop the closed form ran before `torus_symbol`
+        quotient, f = case
+        terms = [(nf, int(c)) for nf, c in f._coeffs.items()]
+        lam = walks.torus_symbol(terms, quotient.moduli)
+        assert np.array_equal(lam, reference_torus_spectrum(quotient, f))
+        vals = np.sort(lam.ravel())
+        vals[np.abs(vals) < 1e-12 * max(1.0, float(f.one_norm()))] = 0.0
+        assert np.array_equal(free_abelian_spectrum(quotient, f).eigenvalues, vals)
 
     def test_multiplier_route_rejects_asymmetric_image(self):
         f = parse_group_ring(Z, "e 3\na -1\na a -1\na a a -1")

@@ -339,6 +339,53 @@ class TestWalkDistribution:
 # --- return series against oracles ---
 
 
+def reference_grid_multiplier(f, m):
+    """The grid engine's Fourier multiplier of mu on the m^d grid, as it was
+    computed before `walks.torus_symbol` served the grid and the spectrum."""
+    d = f.family.rank
+    theta = 2.0 * np.pi * np.arange(m) / m
+    lam = np.zeros((m,) * d)
+    for nf, w in walks._mu_float(f).items():
+        phase = np.zeros((m,) * d)
+        for i, s_i in enumerate(nf):
+            if s_i:
+                shape = [1] * d
+                shape[i] = m
+                phase = phase + s_i * theta.reshape(shape)
+        lam += w * np.cos(phase)
+    return lam
+
+
+@st.composite
+def torus_walks(draw):
+    """A well-balanced f on Z^d, d <= 3, and a grid edge m.
+
+    Every generator carries a coefficient, so the support generates; up to
+    three more words reach as far as 4 in each coordinate.
+    """
+    rank = draw(st.integers(1, 3))
+    words = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    words += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), max_size=3))
+    coeffs = {}
+    for w in words:
+        if any(w):
+            c = draw(st.integers(1, 50))
+            for x in (w, tuple(-a for a in w)):
+                coeffs[x] = coeffs.get(x, 0) - c
+    coeffs[(0,) * rank] = -sum(coeffs.values())
+    return GroupRingElement(GroupFamily.free_abelian(rank), coeffs), draw(st.integers(1, 12))
+
+
+class TestTorusSymbol:
+    @settings(max_examples=150)
+    @given(torus_walks())
+    def test_grid_multiplier_is_bit_identical(self, case):
+        f, m = case
+        require_well_balanced(f)
+        lam = walks.torus_symbol(walks._mu_float(f).items(), (m,) * f.family.rank)
+        assert np.array_equal(lam, reference_grid_multiplier(f, m))
+
+
 class TestReturnSeries:
     def test_exact_rank_one_returns(self):
         f = laplacian_element(Z)
