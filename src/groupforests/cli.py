@@ -124,23 +124,13 @@ def _merge(args: argparse.Namespace) -> dict:
 
 def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
     merged = _merge(args)
-    f_text = merged.pop("f", None)
-    if f_text is not None:
-        f_text = str(f_text).replace(";", "\n")
-    h_text = merged.pop("h", None)
-    if h_text is not None:
-        h_text = str(h_text).replace(";", "\n")
-    moduli = merged.pop("moduli", None)
-    return runner.resolve_config(
-        args.operation,
-        family=str(merged.pop("family", "free-abelian:1")),
-        f=f_text,
-        moduli=None if moduli is None else str(moduli),
-        quotient_files=merged.pop("quotient_files", ()),
-        ball_radii=merged.pop("ball_radii", ()),
-        h=h_text,
-        **merged,
-    )
+    for key in ("f", "h"):
+        if merged.get(key) is not None:
+            merged[key] = str(merged[key]).replace(";", "\n")
+    merged["family"] = str(merged.get("family", "free-abelian:1"))  # YAML null is 'None'
+    if merged.get("moduli") is not None:
+        merged["moduli"] = str(merged["moduli"])
+    return runner.resolve_config(args.operation, **merged)
 
 
 def main(argv=None) -> int:

@@ -249,37 +249,21 @@ def _window_edges(f: GroupRingElement, radius: int):
     """Canonical window of group edges: (g, word, copy) with g in the ball.
 
     Each undirected edge {(g, s, j), (gs, s^-1, j)} appears once, represented
-    from the endpoint closer to the identity (ties broken by ball order).
+    from the endpoint that comes first in the ball; f is self-adjoint, so
+    that endpoint lists it with the same multiplicity.  Rows come in ball
+    order, then f's word order, then copy.
     """
-    fam = f.family
     neg = [(w, int(-c)) for w, c in f.items() if c < 0 and not w.is_identity()]
-    gens = [w for w, _ in neg]
-    ball = word_ball(fam, radius, generators=gens)
+    ball = word_ball(f.family, radius, generators=[w for w, _ in neg])
     position = {w.normal: i for i, w in enumerate(ball)}
     chosen = []
-    seen = set()
-    for g in ball:
+    for i, g in enumerate(ball):
         for s, mult in neg:
-            partner_g = g * s
-            partner_s = s.inverse()
-            for j in range(mult):
-                key = (position[g.normal], g.normal, s.normal, j)
-                rep = (g, s, j)
-                alt_pos = position.get(partner_g.normal)
-                if alt_pos is not None:
-                    alt = (alt_pos, partner_g.normal, partner_s.normal, j)
-                    if alt < key:
-                        key = alt
-                        rep = (partner_g, partner_s, j)
-                if key in seen:
-                    continue
-                seen.add(key)
-                label = f"{format_word(rep[0])}:{format_word(rep[1])}"
-                if mult > 1:
-                    label += f"#{j}"
-                chosen.append((key, rep, label))
-    chosen.sort(key=lambda t: t[0])
-    return [(rep, label) for _, rep, label in chosen]
+            if position.get((g * s).normal, i) < i:
+                continue  # listed from g*s, earlier in the ball
+            label = f"{format_word(g)}:{format_word(s)}"
+            chosen.extend(((g, s, j), f"{label}#{j}" if mult > 1 else label) for j in range(mult))
+    return chosen
 
 
 def lift_marginals(

@@ -39,6 +39,8 @@ class GroupFamily:
     transient_rank = 1
 
     def __post_init__(self):
+        if not self.kind:
+            raise TypeError("GroupFamily is a base: use FreeAbelian, Free, Heisenberg or FAMILIES")
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
 
@@ -481,7 +483,7 @@ def injectivity_radius(
         return min(r_max, (min(quotient.moduli) - 1) // 2)
     gen_pairs = [(g.normal, quotient.word_permutation(g)) for g in _closure(fam, generators)]
     ident = fam.identity_normal()
-    owner = {0: ident}
+    reached = {0}  # cosets of the elements found so far
     seen = {ident}
     frontier = [(ident, 0)]
     for r in range(1, r_max + 1):
@@ -492,10 +494,10 @@ def injectivity_radius(
                 if nf2 in seen:
                     continue
                 c2 = int(gperm[c])
-                if c2 in owner:
+                if c2 in reached:
                     return r - 1
                 seen.add(nf2)
-                owner[c2] = nf2
+                reached.add(c2)
                 nxt.append((nf2, c2))
         if not nxt:
             break

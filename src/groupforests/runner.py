@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields as dataclass_fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,23 +64,6 @@ from .walks import (
     tree_entropy,
 )
 
-OPERATIONS = (
-    "identity",
-    "tree-entropy",
-    "fk-det",
-    "sample-ust",
-    "wsf-marginals",
-    "green",
-    "homoclinic",
-    "spectral-radius",
-    "window-density",
-)
-
-# operations that act on a quotient chain rather than on f alone
-CHAIN_OPERATIONS = frozenset(
-    {"identity", "fk-det", "sample-ust", "wsf-marginals", "window-density"}
-)
-
 DEFAULT_CAPS = {
     "max_support": 200000,
     "max_grid_cells": 1 << 22,
@@ -87,18 +71,6 @@ DEFAULT_CAPS = {
     "max_enumerate": 20000,
     "max_steps": 0,
     "probes": 64,
-}
-
-OP_DEFAULTS = {
-    "identity": {"K": 80, "kappa": 0.0},
-    "tree-entropy": {"K": 400},
-    "fk-det": {"kappa": 0.0},
-    "sample-ust": {"samples": 10, "root": 0},
-    "wsf-marginals": {"samples": 2000, "radius": 1},
-    "green": {"K": 60, "radius": 2},
-    "homoclinic": {"K": 60, "radius": 1},
-    "spectral-radius": {"k_max": 200, "tol": 0.05},
-    "window-density": {"radius": 1},
 }
 
 
@@ -301,7 +273,7 @@ def resolve_config(
                 (GroupForestsError, ValueError),
             )
         )
-    fields = dict(OP_DEFAULTS.get(operation, {}))
+    fields = dict(OPERATIONS[operation].defaults)
     caps = {}
     for key, value in params.items():
         if value is None:
@@ -331,7 +303,7 @@ def resolve_config(
     for r in _config_list("ball_radii", ball_radii):
         radius = _config_number("ball_radii", r, whole=True)
         quotients.append(free_ball_quotient(fam, radius, seed=seed))
-    if not quotients and operation in CHAIN_OPERATIONS:
+    if not quotients and OPERATIONS[operation].chain:
         raise ValueError(f"operation {operation!r} needs at least one quotient")
     return ExperimentConfig(
         operation=operation,
@@ -803,18 +775,27 @@ def run_spectral_radius(cfg: ExperimentConfig) -> Report:
     return Report("spectral-radius", cfg.header_lines(), columns, rows, notes)
 
 
-RUNNERS = {
-    "identity": run_identity_suite,
-    "tree-entropy": run_tree_entropy,
-    "fk-det": run_fk_det,
-    "sample-ust": run_sample_ust,
-    "wsf-marginals": run_forest_suite,
-    "green": run_green,
-    "homoclinic": run_homoclinic,
-    "spectral-radius": run_spectral_radius,
-    "window-density": run_window_density,
+class Operation(NamedTuple):
+    """A report, its parameter defaults, and whether it needs a quotient chain."""
+
+    run: Callable[[ExperimentConfig], Report]
+    defaults: dict
+    chain: bool
+
+
+# in CLI order; the subcommands, their help and the golden corpus read it
+OPERATIONS = {
+    "identity": Operation(run_identity_suite, {"K": 80, "kappa": 0.0}, True),
+    "tree-entropy": Operation(run_tree_entropy, {"K": 400}, False),
+    "fk-det": Operation(run_fk_det, {"kappa": 0.0}, True),
+    "sample-ust": Operation(run_sample_ust, {"samples": 10, "root": 0}, True),
+    "wsf-marginals": Operation(run_forest_suite, {"samples": 2000, "radius": 1}, True),
+    "green": Operation(run_green, {"K": 60, "radius": 2}, False),
+    "homoclinic": Operation(run_homoclinic, {"K": 60, "radius": 1}, False),
+    "spectral-radius": Operation(run_spectral_radius, {"k_max": 200, "tol": 0.05}, False),
+    "window-density": Operation(run_window_density, {"radius": 1}, True),
 }
 
 
 def run(cfg: ExperimentConfig) -> Report:
-    return RUNNERS[cfg.operation](cfg)
+    return OPERATIONS[cfg.operation].run(cfg)

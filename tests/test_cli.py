@@ -71,6 +71,22 @@ def column(text, name):
     return [row[idx] for row in rows]
 
 
+# what each operation resolves to with no parameters given
+RESOLVED_PARAMS = ("K", "kappa", "samples", "radius", "k_max", "tol", "root")
+RESOLVED_DEFAULTS = {
+    "identity": (80, 0.0, 1000, 1, 200, 0.05, 0),
+    "tree-entropy": (400, 0.0, 1000, 1, 200, 0.05, 0),
+    "fk-det": (80, 0.0, 1000, 1, 200, 0.05, 0),
+    "sample-ust": (80, 0.0, 10, 1, 200, 0.05, 0),
+    "wsf-marginals": (80, 0.0, 2000, 1, 200, 0.05, 0),
+    "green": (60, 0.0, 1000, 2, 200, 0.05, 0),
+    "homoclinic": (60, 0.0, 1000, 1, 200, 0.05, 0),
+    "spectral-radius": (80, 0.0, 1000, 1, 200, 0.05, 0),
+    "window-density": (80, 0.0, 1000, 1, 200, 0.05, 0),
+}
+CHAIN_OPERATIONS = {"identity", "fk-det", "sample-ust", "wsf-marginals", "window-density"}
+
+
 class TestConfigParsing:
     def test_family_specs(self):
         assert parse_family("free-abelian:2").kind == "free-abelian"
@@ -109,6 +125,26 @@ class TestConfigParsing:
         assert cfg.K == 60 and cfg.radius == 2
         cfg = resolve_config("wsf-marginals", family="free-abelian:1", moduli="6")
         assert cfg.samples == 2000 and cfg.radius == 1
+
+    @pytest.mark.parametrize("operation", sorted(RESOLVED_DEFAULTS))
+    def test_operation_table_defaults(self, operation):
+        # written out, not read from runner.OPERATIONS: six of these values
+        # (tree-entropy's K, the sample counts, green's and homoclinic's K and
+        # green's radius) appear in no golden header
+        cfg = resolve_config(operation, family="free-abelian:1", moduli="4")
+        resolved = tuple(getattr(cfg, name) for name in RESOLVED_PARAMS)
+        assert resolved == RESOLVED_DEFAULTS[operation]
+        assert (cfg.seed, cfg.engine, cfg.out, cfg.caps) == (0, "auto", None, {})
+
+    @pytest.mark.parametrize("operation", sorted(RESOLVED_DEFAULTS))
+    def test_operation_table_chain_flag(self, operation):
+        if operation in CHAIN_OPERATIONS:
+            message = f"^operation '{operation}' needs at least one quotient$"
+            with pytest.raises(ValueError, match=message):
+                resolve_config(operation, family="free-abelian:1")
+        else:
+            cfg = resolve_config(operation, family="free-abelian:1")
+            assert cfg.quotients == () and cfg.injectivity_radii == ()
 
     def test_rejects_unbalanced_f(self):
         from groupforests import NotWellBalancedError
@@ -1077,6 +1113,37 @@ class TestOutputContract:
         cfg_file.write_text("family: free:2\nball_radii: [2]\nquotient_files:\n")
         flags = ["--family", "free:2", "--ball-radius", "2"]
         assert run_cli(["fk-det", "--config", str(cfg_file)]) == run_cli(["fk-det", *flags])
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            ("moduli: 4\n", ["--moduli", "4"]),
+            ("moduli: 4\nf: 'e 2; a -1; A -1'\n", ["--moduli", "4", "--f", "e 2; a -1; A -1"]),
+        ],
+        ids=["int-moduli", "f-text"],
+    )
+    def test_config_file_values_reach_resolve_as_flags(self, tmp_path, lines, flags):
+        # an int moduli is read as its text, an f as terms split at ';'
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text(f"family: free-abelian:1\n{lines}")
+        from_file = run_cli(["fk-det", "--config", str(cfg_file)])
+        assert from_file[0] == 0
+        assert from_file == run_cli(["fk-det", "--family", "free-abelian:1", *flags])
+
+    def test_config_file_null_quotient_files_reads_no_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: free:2\nquotient_files: null\n")
+        assert run_cli(["fk-det", "--config", str(cfg_file)]) == (1, "")
+        assert capsys.readouterr().err == "error: operation 'fk-det' needs at least one quotient\n"
+
+    def test_config_file_null_family_is_the_spec_none(self, tmp_path, capsys):
+        # not the default family, and not an AttributeError on None
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text("family: null\nmoduli: '4'\n")
+        assert run_cli(["identity", "--config", str(cfg_file)]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: family spec 'None' needs 'kind:rank' (or 'heisenberg')\n"
+        )
 
     def test_int_past_the_float_range_is_refused(self):
         # float() of it would raise OverflowError, which main does not catch

@@ -29,6 +29,8 @@ from groupforests import (
     FamilyMismatchError,
     FiniteQuotient,
     GroupFamily,
+    GroupRingElement,
+    GroupWord,
     NotWellBalancedError,
     QuotientLaplacian,
     QuotientMultigraph,
@@ -47,6 +49,8 @@ from groupforests import (
 )
 from groupforests import forests
 from groupforests.forests import _wilson_exits, _window_edges
+from groupforests.groups import format_word, word_ball
+from groupforests.walks import require_well_balanced
 
 Z = GroupFamily.free_abelian(1)
 Z2 = GroupFamily.free_abelian(2)
@@ -580,6 +584,66 @@ class TestValidate:
         ]
 
 
+def _reference_window_edges(f, radius):
+    """_window_edges as it was before it listed each edge from its first
+    endpoint: every directed edge keyed by (ball position, g, s, j) of
+    either endpoint, the lesser key kept once, and the keys sorted."""
+    fam = f.family
+    neg = [(w, int(-c)) for w, c in f.items() if c < 0 and not w.is_identity()]
+    gens = [w for w, _ in neg]
+    ball = word_ball(fam, radius, generators=gens)
+    position = {w.normal: i for i, w in enumerate(ball)}
+    chosen = []
+    seen = set()
+    for g in ball:
+        for s, mult in neg:
+            partner_g = g * s
+            partner_s = s.inverse()
+            for j in range(mult):
+                key = (position[g.normal], g.normal, s.normal, j)
+                rep = (g, s, j)
+                alt_pos = position.get(partner_g.normal)
+                if alt_pos is not None:
+                    alt = (alt_pos, partner_g.normal, partner_s.normal, j)
+                    if alt < key:
+                        key = alt
+                        rep = (partner_g, partner_s, j)
+                if key in seen:
+                    continue
+                seen.add(key)
+                label = f"{format_word(rep[0])}:{format_word(rep[1])}"
+                if mult > 1:
+                    label += f"#{j}"
+                chosen.append((key, rep, label))
+    chosen.sort(key=lambda t: t[0])
+    return [(rep, label) for _, rep, label in chosen]
+
+
+@st.composite
+def window_elements(draw):
+    """A well-balanced f on Z^1..Z^3, F_2 or H with multiplicities 1-3.
+
+    Every generator carries a coefficient, so f's support generates the
+    family; up to three more words of 2-3 letters (on Z^d, longer steps and
+    diagonals) carry their own.
+    """
+    family = draw(st.sampled_from([Z, Z2, GroupFamily.free_abelian(3), F2, H]))
+    words = [GroupWord.from_letters(family, (l,)) for l in range(1, family.rank + 1)]
+    letters = st.sampled_from(family.letters)
+    for extra in draw(st.lists(st.lists(letters, min_size=2, max_size=3), max_size=3)):
+        words.append(GroupWord.from_letters(family, extra))
+    coeffs = {}
+    for w in words:
+        if not w.is_identity():
+            c = draw(st.integers(1, 3))
+            for nf in (w.normal, w.inverse().normal):
+                coeffs[nf] = coeffs.get(nf, 0) - c
+    coeffs[family.identity_normal()] = -sum(coeffs.values())
+    f = GroupRingElement(family, coeffs)
+    require_well_balanced(f)
+    return f, draw(st.integers(0, 2))
+
+
 class TestWindowEdges:
     def test_rank_one_window(self):
         rows = _window_edges(laplacian_element(Z), 1)
@@ -600,6 +664,17 @@ class TestWindowEdges:
         # 20 directed window edges, 4 interior pairs merge: 16 classes
         rows = _window_edges(laplacian_element(F2), 1)
         assert len(rows) == 16
+
+    @settings(max_examples=150)
+    @given(window_elements())
+    def test_matches_reference(self, case):
+        # same representatives, labels and order as the keyed, sorted pass
+        f, radius = case
+
+        def plain(rows):
+            return [((g.normal, s.normal, j), label) for (g, s, j), label in rows]
+
+        assert plain(_window_edges(f, radius)) == plain(_reference_window_edges(f, radius))
 
 
 # window cases of lift_marginals: doubled bundles, a non-abelian chain and

@@ -448,3 +448,16 @@ def test_family_contract_texts():
         Heisenberg(3)
     with pytest.raises(ValueError, match="^rank must be a positive integer$"):
         FreeAbelian(0)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_bare_base_family_is_refused(rank):
+    # it built with kind "" and failed at first use, on identity_normal
+    message = "^GroupFamily is a base: use FreeAbelian, Free, Heisenberg or FAMILIES$"
+    with pytest.raises(TypeError, match=message):
+        GroupFamily(rank)
+    # every subclass at a valid rank still builds, through each spelling
+    built = [FreeAbelian(rank + 1), Free(rank + 1), Heisenberg(2)]
+    assert built == [FAMILIES[fam.kind](fam.rank) for fam in built]
+    assert [GroupFamily.free_abelian(rank + 1), GroupFamily.free(rank + 1)] == built[:2]
+    assert GroupFamily.heisenberg() == built[2]
