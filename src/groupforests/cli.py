@@ -27,27 +27,6 @@ _DESCRIPTIONS = {
     "window-density": "covering radius of harmonic component projections",
 }
 
-# (name, type, help) of the flags whose values flow straight into
-# resolve_config keyword params; the flag is --name with '-' for '_'
-_PARAMS = (
-    ("K", int, "truncation order of the walk series"),
-    ("kappa", float, "spectral cutoff for determinant estimates"),
-    ("samples", int, "Monte Carlo sample count"),
-    ("radius", int, "window radius in the support word metric"),
-    ("k_max", int, "largest even walk length probed"),
-    ("tol", float, "amenability decision margin"),
-    ("root", int, "root vertex for tree sampling"),
-    ("seed", int, "base seed of the counter-based streams"),
-    ("engine", str, "walk engine: auto, direct, grid, tree"),
-    ("out", str, "output CSV path (default stdout)"),
-    ("max_support", int, "walk support cap"),
-    ("max_grid_cells", int, "grid cell cap"),
-    ("max_dense", int, "dense eigensolve cap"),
-    ("max_enumerate", int, "component enumeration cap"),
-    ("max_steps", int, "random walk step cap"),
-    ("probes", int, "covering-radius probe count"),
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="truncated-ball quotient of this radius; repeat for a chain",
     )
-    for name, kind, text in _PARAMS:
+    for name, (kind, text) in runner.PARAMS.items():
         shared.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
     sub = parser.add_subparsers(dest="operation", required=True)
     for name in runner.OPERATIONS:
@@ -115,7 +94,7 @@ def _merge(args: argparse.Namespace) -> dict:
         merged["quotient_files"] = list(args.quotient_file)
     if args.ball_radius:
         merged["ball_radii"] = list(args.ball_radius)
-    for key, _, _ in _PARAMS:
+    for key in runner.PARAMS:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
@@ -127,7 +106,8 @@ def config_from_args(args: argparse.Namespace) -> runner.ExperimentConfig:
     for key in ("f", "h"):
         if merged.get(key) is not None:
             merged[key] = str(merged[key]).replace(";", "\n")
-    merged["family"] = str(merged.get("family", "free-abelian:1"))  # YAML null is 'None'
+    if "family" in merged:
+        merged["family"] = str(merged["family"])  # YAML null is the spec 'None'
     if merged.get("moduli") is not None:
         merged["moduli"] = str(merged["moduli"])
     return runner.resolve_config(args.operation, **merged)

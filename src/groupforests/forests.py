@@ -42,7 +42,7 @@ from .errors import (
 )
 from .groups import component_labels, format_word, injectivity_radius, word_ball
 from .linalg import QuotientLaplacian, build_laplacian
-from .walks import GroupRingElement, require_well_balanced
+from .walks import GroupRingElement, require_well_balanced, support_words
 
 _MASK64 = (1 << 64) - 1
 _DRAW_BLOCK = 256  # doubles per generator call in Wilson's walk
@@ -253,8 +253,8 @@ def _window_edges(f: GroupRingElement, radius: int):
     that endpoint lists it with the same multiplicity.  Rows come in ball
     order, then f's word order, then copy.
     """
-    neg = [(w, int(-c)) for w, c in f.items() if c < 0 and not w.is_identity()]
-    ball = word_ball(f.family, radius, generators=[w for w, _ in neg])
+    neg = [(s, -f.coefficient(s)) for s in support_words(f)]  # f is well-balanced
+    ball = word_ball(f.family, radius, generators=[s for s, _ in neg])
     position = {w.normal: i for i, w in enumerate(ball)}
     chosen = []
     for i, g in enumerate(ball):
@@ -301,7 +301,7 @@ def lift_marginals(
     if radius < 0:
         raise ValueError("window radius must be >= 0")
     window = _window_edges(f, radius)
-    gens = [w for w, c in f.items() if c < 0 and not w.is_identity()]
+    gens = support_words(f)
 
     def table(qi, quotient):
         inj = injectivity_radius(quotient, r_max=radius + 1, generators=gens)

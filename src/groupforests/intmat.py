@@ -440,16 +440,9 @@ def smith_normal_form(rows, modulus: int | None = None) -> list[int]:
         matrix yields fewer factors than min(rows, cols) unless a modulus
         is given.
     """
-    factors = [d for d in _smith(rows, modulus, transform=False)[0] if d]
-    # the gcd mapping of a modded run can break the chain: restore it
-    k = len(factors)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if factors[j] % factors[i]:
-                g = math.gcd(factors[i], factors[j])
-                factors[j] = factors[i] // g * factors[j]
-                factors[i] = g
-    return sorted(factors)
+    # each pivot divides its block, so every later entry is a multiple of
+    # gcd(pivot, D) mod D: the pivot-order diagonal is already the chain
+    return [d for d in _smith(rows, modulus, transform=False)[0] if d]
 
 
 # right-hand sides of the exponent's solve, with entries in [-_RHS_RANGE, _RHS_RANGE)

@@ -498,8 +498,7 @@ class SpectrumSummary:
 
 def spectrum(L: QuotientLaplacian) -> SpectrumSummary:
     """Dense symmetric eigensolve of the Laplacian."""
-    vals = np.linalg.eigvalsh(L.matrix.astype(np.float64))
-    vals.sort()
+    vals = np.linalg.eigvalsh(L.matrix.astype(np.float64))  # ascending
     return SpectrumSummary(eigenvalues=vals, zero_count=L.component_count())
 
 

@@ -14,7 +14,7 @@ import decimal
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -50,6 +50,9 @@ from .linalg import (
     spectrum,
 )
 from .walks import (
+    DEFAULT_MAX_GRID_CELLS,
+    DEFAULT_MAX_SUPPORT,
+    ENGINES,
     check_support_cap,
     formal_inverse_residual,
     format_group_ring,
@@ -65,12 +68,34 @@ from .walks import (
 )
 
 DEFAULT_CAPS = {
-    "max_support": 200000,
-    "max_grid_cells": 1 << 22,
+    "max_support": DEFAULT_MAX_SUPPORT,
+    "max_grid_cells": DEFAULT_MAX_GRID_CELLS,
     "max_dense": 4096,
     "max_enumerate": 20000,
     "max_steps": 0,
     "probes": 64,
+}
+
+# name -> (kind, help) of the run parameters, in flag order: the flag is
+# --name with '-' for '_', resolve_config checks the key by its kind, and
+# the header prints K to engine; the rest are out and the DEFAULT_CAPS keys
+PARAMS = {
+    "K": (int, "truncation order of the walk series"),
+    "kappa": (float, "spectral cutoff for determinant estimates"),
+    "samples": (int, "Monte Carlo sample count"),
+    "radius": (int, "window radius in the support word metric"),
+    "k_max": (int, "largest even walk length probed"),
+    "tol": (float, "amenability decision margin"),
+    "root": (int, "root vertex for tree sampling"),
+    "seed": (int, "base seed of the counter-based streams"),
+    "engine": (str, "walk engine: " + ", ".join(ENGINES)),
+    "out": (str, "output CSV path (default stdout)"),
+    "max_support": (int, "walk support cap"),
+    "max_grid_cells": (int, "grid cell cap"),
+    "max_dense": (int, "dense eigensolve cap"),
+    "max_enumerate": (int, "component enumeration cap"),
+    "max_steps": (int, "random walk step cap"),
+    "probes": (int, "covering-radius probe count"),
 }
 
 
@@ -160,46 +185,31 @@ class ExperimentConfig:
             quots = "; ".join(f"{q.label or 'quotient'} (N={q.size})" for q in self.quotients)
             lines.append(f"quotients: {quots}")
             lines.append(f"injectivity_radii: {list(self.injectivity_radii)}")
-        lines += [
-            f"K: {self.K}",
-            f"kappa: {_fmt(self.kappa)}",
-            f"samples: {self.samples}",
-            f"radius: {self.radius}",
-            f"k_max: {self.k_max}",
-            f"tol: {_fmt(self.tol)}",
-            f"root: {self.root}",
-            f"seed: {self.seed}",
-            # a fixed literal that the golden corpus and the benchmark digests
-            # pin; wsf-marginals' sample workers do not change it or the bytes
-            "threads: 1",
-            f"engine: {self.engine}",
-            "caps: " + " ".join(f"{k}={self.cap(k)}" for k in sorted(DEFAULT_CAPS)),
-        ]
+        for name in PARAMS:
+            if name == "out":  # out is not recorded, and the caps share one line
+                break
+            if name == "engine":
+                # a fixed literal that the golden corpus and the benchmark digests
+                # pin; wsf-marginals' sample workers do not change it or the bytes
+                lines.append("threads: 1")
+            lines.append(f"{name}: {_fmt(getattr(self, name))}")
+        lines.append("caps: " + " ".join(f"{k}={self.cap(k)}" for k in sorted(DEFAULT_CAPS)))
         return tuple(lines)
 
 
-# fields resolve_config takes from its keyword params; it derives the others
-_FIELD_NAMES = frozenset(f.name for f in dataclass_fields(ExperimentConfig)) - {
-    "operation",
-    "family",
-    "f",
-    "quotients",
-    "injectivity_radii",
-    "h",
-    "caps",
-}
-_INT_FIELDS = frozenset({"K", "samples", "radius", "k_max", "root", "seed"})
-_FLOAT_FIELDS = frozenset({"kappa", "tol"})
-
-
-def _config_number(key: str, value, whole: bool):
-    """A config value as an int (whole) or a float; ValueError naming key otherwise.
+def _config_value(key: str, value, kind):
+    """A config value of its kind (int, float or str); ValueError naming key otherwise.
 
     A config file may hold any YAML value there.  Text is read as a number
     (YAML reads 1e-3 as text); a bool, a list, a mapping, a number no float
     holds (nan, infinity, an int past the float range) or a fraction where
-    a whole number is due is refused, not truncated.
+    a whole number is due is refused, not truncated.  A str key takes text only.
     """
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be text, got {value!r}")
+        return value
+    whole = kind is int
     number = value
     if isinstance(value, str):
         try:
@@ -278,16 +288,17 @@ def resolve_config(
     for key, value in params.items():
         if value is None:
             continue
-        if key in DEFAULT_CAPS:
-            caps[key] = _config_number(key, value, whole=True)
-            if caps[key] < 0:
-                raise ValueError(f"{key} must be >= 0, got {caps[key]}")
-        elif key in _INT_FIELDS or key in _FLOAT_FIELDS:
-            fields[key] = _config_number(key, value, whole=key in _INT_FIELDS)
-        elif key in _FIELD_NAMES:
-            fields[key] = value
-        else:
+        if key not in PARAMS:
             raise ValueError(f"unknown parameter {key!r}")
+        value = _config_value(key, value, PARAMS[key][0])
+        if key == "engine" and value not in ENGINES:
+            raise ValueError(f"unknown engine {value!r}")
+        if key not in DEFAULT_CAPS:
+            fields[key] = value
+        elif value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
+        else:
+            caps[key] = value
     if fields.get("samples", 1) < 1:
         raise ValueError("samples must be >= 1")
     # no probe would report a covering radius of 0, a perfect density
@@ -301,7 +312,7 @@ def resolve_config(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     for r in _config_list("ball_radii", ball_radii):
-        radius = _config_number("ball_radii", r, whole=True)
+        radius = _config_value("ball_radii", r, int)
         quotients.append(free_ball_quotient(fam, radius, seed=seed))
     if not quotients and OPERATIONS[operation].chain:
         raise ValueError(f"operation {operation!r} needs at least one quotient")
@@ -345,12 +356,9 @@ def _per_quotient(cfg: ExperimentConfig, fn) -> list:
 
 
 def _spectrum_summary(cfg: ExperimentConfig, quotient: FiniteQuotient, lap):
-    """Closed-form character spectrum when available, else dense solve."""
-    if quotient.family.kind == "free-abelian":
-        try:
-            return free_abelian_spectrum(quotient, cfg.f)
-        except ValueError:
-            pass
+    """Closed-form character spectrum on a moduli quotient of Z^d, else dense solve."""
+    if quotient.family.kind == "free-abelian" and quotient.moduli is not None:
+        return free_abelian_spectrum(quotient, cfg.f)
     _check_dense(cfg, lap.size, "dense eigensolve")
     return spectrum(lap)
 

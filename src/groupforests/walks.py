@@ -53,6 +53,7 @@ DEFAULT_MAX_SUPPORT = 200_000
 DEFAULT_MAX_EXACT_SUPPORT = 20_000
 DEFAULT_MAX_GRID_CELLS = 1 << 22
 DEFAULT_MAX_TREE_ORDER = 4000
+ENGINES = ("auto", "direct", "grid", "tree")  # auto picks one of the other three
 
 
 class GroupRingElement:
@@ -546,6 +547,8 @@ def _walk_pass(f, K, engine, radius, max_support, max_exact_support, max_grid_ce
     that ball (support metric) to sum_{k=0}^{K} (mu^k) at it; with radius
     None it is empty.  The grid size is m on the grid engine, else None.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if engine == "auto":
         engine = _auto_engine(f)
     ball = ()
@@ -555,9 +558,7 @@ def _walk_pass(f, K, engine, radius, max_support, max_exact_support, max_grid_ce
         return engine, *_direct_pass(f, K, ball, max_support, max_exact_support)
     if engine == "grid":
         return engine, *_grid_pass(f, K, ball, radius or 0, max_grid_cells)
-    if engine == "tree":
-        return engine, *_tree_pass(f, K, ball)
-    raise ValueError(f"unknown engine {engine!r}")
+    return engine, *_tree_pass(f, K, ball)
 
 
 def return_series(

@@ -47,6 +47,7 @@ from groupforests.runner import (
     resolve_config,
 )
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import GOLDEN_DIR
 
 Z = GroupFamily.free_abelian(1)
 
@@ -174,7 +175,7 @@ class TestConfigParsing:
 
     def test_param_keys_are_config_fields_or_caps(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for key, _, _ in cli._PARAMS:
+        for key in runner.PARAMS:
             assert key in names or key in runner.DEFAULT_CAPS, key
 
 
@@ -208,7 +209,7 @@ def _reference_parser():
             type=int,
             help="truncated-ball quotient of this radius; repeat for a chain",
         )
-        for key, kind, text in cli._PARAMS:
+        for key, (kind, text) in runner.PARAMS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     return parser
 
@@ -376,6 +377,17 @@ class TestIdentitySuite:
         orders = column(out, "component_order")
         assert taus == [str(m) for m in range(3, 13)]
         assert orders == taus
+
+    def test_closed_form_spectrum_error_is_raised(self, monkeypatch, capsys):
+        # a ValueError inside the closed form took the dense route unseen
+        def broken(terms, shape):
+            raise ValueError("broken symbol")
+
+        monkeypatch.setattr(linalg, "torus_symbol", broken)
+        code, out = run_cli(["identity", "--family", "free-abelian:2", "--moduli", "4,4"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("broken symbol\n")
 
     def test_torus_chain_monotone_to_limit(self):
         code, out = run_cli(
@@ -1062,6 +1074,10 @@ class TestOutputContract:
             ("kappa: -.inf", "kappa must be a finite number, got -inf"),
             ("tol: nan", "tol must be a finite number, got 'nan'"),
             ("tol: .inf", "tol must be a finite number, got inf"),
+            ("out: 5", "out must be text, got 5"),
+            ("out: [a]", "out must be text, got ['a']"),
+            ("engine: [1]", "engine must be text, got [1]"),
+            ("engine: bogus", "unknown engine 'bogus'"),
         ],
     )
     def test_config_file_value_of_wrong_type_or_sign(self, tmp_path, capsys, line, message):
@@ -1144,6 +1160,28 @@ class TestOutputContract:
         assert capsys.readouterr().err == (
             "error: family spec 'None' needs 'kind:rank' (or 'heisenberg')\n"
         )
+
+    def test_config_file_of_every_param_at_its_default(self, tmp_path):
+        # every key passes its kind check and the report is the golden one
+        import yaml
+
+        cfg = resolve_config("identity", family="free-abelian:2", moduli="4,4;6,6")
+        out = tmp_path / "identity.csv"
+        data = {"family": "free-abelian:2", "moduli": "4,4;6,6"}
+        for key in runner.PARAMS:
+            data[key] = cfg.cap(key) if key in runner.DEFAULT_CAPS else getattr(cfg, key)
+        data["out"] = str(out)
+        cfg_file = tmp_path / "run.yml"
+        cfg_file.write_text(yaml.safe_dump(data))
+        assert run_cli(["identity", "--config", str(cfg_file)]) == (0, "")
+        assert out.read_bytes() == (GOLDEN_DIR / "identity-torus.csv").read_bytes()
+
+    @pytest.mark.parametrize("operation", list(runner.OPERATIONS))
+    def test_unknown_engine_is_refused_before_any_work(self, capsys, operation):
+        # fk-det never walks, so it printed 'engine: bogus' in its header and exited 0
+        argv = [operation, "--family", "free-abelian:1", "--moduli", "4", "--engine", "bogus"]
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == "error: unknown engine 'bogus'\n"
 
     def test_int_past_the_float_range_is_refused(self):
         # float() of it would raise OverflowError, which main does not catch

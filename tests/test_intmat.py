@@ -536,6 +536,33 @@ class TestSmithReference:
                 assert got == _reference_smith(rows, modulus, transform)
 
 
+def _reference_smith_normal_form(rows, modulus):
+    """smith_normal_form as it was when it restored the divisibility chain
+    after the gcd mapping and sorted the factors."""
+    factors = [d for d in intmat._smith(rows, modulus, transform=False)[0] if d]
+    k = len(factors)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if factors[j] % factors[i]:
+                g = math.gcd(factors[i], factors[j])
+                factors[j] = factors[i] // g * factors[j]
+                factors[i] = g
+    return sorted(factors)
+
+
+class TestSmithChain:
+    """The nonzero pivot-order diagonal is already the divisibility chain, with
+    no modulus, a unit, a small or composite one and one past 2**64."""
+
+    @settings(max_examples=400)
+    @given(smith_cases())
+    def test_pivot_order_is_the_chain(self, case):
+        rows, modulus = case
+        factors = smith_normal_form(rows, modulus)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert factors == _reference_smith_normal_form(rows, modulus)
+
+
 class TestCertifiedSmith:
     """The Smith form modulo the exponent, against the one modulo the determinant."""
 
